@@ -1,9 +1,10 @@
 """Semigroup smoothing, the weighted eigenspace truncation Pi_theta,
 fractional powers and norms, the sup constant Phi, and Fourier truncations.
 
-All operators act diagonally on coefficients.  On torus operators the k=0
-coefficient sits outside the positive spectrum: fractional powers and norms
-skip it, and the diagonal operators carry it through untouched.
+All operators act diagonally on coefficients: each is a per-mode multiplier,
+defined once in `multiplier`.  On torus operators the k=0 coefficient sits
+outside the positive spectrum: fractional powers and norms skip it, and the
+diagonal operators carry it through untouched.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import ModeIndex, TorusLaplacian, TorusStokes
+from .domains import TorusLaplacian, TorusStokes
 from .errors import ConfigError
 from .fields import SpectralField
 
@@ -42,44 +43,78 @@ class SmoothingParams:
             raise ConfigError(f"gamma must be nonnegative, got {self.gamma}")
 
 
-def _scaled(f: SpectralField, factor_of_lambda) -> SpectralField:
+MULTIPLIERS = ("identity", "semigroup", "pi_theta", "fractional_power", "spherical", "cubic")
+_FOURIER_TRUNCATIONS = ("spherical", "cubic")  # torus only; keep (factor 1) or drop
+
+
+def multiplier(name: str, param=None):
+    """Per-mode rule (k, lambda) -> factor of a named diagonal operator, or
+    None where the operator drops the mode; a factor of exactly 1 keeps the
+    coefficient as stored.  The parameter is checked here.  Rules are only
+    consulted on the positive spectrum: the carried mean passes through."""
+    if name == "identity":
+        return lambda k, lam: 1.0
+    if name == "semigroup":
+        theta = float(param)
+        if theta < 0:
+            raise ConfigError(f"semigroup time must be >= 0, got {theta}")
+        return lambda k, lam: math.exp(-theta * lam)
+    if name == "pi_theta":
+        theta = float(param)
+        if not theta > 0:
+            raise ConfigError(f"pi_theta needs theta > 0, got {theta}")
+        cutoff = theta**-2
+        return lambda k, lam: math.exp(-theta * lam) if lam < cutoff else None
+    if name == "fractional_power":
+        alpha = float(param)
+        return lambda k, lam: lam**alpha
+    if name in _FOURIER_TRUNCATIONS:
+        if param < 0:
+            raise ConfigError(f"truncation order must be >= 0, got {param}")
+        n = int(param)
+        if name == "spherical":
+            n2 = n * n
+            return lambda k, lam: 1.0 if sum(ki * ki for ki in k) <= n2 else None
+        return lambda k, lam: 1.0 if max(abs(ki) for ki in k) <= n else None
+    raise ConfigError(f"unknown multiplier {name!r}; choose from {MULTIPLIERS}")
+
+
+def _apply_multiplier(f: SpectralField, name: str, param) -> SpectralField:
+    rule = multiplier(name, param)
+    if name in _FOURIER_TRUNCATIONS and not isinstance(f.operator, (TorusLaplacian, TorusStokes)):
+        raise ConfigError("Fourier truncations are defined for torus fields")
     out = {}
     for idx, v in f.coefficients.items():
         lam = f.operator.eigenvalue(idx)
         if lam <= 0.0:
             out[idx] = v  # carried mean, untouched
             continue
-        c = factor_of_lambda(lam)
+        c = rule(idx.k, lam)
         if c is None:  # dropped mode
             continue
-        out[idx] = c * v
+        out[idx] = v if c == 1.0 else c * v
     return SpectralField(f.operator, out)
 
 
 def semigroup_apply(f: SpectralField, theta: float) -> SpectralField:
     """e^{-theta A} f: scale each coefficient by e^{-theta lambda_j}."""
-    if theta < 0:
-        raise ConfigError(f"semigroup time must be >= 0, got {theta}")
     if theta == 0:
         return SpectralField(f.operator, dict(f.coefficients))
-    return _scaled(f, lambda lam: math.exp(-theta * lam))
+    return _apply_multiplier(f, "semigroup", theta)
 
 
 def pi_theta(f: SpectralField, theta: float) -> SpectralField:
     """Weighted truncation: keep modes with lambda < theta^-2 (strict), scale
     the kept coefficients by e^{-theta lambda}.  Finite rank by construction;
     eigenvalues exactly at the cutoff are excluded."""
-    if not theta > 0:
-        raise ConfigError(f"pi_theta needs theta > 0, got {theta}")
-    cutoff = theta**-2
-    return _scaled(f, lambda lam: math.exp(-theta * lam) if lam < cutoff else None)
+    return _apply_multiplier(f, "pi_theta", theta)
 
 
 def apply_fractional_power(f: SpectralField, alpha: float) -> SpectralField:
     """A^alpha f: per-mode scaling by lambda_j^alpha (carried mean untouched)."""
     if alpha == 0:
         return SpectralField(f.operator, dict(f.coefficients))
-    return _scaled(f, lambda lam: lam**alpha)
+    return _apply_multiplier(f, "fractional_power", alpha)
 
 
 def fractional_norm(f: SpectralField, alpha: float) -> float:
@@ -184,22 +219,11 @@ def smoothing_bound(theta: float, alpha: float, beta: float, lambda_min: float) 
     return math.exp(-lambda_min * theta) * lambda_min ** (alpha - beta)
 
 
-def _truncate(f: SpectralField, keep) -> SpectralField:
-    if not isinstance(f.operator, (TorusLaplacian, TorusStokes)):
-        raise ConfigError("Fourier truncations are defined for torus fields")
-    return SpectralField(f.operator, {idx: v for idx, v in f.coefficients.items() if keep(idx.k)})
-
-
 def spherical_truncate(f: SpectralField, n: int) -> SpectralField:
     """Keep modes with Euclidean |k| <= n."""
-    if n < 0:
-        raise ConfigError(f"truncation order must be >= 0, got {n}")
-    n2 = int(n) * int(n)
-    return _truncate(f, lambda k: sum(ki * ki for ki in k) <= n2)
+    return _apply_multiplier(f, "spherical", n)
 
 
 def cubic_truncate(f: SpectralField, n: int) -> SpectralField:
     """Keep modes with max_j |k_j| <= n."""
-    if n < 0:
-        raise ConfigError(f"truncation order must be >= 0, got {n}")
-    return _truncate(f, lambda k: max(abs(ki) for ki in k) <= n)
+    return _apply_multiplier(f, "cubic", n)

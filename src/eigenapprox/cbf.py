@@ -27,7 +27,7 @@ from scipy.integrate import simpson
 
 from .domains import ModeIndex, Torus, TorusStokes
 from .errors import AccuracyError, AliasingError, ConfigError
-from .fields import GridField, SpectralField, lp_norm, uniform_axes
+from .fields import GridField, SpectralField, _tangential, lp_norm, uniform_axes
 
 TWO_PI = 2.0 * math.pi
 
@@ -514,18 +514,13 @@ def _array_to_field(coeffs: np.ndarray, n: int) -> SpectralField:
     out = {}
     nz = np.argwhere(np.any(coeffs != 0.0, axis=0))
     for pos in nz:
-        k = tuple(int(p) if p <= n // 2 else int(p) - n for p in pos[:-1]) + (int(pos[-1]),)
-        v = np.asarray(coeffs[(slice(None),) + tuple(pos)] * sc)
-        kv = np.asarray(k, dtype=float)
-        k2 = float(kv @ kv)
-        if k2 > 0.0:
-            v = v - kv * (complex(kv @ v) / k2)
-            if not np.any(v != 0.0):
-                continue
-        out[ModeIndex(k)] = v
+        idx = ModeIndex(tuple(int(p) if p <= n // 2 else int(p) - n for p in pos[:-1]) + (int(pos[-1]),))
+        v = _tangential(idx.k, coeffs[(slice(None),) + tuple(pos)] * sc)
+        if any(idx.k) and not np.any(v):
+            continue
+        out[idx] = v
         if pos[-1] > 0:  # mirror stored implicitly by the rfft layout
-            mk = tuple(-ki for ki in k)
-            out[ModeIndex(mk)] = np.conj(v)
+            out[idx.mirror()] = np.conj(v)
     return SpectralField(TorusStokes(Torus(dim)), out)
 
 
@@ -556,28 +551,11 @@ def from_spectral_field(f: SpectralField, params: CBFParams, time: float = 0.0) 
         if max(abs(ki) for ki in idx.k) > kmax:
             raise AliasingError(f"mode {idx.k} lies outside the dealias mask (kmax={kmax})")
         k = idx.k
-        if k[-1] < 0 or (k[-1] == 0 and not _rep_half(k)):
-            continue  # the rfft layout stores this implicitly
+        if k[-1] < 0:
+            continue  # the rfft layout stores this implicitly as the mirror of -k
         pos = tuple(ki % n for ki in k[:-1]) + (k[-1],)
         coeffs[(slice(None),) + pos] = np.asarray(v) * sc
-    # fill the k_last = 0 plane mirrors explicitly (they are stored slots)
-    for idx, v in f.coefficients.items():
-        k = idx.k
-        if k[-1] == 0 and not all(ki == 0 for ki in k) and not _rep_half(k):
-            pos = tuple(ki % n for ki in k[:-1]) + (0,)
-            coeffs[(slice(None),) + pos] = np.asarray(v) * sc
     return CBFState(time, coeffs)
-
-
-def _rep_half(k: tuple) -> bool:
-    # for k_last = 0: the rfft layout stores all such entries; treat the ones
-    # whose first nonzero component is positive as primary
-    for ki in k:
-        if ki > 0:
-            return True
-        if ki < 0:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -291,10 +291,15 @@ def _run_report(cfg: dict, out_dir: str) -> list:
 
 
 def _sort_cell(c: str):
+    # text sorts first, then numbers, then NaN; the raw text breaks ties, so
+    # the order is total and the output does not depend on the input order
     try:
-        return (1, float(c), "")
+        x = float(c)
     except ValueError:
         return (0, 0.0, c)
+    if math.isnan(x):
+        return (2, 0.0, c)
+    return (1, x, c)
 
 
 # ---------------------------------------------------------------------------

@@ -140,18 +140,26 @@ class ModeIndex:
     def sort_key(self):
         return (self.k, self.polarization)
 
+    def mirror(self) -> "ModeIndex":
+        """The index -k with the same polarization (k = 0 is its own mirror)."""
+        return ModeIndex([-ki for ki in self.k], self.polarization)
+
+    def is_representative(self) -> bool:
+        """True for one index of each {k, -k} pair: the one whose first nonzero
+        component is positive, and k = 0."""
+        for ki in self.k:
+            if ki != 0:
+                return ki > 0
+        return True
+
 
 @dataclass(frozen=True)
 class EigenPair:
-    """One eigenpair: index, eigenvalue, and a point evaluator.
-
-    The evaluator maps an (n, d) array of points to (n,) values (scalar modes)
-    or (n, d) values (Stokes modes).  Eigenfunctions are orthonormal in L^2.
-    """
+    """One eigenpair: index and eigenvalue.  Eigenfunctions are orthonormal in
+    L^2; `mode_evaluator(operator, pair.index)` builds a point evaluator."""
 
     index: ModeIndex
     eigenvalue: float
-    evaluator: Callable
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +372,7 @@ def _check_cap(count: int, cap: int):
 def enumerate_modes(operator: OperatorSpec, lambda_max: float, cap: int = DEFAULT_MODE_CAP) -> list:
     """All eigenpairs with eigenvalue <= lambda_max, sorted by (eigenvalue, index).
 
+    Pairs carry no evaluator; build one with `mode_evaluator` where needed.
     Raises ResourceLimitError if the enumeration would exceed `cap` modes.
     For the torus operators the k=0 mode is included only for TorusLaplacian
     (the Stokes operator lives on the zero-mean subspace).
@@ -400,9 +409,6 @@ def enumerate_modes(operator: OperatorSpec, lambda_max: float, cap: int = DEFAUL
         raise ConfigError(f"unknown operator {operator!r}")
 
     _check_cap(len(indices), cap)
-    pairs = [
-        EigenPair(idx, operator.eigenvalue(idx), mode_evaluator(operator, idx))
-        for idx in indices
-    ]
+    pairs = [EigenPair(idx, operator.eigenvalue(idx)) for idx in indices]
     pairs.sort(key=lambda p: (p.eigenvalue, p.index.sort_key()))
     return pairs

@@ -8,6 +8,7 @@ an orthonormality self-check on the way back in.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Union
@@ -39,6 +40,24 @@ def _as_mode_index(key, dim: int) -> ModeIndex:
     if idx.dim != dim:
         raise ConfigError(f"mode index {idx.k} has dimension {idx.dim}, operator has {dim}")
     return idx
+
+
+def _tangential(k: tuple, v) -> np.ndarray:
+    """v - k (k.v)/|k|^2: the part of v orthogonal to k; v itself at k = 0."""
+    vv = np.asarray(v, dtype=complex)
+    kv = np.asarray(k, dtype=float)
+    k2 = float(kv @ kv)
+    if k2 == 0.0:
+        return vv
+    return vv - kv * (complex(kv @ vv) / k2)
+
+
+def _add_polarized(vecs: dict, idx: ModeIndex, c) -> None:
+    """vecs[k] += c e_m(k): sum a Stokes (k, m) amplitude into the vector
+    amplitude at k."""
+    e = polarization_basis(idx.k)[idx.polarization - 1]
+    key = ModeIndex(idx.k)
+    vecs[key] = vecs.get(key, np.zeros(len(idx.k), dtype=complex)) + c * e
 
 
 def _finite(arr) -> bool:
@@ -148,12 +167,7 @@ def add(f: SpectralField, g: SpectralField) -> SpectralField:
     if isinstance(f.operator, TorusStokes):
         # a sum of tangential amplitudes is tangential; strip the roundoff
         # normal component so near-cancelling sums stay valid fields
-        for idx, v in out.items():
-            kv = np.asarray(idx.k, dtype=float)
-            k2 = float(kv @ kv)
-            if k2 > 0.0:
-                vv = np.asarray(v, dtype=complex)
-                out[idx] = vv - kv * (complex(kv @ vv) / k2)
+        out = {idx: _tangential(idx.k, v) for idx, v in out.items()}
     return SpectralField(f.operator, out)
 
 
@@ -171,8 +185,7 @@ def conjugate_symmetry_violation(f: SpectralField) -> float:
         raise ConfigError("conjugate symmetry only applies to torus fields")
     worst = 0.0
     for idx, v in f.coefficients.items():
-        mirror = ModeIndex(tuple(-ki for ki in idx.k), idx.polarization)
-        w = f.coefficients.get(mirror)
+        w = f.coefficients.get(idx.mirror())
         if w is None:
             w = np.zeros_like(np.asarray(v))
         diff = np.max(np.abs(np.conj(np.asarray(v)) - np.asarray(w)))
@@ -286,6 +299,19 @@ def default_grid_resolution(f: SpectralField, factor: int = 4, floor: int = 8) -
     return max(floor, factor * max(f.max_axis_index(), 1))
 
 
+def _mode_on_grid(operator: OperatorSpec, k: tuple, axes) -> np.ndarray:
+    """One scalar eigenfunction sampled on the tensor-product grid `axes`."""
+    if isinstance(operator, DirichletLaplacian):
+        parts = [math.sqrt(2.0 / L) * sinpi(ki * a / L) for ki, L, a in zip(k, operator.domain.lengths, axes)]
+    else:
+        parts = [np.exp(1j * ki * a) for ki, a in zip(k, axes)]
+        parts[0] = TWO_PI ** (-len(k) / 2.0) * parts[0]
+    w = parts[0]
+    for p in parts[1:]:
+        w = np.multiply.outer(w, p)
+    return w
+
+
 def _axis_quadrature(domain: DomainSpec, a: np.ndarray, L: float) -> np.ndarray:
     n = a.size
     if domain.periodic:
@@ -347,13 +373,7 @@ def synthesize(f: SpectralField, resolution=None) -> GridField:
     d = domain.dim
     out = np.zeros(shape + ((d,) if vector else ()), dtype=complex)
     for idx, v in f.coefficients.items():
-        parts = [
-            math.sqrt(2.0 / L) * sinpi(ki * a / L)
-            for ki, L, a in zip(idx.k, domain.lengths, axes)
-        ]
-        w = parts[0]
-        for p in parts[1:]:
-            w = np.multiply.outer(w, p)
+        w = _mode_on_grid(f.operator, idx.k, axes)
         if vector:
             out += w[..., None] * np.asarray(v)[None, :]
         else:
@@ -385,7 +405,8 @@ def _synthesize_torus_fft(f: SpectralField, axes, shape) -> GridField:
 
 
 def analyze(g: GridField, modes, operator: OperatorSpec, check: bool = True, tol: float = 1e-8) -> SpectralField:
-    """Quadrature inner products of g against the given eigenpairs.
+    """Quadrature inner products of g against the given modes (ModeIndex or
+    EigenPair); each eigenfunction is evaluated with `mode_evaluator`.
 
     With check=True the Gram matrix of the modes on g's grid is verified
     against the identity to `tol`; the first offending pair is named in the
@@ -396,11 +417,8 @@ def analyze(g: GridField, modes, operator: OperatorSpec, check: bool = True, tol
         raise ConfigError("grid domain does not match operator domain")
     pts = g.points()
     w = quadrature_weights(g).reshape(-1)
-    modes = [
-        m if isinstance(m, EigenPair) else EigenPair(m, operator.eigenvalue(m), mode_evaluator(operator, m))
-        for m in modes
-    ]
-    mode_vals = [p.evaluator(pts) for p in modes]
+    modes = [m.index if isinstance(m, EigenPair) else m for m in modes]
+    mode_vals = [mode_evaluator(operator, idx)(pts) for idx in modes]
 
     if check:
         for i, vi in enumerate(mode_vals):
@@ -412,7 +430,7 @@ def analyze(g: GridField, modes, operator: OperatorSpec, check: bool = True, tol
                     gram = complex(np.sum(w * np.conj(vj) * vi))
                 target = 1.0 if i == j else 0.0
                 if abs(gram - target) > tol:
-                    a, b = modes[i].index, modes[j].index
+                    a, b = modes[i], modes[j]
                     raise AccuracyError(
                         f"mode Gram check failed for pair (k={a.k}, m={a.polarization}) / "
                         f"(k={b.k}, m={b.polarization}): <wi, wj> = {gram:.3e} vs {target}; refine the grid"
@@ -420,7 +438,7 @@ def analyze(g: GridField, modes, operator: OperatorSpec, check: bool = True, tol
 
     gv = g.values.reshape(-1, g.values.shape[-1]) if g.is_vector else g.values.reshape(-1)
     raw = {}
-    for p, mv in zip(modes, mode_vals):
+    for idx, mv in zip(modes, mode_vals):
         if mv.ndim == 2:
             if not g.is_vector:
                 raise ConfigError("vector modes require a vector-valued grid field")
@@ -429,14 +447,12 @@ def analyze(g: GridField, modes, operator: OperatorSpec, check: bool = True, tol
             if g.is_vector:
                 raise ConfigError("scalar modes require a scalar grid field")
             c = complex(np.sum(w * np.conj(mv) * gv))
-        raw[p.index] = c
+        raw[idx] = c
 
     if isinstance(operator, TorusStokes):
         vecs = {}
         for idx, c in raw.items():
-            e = polarization_basis(idx.k)[idx.polarization - 1]
-            key = ModeIndex(idx.k)
-            vecs[key] = vecs.get(key, np.zeros(operator.dim, dtype=complex)) + c * e
+            _add_polarized(vecs, idx, c)
         return SpectralField(operator, vecs)
     return SpectralField(operator, raw)
 
@@ -474,14 +490,8 @@ def leray_project(f: SpectralField) -> SpectralField:
         raise ConfigError("leray_project requires dimension >= 2")
     out = {}
     for idx, v in f.coefficients.items():
-        kv = np.asarray(idx.k, dtype=float)
-        k2 = float(kv @ kv)
-        vv = np.asarray(v, dtype=complex)
-        if k2 == 0.0:
-            out[ModeIndex(idx.k)] = vv
-            continue
-        proj = vv - kv * (complex(kv @ vv) / k2)
-        if np.max(np.abs(proj)) > 0.0:
+        proj = _tangential(idx.k, v)
+        if not any(idx.k) or np.any(proj):
             out[ModeIndex(idx.k)] = proj
     return SpectralField(TorusStokes(f.operator.domain), out)
 
@@ -508,10 +518,7 @@ def polarization_to_stokes(operator: TorusStokes, coeffs: dict) -> SpectralField
     """Inverse of stokes_to_polarization: sum c_{k,m} e_m(k) per k."""
     vecs = {}
     for key, c in coeffs.items():
-        idx = key if isinstance(key, ModeIndex) else ModeIndex(key[0], key[1])
-        e = polarization_basis(idx.k)[idx.polarization - 1]
-        kk = ModeIndex(idx.k)
-        vecs[kk] = vecs.get(kk, np.zeros(operator.dim, dtype=complex)) + c * e
+        _add_polarized(vecs, key if isinstance(key, ModeIndex) else ModeIndex(key[0], key[1]), c)
     return SpectralField(operator, vecs)
 
 
@@ -519,26 +526,13 @@ def polarization_to_stokes(operator: TorusStokes, coeffs: dict) -> SpectralField
 # random field factories (shared by tests, demos, experiments)
 
 
-_MODE_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=32)
 def enumerate_modes_cached(operator: OperatorSpec, lambda_max: float):
+    """enumerate_modes, memoized per (operator, lambda_max); the returned list
+    is shared, so callers must not mutate it."""
     from .domains import enumerate_modes
 
-    key = (operator, float(lambda_max))
-    if key not in _MODE_CACHE:
-        _MODE_CACHE[key] = enumerate_modes(operator, lambda_max)
-    return _MODE_CACHE[key]
-
-
-def _is_representative(k: tuple) -> bool:
-    # one of each {k, -k} pair: first nonzero entry positive, or k = 0
-    for ki in k:
-        if ki > 0:
-            return True
-        if ki < 0:
-            return False
-    return True
+    return enumerate_modes(operator, lambda_max)
 
 
 def random_field(
@@ -560,7 +554,7 @@ def random_field(
     if isinstance(operator, (TorusLaplacian, TorusStokes)):
         pairs = [p for p in pairs if any(ki != 0 for ki in p.index.k)]
         if real:
-            pairs = [p for p in pairs if _is_representative(p.index.k)]
+            pairs = [p for p in pairs if p.index.is_representative()]
     if n_modes is not None and n_modes < len(pairs):
         sel = rng.choice(len(pairs), size=n_modes, replace=False)
         pairs = [pairs[i] for i in sorted(sel)]
@@ -569,12 +563,7 @@ def random_field(
     for p in pairs:
         damp = (1.0 + p.eigenvalue) ** (-decay)
         if isinstance(operator, TorusStokes):
-            d = operator.dim
-            basis = polarization_basis(p.index.k)
-            a = (rng.standard_normal() + 1j * rng.standard_normal()) * damp
-            key = ModeIndex(p.index.k)
-            base = coeffs.get(key, np.zeros(d, dtype=complex))
-            coeffs[key] = base + a * basis[p.index.polarization - 1]
+            _add_polarized(coeffs, p.index, (rng.standard_normal() + 1j * rng.standard_normal()) * damp)
         else:
             coeffs[p.index] = damp * complex(rng.standard_normal(), rng.standard_normal())
 
@@ -582,7 +571,7 @@ def random_field(
         full = {}
         for idx, v in coeffs.items():
             full[idx] = v
-            mirror = ModeIndex(tuple(-ki for ki in idx.k), idx.polarization)
+            mirror = idx.mirror()
             if mirror != idx:
                 full[mirror] = np.conj(v)
         coeffs = full

@@ -17,6 +17,7 @@ from scipy.special import j1
 from .approx import (
     cubic_truncate,
     fractional_norm,
+    multiplier,
     pi_theta,
     pi_theta_error_norm,
     semigroup_apply,
@@ -26,17 +27,16 @@ from .approx import (
 from .domains import (
     DirichletLaplacian,
     Interval,
-    ModeIndex,
     OperatorSpec,
     Torus,
     TorusLaplacian,
     TorusStokes,
-    sinpi,
 )
 from .errors import AccuracyError, ConfigError
 from .fields import (
     GridField,
     SpectralField,
+    _mode_on_grid,
     divergence_residual,
     lp_norm,
     quadrature_weights,
@@ -153,31 +153,6 @@ def sample_fields(config: ExperimentConfig) -> list:
 TRANSFORMS = ("identity", "semigroup", "pi_theta", "spherical", "cubic")
 
 
-def _transform_factor(name: str, param):
-    """Per-mode multiplier of a named transform; None means the mode is dropped.
-    Only called on the positive spectrum (the carried mean passes through)."""
-    if name == "identity":
-        return lambda idx, lam: 1.0
-    if name == "semigroup":
-        th = float(param)
-        if th < 0:
-            raise ConfigError("semigroup time must be >= 0")
-        return lambda idx, lam: math.exp(-th * lam)
-    if name == "pi_theta":
-        th = float(param)
-        if not th > 0:
-            raise ConfigError("pi_theta needs theta > 0")
-        cutoff = th**-2
-        return lambda idx, lam: math.exp(-th * lam) if lam < cutoff else None
-    if name == "spherical":
-        n2 = int(param) ** 2
-        return lambda idx, lam: 1.0 if sum(ki * ki for ki in idx.k) <= n2 else None
-    if name == "cubic":
-        n = int(param)
-        return lambda idx, lam: 1.0 if max(abs(ki) for ki in idx.k) <= n else None
-    raise ConfigError(f"unknown transform {name!r}; choose from {TRANSFORMS}")
-
-
 def apply_named_transform(f: SpectralField, name: str, param=None) -> SpectralField:
     if name == "identity":
         return f
@@ -211,16 +186,6 @@ def lp_ratio(f: SpectralField, name: str, param, p: float) -> float:
     return num / denom
 
 
-def _rep(k: tuple) -> bool:
-    # representative of a {k, -k} pair: first nonzero entry positive (or k=0)
-    for ki in k:
-        if ki > 0:
-            return True
-        if ki < 0:
-            return False
-    return True
-
-
 class _AscentState:
     """Incrementally maintained real grids of f and Tf for coordinate ascent.
 
@@ -235,45 +200,18 @@ class _AscentState:
         self.operator = f.operator
         self.dirichlet = isinstance(f.operator, DirichletLaplacian)
         self.p = float(p)
-        self.factor = _transform_factor(name, param)
+        self.factor = multiplier(name, param)
         self.res = _lp_grid_resolution(f, p)
         self.domain = f.operator.domain
         self.axes = uniform_axes(self.domain, self.res)
         shape = tuple(a.size for a in self.axes)
         self.weights = quadrature_weights(GridField(self.domain, self.axes, np.zeros(shape)))
         self.coeffs = dict(f.coefficients)
-        self.reps = sorted((idx for idx in self.coeffs if _rep(idx.k)), key=lambda i: i.sort_key())
+        self.reps = sorted((idx for idx in self.coeffs if idx.is_representative()), key=lambda i: i.sort_key())
         if not self.reps:
             raise ConfigError("ascent needs at least one representative mode")
-        self.g = synthesize(SpectralField(self.operator, self.coeffs), self.res).values.real.copy()
-        self.gT = synthesize(SpectralField(self.operator, self._transformed()), self.res).values.real.copy()
-
-    def _transformed(self) -> dict:
-        out = {}
-        for idx, v in self.coeffs.items():
-            lam = self.operator.eigenvalue(idx)
-            if lam <= 0.0:
-                out[idx] = v
-                continue
-            c = self.factor(idx, lam)
-            if c is not None:
-                out[idx] = c * v
-        return out
-
-    def _mode_grid(self, idx: ModeIndex) -> np.ndarray:
-        if self.dirichlet:
-            parts = [
-                math.sqrt(2.0 / L) * sinpi(ki * a / L)
-                for ki, L, a in zip(idx.k, self.domain.lengths, self.axes)
-            ]
-        else:
-            sc = (2.0 * math.pi) ** (-self.operator.dim / 2.0)
-            parts = [np.exp(1j * ki * a) for ki, a in zip(idx.k, self.axes)]
-            parts[0] = sc * parts[0]
-        g = parts[0]
-        for part in parts[1:]:
-            g = np.multiply.outer(g, part)
-        return g
+        self.g = synthesize(f, self.res).values.real.copy()
+        self.gT = synthesize(apply_named_transform(f, name, param), self.res).values.real.copy()
 
     def norm(self, grid: np.ndarray) -> float:
         return float(np.sum(self.weights * np.abs(grid) ** self.p) ** (1.0 / self.p))
@@ -289,18 +227,16 @@ class _AscentState:
         idx = self.reps[j]
         old = self.coeffs[idx]
         delta = old * rel
-        mode = self._mode_grid(idx)
-        if self.dirichlet:
-            mirror, two = None, 1.0
-        else:
-            mirror = ModeIndex(tuple(-ki for ki in idx.k), idx.polarization)
-            two = 2.0 if mirror != idx else 1.0
+        mode = _mode_on_grid(self.operator, idx.k, self.axes)
+        # a torus mode k != 0 moves its conjugate partner -k as well
+        mirror = None if self.dirichlet or not any(idx.k) else idx.mirror()
+        two = 1.0 if mirror is None else 2.0
         dg = two * (delta * mode).real
         self.coeffs[idx] = old + delta
-        if mirror is not None and mirror != idx:
+        if mirror is not None:
             self.coeffs[mirror] = complex(self.coeffs[idx]).conjugate()
         lam = self.operator.eigenvalue(idx)
-        fac = self.factor(idx, lam) if lam > 0.0 else 1.0
+        fac = self.factor(idx.k, lam) if lam > 0.0 else 1.0
         dgT = None if fac in (None, 0.0) else two * (fac * delta * mode).real
         self.g = self.g + dg
         if dgT is not None:
@@ -308,7 +244,7 @@ class _AscentState:
 
         def undo():
             self.coeffs[idx] = old
-            if mirror is not None and mirror != idx:
+            if mirror is not None:
                 self.coeffs[mirror] = complex(old).conjugate()
             self.g = self.g - dg
             if dgT is not None:

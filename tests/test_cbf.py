@@ -224,8 +224,9 @@ def test_space_mollify_damps_and_converges_to_identity():
         space_mollify(s, 0.0, p)
 
 
-def test_state_field_round_trip():
-    p = _params(beta=1.0)
+@pytest.mark.parametrize("dim", [2, 3])
+def test_state_field_round_trip(dim):
+    p = _params(beta=1.0, dim=dim)
     s = random_divergence_free_state(p, kmax_init=3, amplitude=2.0, seed=7)
     f = to_spectral_field(s)
     assert f.l2() == pytest.approx(math.sqrt(state_energy(s, p)), rel=1e-12)

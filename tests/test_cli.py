@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import itertools
 import json
 import math
 
@@ -184,6 +185,21 @@ def test_report_merges_and_sorts(tmp_path):
     assert rc == 0
     _, body = _read_csv(tmp_path / "report.csv")
     assert [(r[0], r[1]) for r in body] == [("alpha", "0.1"), ("alpha", "0.2"), ("zeta", "0.5")]
+
+
+def test_report_order_is_total_with_nan_cells(tmp_path):
+    # NaN sorts after every number, so each input order gives the same bytes
+    rows = ["q,1,nan\n", "q,1,2.0\n", "q,1,1.0\n"]
+    outputs = set()
+    for i, perm in enumerate(itertools.permutations(rows)):
+        src = tmp_path / f"in{i}.csv"
+        src.write_text("quantity,theta,value\n" + "".join(perm))
+        out = tmp_path / f"out{i}"
+        assert _run(["report", "--inputs", str(src)], out) == 0
+        outputs.add((out / "report.csv").read_bytes())
+    assert len(outputs) == 1
+    _, body = _read_csv(out / "report.csv")
+    assert [r[2] for r in body] == ["1.0", "2.0", "nan"]
 
 
 def test_report_header_mismatch_is_exit_2(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -141,6 +142,20 @@ def test_polarization_basis_deterministic():
     b1 = polarization_basis((2, -1, 3))
     b2 = polarization_basis((2, -1, 3))
     assert np.array_equal(b1, b2)
+
+
+def test_mirror_and_representative_split_each_pair():
+    for k in itertools.product(range(-2, 3), repeat=3):
+        idx = ModeIndex(k, 1)
+        mirror = idx.mirror()
+        assert mirror.k == tuple(-ki for ki in k) and mirror.polarization == 1
+        assert mirror.mirror() == idx
+        if any(k):
+            assert idx.is_representative() != mirror.is_representative()
+        else:
+            assert mirror == idx and idx.is_representative()
+    assert ModeIndex((0, 2, -5)).is_representative()
+    assert not ModeIndex((0, -2, 5)).is_representative()
 
 
 def test_invalid_indices_rejected():

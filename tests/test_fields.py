@@ -29,7 +29,7 @@ from eigenapprox import (
     synthesize,
     uniform_axes,
 )
-from eigenapprox.fields import evaluate, quadrature_weights
+from eigenapprox.fields import enumerate_modes_cached, evaluate, quadrature_weights
 
 TWO_PI = 2.0 * math.pi
 
@@ -207,6 +207,18 @@ def test_random_field_is_real_and_seeded():
     assert conjugate_symmetry_violation(f1) < 1e-15
     g = synthesize(f1)
     assert np.isrealobj(np.asarray(g.values))
+
+
+def test_mode_cache_is_bounded():
+    op = DirichletLaplacian(Interval(1.0))
+    first = enumerate_modes_cached(op, 10.0)
+    assert enumerate_modes_cached(op, 10.0) is first  # a hit returns the stored list
+    assert [p.index for p in first] == [p.index for p in enumerate_modes(op, 10.0)]
+    for i in range(40):
+        enumerate_modes_cached(op, 10.0 + i + 0.5)
+    info = enumerate_modes_cached.cache_info()
+    assert info.maxsize == 32
+    assert info.currsize <= 32
 
 
 def test_stokes_amplitudes_must_be_orthogonal():

@@ -5,6 +5,7 @@ import pytest
 
 from eigenapprox import (
     AccuracyError,
+    Box,
     ConfigError,
     DirichletLaplacian,
     ExperimentConfig,
@@ -22,8 +23,10 @@ from eigenapprox import (
     sample_fields,
     sobolev_equivalence_study,
     sobolev_surrogate_norm,
+    synthesize,
     truncation_experiment,
 )
+from eigenapprox.normlab import _AscentState
 
 
 def _config(**kw):
@@ -192,3 +195,37 @@ def test_truncation_experiment_small_run_deterministic():
         ("cubic", 3),
     ]
     assert all(r.value > 0 for r in a)
+
+
+_ASCENT_OPS = {"torus2": TorusLaplacian(Torus(2)), "box2": DirichletLaplacian(Box((math.pi, 2.0)))}
+
+
+@pytest.mark.parametrize(
+    "op_name,lambda_max,name,param",
+    [
+        ("torus2", 16.0, "identity", None),
+        ("torus2", 16.0, "semigroup", 0.1),
+        ("torus2", 16.0, "pi_theta", 0.3),
+        ("torus2", 16.0, "spherical", 2),
+        ("torus2", 16.0, "cubic", 2),
+        ("box2", 30.0, "identity", None),
+        ("box2", 30.0, "semigroup", 0.05),
+        ("box2", 30.0, "pi_theta", 0.25),
+    ],
+)
+def test_ascent_grids_match_fresh_synthesis(op_name, lambda_max, name, param):
+    # the rank-one updates of the ascent must track a full resynthesis of the
+    # current coefficients and of their transform
+    op = _ASCENT_OPS[op_name]
+    f = random_field(op, lambda_max, np.random.default_rng(11), decay=1.0)
+    st = _AscentState(f, name, param, 4.0)
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        undo = st.perturb(int(rng.integers(len(st.reps))), float(rng.uniform(-0.3, 0.3)))
+        if rng.random() < 0.4:
+            undo()
+    current = SpectralField(op, st.coeffs)
+    g = synthesize(current, st.res).values.real
+    gT = synthesize(apply_named_transform(current, name, param), st.res).values.real
+    assert np.max(np.abs(st.g - g)) <= 1e-12 * np.max(np.abs(g))
+    assert np.max(np.abs(st.gT - gT)) <= 1e-12 * np.max(np.abs(gT))
