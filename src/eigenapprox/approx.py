@@ -16,7 +16,7 @@ import numpy as np
 
 from .domains import TorusLaplacian, TorusStokes
 from .errors import ConfigError
-from .fields import SpectralField
+from .fields import SpectralField, _map_distinct, _Packed
 
 
 @dataclass(frozen=True)
@@ -48,34 +48,35 @@ _FOURIER_TRUNCATIONS = ("spherical", "cubic")  # torus only; keep (factor 1) or 
 
 
 def multiplier(name: str, param=None):
-    """Per-mode rule (k, lambda) -> factor of a named diagonal operator, or
-    None where the operator drops the mode; a factor of exactly 1 keeps the
-    coefficient as stored.  The parameter is checked here.  Rules are only
-    consulted on the positive spectrum: the carried mean passes through."""
+    """Rule (k (M, d), lambda (M,)) -> factors (M,) of a named diagonal
+    operator, NaN where the operator drops the mode; a factor of exactly 1
+    keeps the coefficient as stored.  Rules of lambda evaluate their scalar
+    formula once per distinct eigenvalue; the truncations are masks on k.  The
+    parameter is checked here.  Rules are only consulted on the positive
+    spectrum: the carried mean passes through."""
     if name == "identity":
-        return lambda k, lam: 1.0
+        return lambda k, lam: np.ones(lam.shape)
     if name == "semigroup":
         theta = float(param)
         if theta < 0:
             raise ConfigError(f"semigroup time must be >= 0, got {theta}")
-        return lambda k, lam: math.exp(-theta * lam)
+        return lambda k, lam: _map_distinct(lambda x: math.exp(-theta * x), lam)
     if name == "pi_theta":
         theta = float(param)
         if not theta > 0:
             raise ConfigError(f"pi_theta needs theta > 0, got {theta}")
         cutoff = theta**-2
-        return lambda k, lam: math.exp(-theta * lam) if lam < cutoff else None
+        return lambda k, lam: _map_distinct(lambda x: math.exp(-theta * x) if x < cutoff else math.nan, lam)
     if name == "fractional_power":
         alpha = float(param)
-        return lambda k, lam: lam**alpha
+        return lambda k, lam: _map_distinct(lambda x: x**alpha, lam)
     if name in _FOURIER_TRUNCATIONS:
         if param < 0:
             raise ConfigError(f"truncation order must be >= 0, got {param}")
         n = int(param)
         if name == "spherical":
-            n2 = n * n
-            return lambda k, lam: 1.0 if sum(ki * ki for ki in k) <= n2 else None
-        return lambda k, lam: 1.0 if max(abs(ki) for ki in k) <= n else None
+            return lambda k, lam: np.where(np.sum(k * k, axis=1) <= n * n, 1.0, math.nan)
+        return lambda k, lam: np.where(np.max(np.abs(k), axis=1, initial=0) <= n, 1.0, math.nan)
     raise ConfigError(f"unknown multiplier {name!r}; choose from {MULTIPLIERS}")
 
 
@@ -83,23 +84,21 @@ def _apply_multiplier(f: SpectralField, name: str, param) -> SpectralField:
     rule = multiplier(name, param)
     if name in _FOURIER_TRUNCATIONS and not isinstance(f.operator, (TorusLaplacian, TorusStokes)):
         raise ConfigError("Fourier truncations are defined for torus fields")
-    out = {}
-    for idx, v in f.coefficients.items():
-        lam = f.operator.eigenvalue(idx)
-        if lam <= 0.0:
-            out[idx] = v  # carried mean, untouched
-            continue
-        c = rule(idx.k, lam)
-        if c is None:  # dropped mode
-            continue
-        out[idx] = v if c == 1.0 else c * v
-    return SpectralField(f.operator, out)
+    lams = f._eigenvalue_array()
+    factor = np.ones(lams.shape)
+    pos = lams > 0.0  # the carried mean keeps factor 1
+    factor[pos] = rule(f.k[pos], lams[pos])
+    keep = ~np.isnan(factor)
+    scaled = keep & (factor != 1.0)
+    values = f.values.copy()
+    values[scaled] = values[scaled] * factor[scaled].reshape((-1,) + (1,) * (values.ndim - 1))
+    return SpectralField(f.operator, _Packed(f.k[keep], f.pol[keep], values[keep]))
 
 
 def semigroup_apply(f: SpectralField, theta: float) -> SpectralField:
     """e^{-theta A} f: scale each coefficient by e^{-theta lambda_j}."""
     if theta == 0:
-        return SpectralField(f.operator, dict(f.coefficients))
+        return f  # fields are immutable
     return _apply_multiplier(f, "semigroup", theta)
 
 
@@ -113,7 +112,7 @@ def pi_theta(f: SpectralField, theta: float) -> SpectralField:
 def apply_fractional_power(f: SpectralField, alpha: float) -> SpectralField:
     """A^alpha f: per-mode scaling by lambda_j^alpha (carried mean untouched)."""
     if alpha == 0:
-        return SpectralField(f.operator, dict(f.coefficients))
+        return f
     return _apply_multiplier(f, "fractional_power", alpha)
 
 

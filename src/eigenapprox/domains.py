@@ -147,10 +147,13 @@ class ModeIndex:
     def is_representative(self) -> bool:
         """True for one index of each {k, -k} pair: the one whose first nonzero
         component is positive, and k = 0."""
-        for ki in self.k:
-            if ki != 0:
-                return ki > 0
-        return True
+        return bool(_representative_rows(np.asarray([self.k], dtype=np.int64))[0])
+
+
+def _representative_rows(k: np.ndarray) -> np.ndarray:
+    """ModeIndex.is_representative for every row of an (M, d) integer array."""
+    first = np.argmax(k != 0, axis=1)  # 0 on the all-zero row, whose k[0] is 0
+    return k[np.arange(k.shape[0]), first] >= 0
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,11 @@ an orthonormality self-check on the way back in.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +28,7 @@ from .domains import (
     Torus,
     TorusLaplacian,
     TorusStokes,
+    _representative_rows,
     mode_evaluator,
     polarization_basis,
     sinpi,
@@ -66,51 +69,250 @@ def _finite(arr) -> bool:
     return bool(np.all(np.isfinite(arr)))
 
 
-@dataclass(frozen=True)
+# ---------------------------------------------------------------------------
+# packed modes: one row per mode, in input order
+
+
+class _Packed(NamedTuple):
+    """The modes of a field as arrays, in place of a coefficient mapping:
+    k (M, d) int64, pol (M,) int64, values (M,) or (M, d) complex128."""
+
+    k: np.ndarray
+    pol: np.ndarray
+    values: np.ndarray
+
+
+# largest |k| per axis: sums of d <= 3 squares stay exact in int64
+_MAX_AXIS_INDEX = 2**30
+
+
+def _check_mode(operator: OperatorSpec, idx: ModeIndex, val, first_is_vector=None):
+    """The checks of one mode and its value, in the order they are reported;
+    returns the value as a complex scalar or a length-d complex vector."""
+    d = operator.dim
+    if max(abs(ki) for ki in idx.k) > _MAX_AXIS_INDEX:
+        raise ConfigError(f"mode index {idx.k} exceeds {_MAX_AXIS_INDEX} on some axis")
+    operator.validate_index(idx)
+    arr = np.asarray(val)
+    if arr.ndim == 0:
+        if isinstance(operator, TorusStokes):
+            raise ConfigError("Stokes coefficients must be length-d vectors")
+        v = complex(arr)
+        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+            raise ConfigError(f"non-finite coefficient at {idx.k}")
+    else:
+        v = np.asarray(arr, dtype=complex).reshape(-1)
+        if v.size != d:
+            raise ConfigError(f"vector amplitude at {idx.k} has length {v.size}, expected {d}")
+        if not _finite(v):
+            raise ConfigError(f"non-finite coefficient at {idx.k}")
+    if first_is_vector is not None and (arr.ndim > 0) != first_is_vector:
+        kinds = ("a vector", "a scalar") if first_is_vector else ("a scalar", "a vector")
+        raise ConfigError(
+            f"coefficient at {idx.k} is {kinds[0]} but the first one is {kinds[1]}; "
+            "a field's values are all scalars or all length-d vectors"
+        )
+    return v
+
+
+def _check_tangential(k: tuple, v: np.ndarray) -> None:
+    kv = np.asarray(k, dtype=float)
+    resid = abs(complex(kv @ v))
+    bound = float(np.linalg.norm(kv)) * max(float(np.linalg.norm(v)), 1e-300)
+    if resid > 1e-9 * bound:
+        raise ConfigError(f"Stokes amplitude at k={k} is not orthogonal to k (residual {resid:.3e})")
+
+
+def _pack_entries(operator: OperatorSpec, coefficients) -> _Packed:
+    """Mapping -> packed modes through the checks of each entry in turn, so
+    the first offending entry is the one reported."""
+    d = operator.dim
+    ks, pols, vals = [], [], []
+    first_is_vector = None
+    for key, val in coefficients.items():
+        idx = _as_mode_index(key, d)
+        v = _check_mode(operator, idx, val, first_is_vector)
+        first_is_vector = isinstance(v, np.ndarray)
+        ks.append(idx.k)
+        pols.append(idx.polarization)
+        vals.append(v)
+    m = len(ks)
+    return _Packed(np.array(ks, dtype=np.int64).reshape(m, d), np.array(pols, dtype=np.int64), np.array(vals, dtype=complex))
+
+
+def _pack(operator: OperatorSpec, coefficients) -> _Packed:
+    """Mapping with ModeIndex or plain (int or tuple) keys -> validated
+    packed modes.  Keys that name the same mode keep the first one's place
+    and the last one's value, as dict insertion would."""
+    d = operator.dim
+    keys = list(coefficients)
+    m = len(keys)
+    if m == 0:
+        return _Packed(np.zeros((0, d), dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex))
+    plain = not all(type(key) is ModeIndex for key in keys)
+    try:
+        if plain:  # ModeIndex(key) semantics: ints per axis, polarization 0
+            k = np.array(keys, dtype=np.int64).reshape(m, -1)
+            pol = np.zeros(m, dtype=np.int64)
+        else:
+            k = np.array([key.k for key in keys], dtype=np.int64).reshape(m, -1)
+            pol = np.array([key.polarization for key in keys], dtype=np.int64)
+        if k.shape[1] != d:
+            raise ValueError("mode dimension")
+        values = np.array(list(coefficients.values()), dtype=complex)
+        packed = _Packed(k, pol, values.reshape(m, -1) if values.ndim > 1 else values)
+    except (TypeError, ValueError, OverflowError):
+        # ragged, huge or wrong-dimension keys, or ragged values: the
+        # per-entry checks name the first offender
+        packed = _pack_entries(operator, coefficients)
+    _validate(operator, *packed)
+    if plain:
+        packed = _merge_duplicates(packed)
+    return packed
+
+
+def _merge_duplicates(p: _Packed) -> _Packed:
+    keys = _row_keys(np.column_stack([p.k, p.pol]))
+    uniq, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+    if uniq.size == keys.size:
+        return p
+    last = np.zeros(uniq.size, dtype=np.int64)
+    np.maximum.at(last, inv.reshape(-1), np.arange(keys.size))
+    order = np.argsort(first)
+    return _Packed(p.k[first[order]], p.pol[first[order]], p.values[last[order]])
+
+
+def _invalid_index(operator: OperatorSpec, k: np.ndarray, pol: np.ndarray) -> np.ndarray:
+    """Rows that operator.validate_index rejects (dimension already checked)."""
+    if isinstance(operator, DirichletLaplacian):
+        return np.any(k < 1, axis=1) | (pol != 0)
+    if isinstance(operator, TorusStokes):
+        return (pol < 0) | (pol > operator.dim - 1) | (~np.any(k, axis=1) & (pol != 0))
+    return pol != 0
+
+
+def _validate(operator: OperatorSpec, k: np.ndarray, pol: np.ndarray, values: np.ndarray) -> None:
+    """The checks of `_check_mode` on every row at once, then Stokes
+    orthogonality; a failure is reported by the per-mode check of the first
+    offending row."""
+    d = operator.dim
+    bad = np.any(np.abs(k) > _MAX_AXIS_INDEX, axis=1) | _invalid_index(operator, k, pol)
+    if values.ndim == 1:
+        bad = bad | isinstance(operator, TorusStokes) | ~(np.isfinite(values.real) & np.isfinite(values.imag))
+    else:
+        finite = np.all(np.isfinite(values.real) & np.isfinite(values.imag), axis=1)
+        bad = bad | (values.shape[1] != d) | ~finite
+    for i in np.flatnonzero(bad):
+        _check_mode(operator, ModeIndex(k[i].tolist(), int(pol[i])), values[i])
+    if isinstance(operator, TorusStokes) and len(k):
+        # flag at half the tolerance and let the per-mode check decide, so
+        # roundoff in the batched dot product cannot hide a failing mode
+        kf = k.astype(float)
+        resid = np.abs(np.sum(kf * values, axis=1))
+        bound = np.sqrt(np.sum(kf * kf, axis=1)) * np.maximum(np.sqrt(np.sum(np.abs(values) ** 2, axis=1)), 1e-300)
+        for i in np.flatnonzero(resid > 0.5e-9 * bound):
+            _check_tangential(tuple(k[i].tolist()), values[i])
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One int64 per row of an integer array, equal exactly when the rows are."""
+    if rows.shape[0] == 0:
+        return np.zeros(0, dtype=np.int64)
+    lo = rows.min(axis=0)
+    span = rows.max(axis=0) - lo + 1
+    if math.prod(span.tolist()) >= 2**62:
+        return np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
+    key = np.zeros(rows.shape[0], dtype=np.int64)
+    for c in range(rows.shape[1]):
+        key = key * span[c] + (rows[:, c] - lo[c])
+    return key
+
+
+def _mirror_rows(k: np.ndarray, pol: np.ndarray) -> np.ndarray:
+    """Row index of (-k, pol) for every row (k, pol), -1 where there is none."""
+    m = k.shape[0]
+    if m == 0:
+        return np.zeros(0, dtype=np.int64)
+    keys = _row_keys(np.column_stack([np.concatenate([k, -k]), np.concatenate([pol, pol])]))
+    own, mir = keys[:m], keys[m:]
+    order = np.argsort(own, kind="stable")
+    hit = order[np.minimum(np.searchsorted(own[order], mir), m - 1)]
+    return np.where(own[hit] == mir, hit, -1)
+
+
+def _map_distinct(fn, x: np.ndarray) -> np.ndarray:
+    """fn evaluated once per distinct entry of x, as a Python scalar, and
+    spread back over x (float64)."""
+    if x.size == 0:
+        return np.zeros(x.shape)
+    uniq, inv = np.unique(x, return_inverse=True)
+    return np.array([fn(v) for v in uniq.tolist()], dtype=float)[inv.reshape(x.shape)]
+
+
+def _eigenvalues(operator: OperatorSpec, k: np.ndarray) -> np.ndarray:
+    """operator.eigenvalue of every row of k, bit for bit: each axis term is
+    the scalar formula evaluated per distinct index, and the terms are summed
+    from the left as the scalar sum does."""
+    if isinstance(operator, DirichletLaplacian):
+        lam = np.zeros(k.shape[0])
+        for a, L in enumerate(operator.domain.lengths):
+            lam += _map_distinct(lambda ki: (ki * math.pi / L) ** 2, k[:, a])
+        return lam
+    return np.sum(k * k, axis=1).astype(float)  # integer sums are exact
+
+
+def _pow2(x: np.ndarray) -> np.ndarray:
+    """x ** 2 with Python's float power, which numpy's square does not match
+    bit for bit."""
+    return np.fromiter(map(float.__pow__, x.tolist(), itertools.repeat(2.0)), dtype=float, count=x.size)
+
+
 class SpectralField:
     """Finite coefficient map over the eigenfunctions of `operator`.
 
     Values are complex scalars, or length-d complex vectors for vector-valued
     fields (TorusStokes always; TorusLaplacian optionally, acting
-    componentwise).  Keys may be given as plain tuples and are normalized to
-    ModeIndex.  Stokes amplitudes must be orthogonal to k; a Stokes field may
-    carry a k=0 amplitude, which is the mean of the velocity and sits outside
-    the operator's (positive) spectrum.
+    componentwise); one field never mixes the two.  Keys may be given as plain
+    tuples and are normalized to ModeIndex.  Stokes amplitudes must be
+    orthogonal to k; a Stokes field may carry a k=0 amplitude, which is the
+    mean of the velocity and sits outside the operator's (positive) spectrum.
+
+    The modes are stored once, as read-only arrays in input order: `k`
+    (M, d) int64, `pol` (M,) int64 and `values` (M,) or (M, d) complex128.
+    `coefficients` is a read-only {ModeIndex: value} view of them, built on
+    first use, with complex scalars or 1-D arrays as values.
     """
 
-    operator: OperatorSpec
-    coefficients: dict = field(default_factory=dict)
+    def __init__(self, operator: OperatorSpec, coefficients=None):
+        if isinstance(coefficients, _Packed):
+            packed = coefficients
+            _validate(operator, *packed)
+        else:
+            packed = _pack(operator, {} if coefficients is None else coefficients)
+        k, pol, values = packed
+        if k.shape[0] == 0:
+            values = np.zeros((0, operator.dim) if isinstance(operator, TorusStokes) else 0, dtype=complex)
+        for name, arr in (("k", k), ("pol", pol), ("values", values)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "operator", operator)
+        object.__setattr__(self, "_view", None)
+        object.__setattr__(self, "_lams", None)
 
-    def __post_init__(self):
-        d = self.operator.dim
-        norm = {}
-        for key, val in self.coefficients.items():
-            idx = _as_mode_index(key, d)
-            self.operator.validate_index(idx)
-            arr = np.asarray(val)
-            if arr.ndim == 0:
-                if isinstance(self.operator, TorusStokes):
-                    raise ConfigError("Stokes coefficients must be length-d vectors")
-                v = complex(arr)
-                if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                    raise ConfigError(f"non-finite coefficient at {idx.k}")
-            else:
-                v = np.asarray(arr, dtype=complex).reshape(-1)
-                if v.size != d:
-                    raise ConfigError(f"vector amplitude at {idx.k} has length {v.size}, expected {d}")
-                if not _finite(v):
-                    raise ConfigError(f"non-finite coefficient at {idx.k}")
-            norm[idx] = v
-        if isinstance(self.operator, TorusStokes):
-            for idx, v in norm.items():
-                kv = np.asarray(idx.k, dtype=float)
-                resid = abs(complex(kv @ v))
-                bound = float(np.linalg.norm(kv)) * max(float(np.linalg.norm(v)), 1e-300)
-                if resid > 1e-9 * bound:
-                    raise ConfigError(
-                        f"Stokes amplitude at k={idx.k} is not orthogonal to k (residual {resid:.3e})"
-                    )
-        object.__setattr__(self, "coefficients", norm)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SpectralField is immutable; cannot set {name!r}")
+
+    def __repr__(self) -> str:
+        return f"SpectralField({self.operator!r}, {self.k.shape[0]} modes)"
+
+    @property
+    def coefficients(self):
+        """Read-only {ModeIndex: value} view of the modes, in input order."""
+        if self._view is None:
+            keys = [ModeIndex(kk, p) for kk, p in zip(self.k.tolist(), self.pol.tolist())]
+            vals = list(self.values) if self.values.ndim == 2 else self.values.tolist()
+            object.__setattr__(self, "_view", MappingProxyType(dict(zip(keys, vals))))
+        return self._view
 
     # -- introspection -------------------------------------------------------
 
@@ -120,9 +322,7 @@ class SpectralField:
 
     @property
     def is_vector(self) -> bool:
-        if isinstance(self.operator, TorusStokes):
-            return True
-        return any(isinstance(v, np.ndarray) for v in self.coefficients.values())
+        return isinstance(self.operator, TorusStokes) or self.values.ndim == 2
 
     def items_sorted(self):
         return sorted(self.coefficients.items(), key=lambda kv: kv[0].sort_key())
@@ -130,17 +330,25 @@ class SpectralField:
     def eigenvalue(self, idx: ModeIndex) -> float:
         return self.operator.eigenvalue(idx)
 
+    def _eigenvalue_array(self) -> np.ndarray:
+        if self._lams is None:
+            lams = _eigenvalues(self.operator, self.k)
+            lams.flags.writeable = False
+            object.__setattr__(self, "_lams", lams)
+        return self._lams
+
     def eigen_arrays(self, positive_only: bool = False):
-        """(eigenvalues, |coefficient|^2) flat arrays; positive_only drops lambda = 0."""
-        lams, amps = [], []
-        for idx, v in self.coefficients.items():
-            lam = self.operator.eigenvalue(idx)
-            if positive_only and lam <= 0.0:
-                continue
-            a = float(np.sum(np.abs(v) ** 2)) if isinstance(v, np.ndarray) else abs(v) ** 2
-            lams.append(lam)
-            amps.append(a)
-        return np.asarray(lams, dtype=float), np.asarray(amps, dtype=float)
+        """(eigenvalues, |coefficient|^2) flat arrays in mode order;
+        positive_only drops lambda = 0."""
+        lams = self._eigenvalue_array()
+        if self.values.ndim == 2:
+            amps = np.sum(np.abs(self.values) ** 2, axis=1)
+        else:
+            amps = _pow2(np.hypot(self.values.real, self.values.imag))  # abs(c) ** 2
+        if positive_only:
+            keep = lams > 0.0
+            return lams[keep], amps[keep]
+        return lams.copy(), amps
 
     def l2(self) -> float:
         """Coefficient-space l2 norm, zero mode included."""
@@ -148,13 +356,10 @@ class SpectralField:
         return math.sqrt(float(np.sum(amps))) if amps.size else 0.0
 
     def max_axis_index(self) -> int:
-        m = 0
-        for idx in self.coefficients:
-            m = max(m, max(abs(ki) for ki in idx.k))
-        return m
+        return int(np.abs(self.k).max()) if self.k.size else 0
 
     def lambda_max(self) -> float:
-        lams, _ = self.eigen_arrays()
+        lams = self._eigenvalue_array()
         return float(lams.max()) if lams.size else 0.0
 
 
@@ -183,14 +388,14 @@ def conjugate_symmetry_violation(f: SpectralField) -> float:
     """max |c(-k) - conj(c(k))|; zero exactly when the field is real-valued."""
     if not isinstance(f.operator, (TorusLaplacian, TorusStokes)):
         raise ConfigError("conjugate symmetry only applies to torus fields")
-    worst = 0.0
-    for idx, v in f.coefficients.items():
-        w = f.coefficients.get(idx.mirror())
-        if w is None:
-            w = np.zeros_like(np.asarray(v))
-        diff = np.max(np.abs(np.conj(np.asarray(v)) - np.asarray(w)))
-        worst = max(worst, float(diff))
-    return worst
+    if f.k.shape[0] == 0:
+        return 0.0
+    mirror = _mirror_rows(f.k, f.pol)
+    found = (mirror >= 0).reshape((-1,) + (1,) * (f.values.ndim - 1))
+    diff = np.abs(np.conj(f.values) - np.where(found, f.values[mirror], 0.0))
+    if diff.ndim == 2:
+        diff = diff.max(axis=1)
+    return float(diff.max())
 
 
 def divergence_residual(f: SpectralField) -> float:
@@ -372,10 +577,11 @@ def synthesize(f: SpectralField, resolution=None) -> GridField:
     vector = f.is_vector
     d = domain.dim
     out = np.zeros(shape + ((d,) if vector else ()), dtype=complex)
-    for idx, v in f.coefficients.items():
-        w = _mode_on_grid(f.operator, idx.k, axes)
+    vals = list(f.values) if vector else f.values.tolist()
+    for k, v in zip(f.k.tolist(), vals):
+        w = _mode_on_grid(f.operator, k, axes)
         if vector:
-            out += w[..., None] * np.asarray(v)[None, :]
+            out += w[..., None] * v[None, :]
         else:
             out += v * w
     if np.max(np.abs(out.imag), initial=0.0) == 0.0:
@@ -386,20 +592,19 @@ def synthesize(f: SpectralField, resolution=None) -> GridField:
 def _synthesize_torus_fft(f: SpectralField, axes, shape) -> GridField:
     d = f.dim
     sc = TWO_PI ** (-d / 2.0) * float(np.prod(shape))
-    is_vec = f.is_vector  # hoisted: the property scans all coefficients
+    is_vec = f.is_vector
     comps = d if is_vec else 1
     spec = np.zeros((comps,) + shape, dtype=complex)
-    for idx, v in f.coefficients.items():
-        pos = tuple(ki % ni for ki, ni in zip(idx.k, shape))
-        if is_vec:
-            spec[(slice(None),) + pos] += np.asarray(v)
-        else:
-            spec[(0,) + pos] += v
+    # the Nyquist guard makes k mod n injective, so no two modes share a slot
+    pos = tuple(f.k[:, a] % n for a, n in enumerate(shape))
+    spec[(slice(None),) + pos] += f.values.T if is_vec else f.values
     vals = np.stack([np.fft.ifftn(spec[c] * sc) for c in range(comps)], axis=-1)
     if not is_vec:
         vals = vals[..., 0]
-    if conjugate_symmetry_violation(f) == 0.0:
-        # an exactly symmetric spectrum is a real field; drop the FFT roundoff
+    space = tuple(range(1, d + 1))
+    if np.array_equal(np.roll(np.flip(spec, axis=space), 1, axis=space), np.conj(spec)):
+        # an exactly symmetric spectrum (slot -k holds conj of slot k) is a
+        # real field; drop the FFT roundoff
         vals = vals.real
     return GridField(f.operator.domain, axes, vals)
 
@@ -419,22 +624,25 @@ def analyze(g: GridField, modes, operator: OperatorSpec, check: bool = True, tol
     w = quadrature_weights(g).reshape(-1)
     modes = [m.index if isinstance(m, EigenPair) else m for m in modes]
     mode_vals = [mode_evaluator(operator, idx)(pts) for idx in modes]
+    if mode_vals:
+        stacked = np.stack(mode_vals)
+        mode_vals = list(stacked)
 
-    if check:
-        for i, vi in enumerate(mode_vals):
-            for j in range(i, len(mode_vals)):
-                vj = mode_vals[j]
-                if vi.ndim == 2:
-                    gram = complex(np.sum(w[:, None] * np.conj(vj) * vi))
-                else:
-                    gram = complex(np.sum(w * np.conj(vj) * vi))
-                target = 1.0 if i == j else 0.0
-                if abs(gram - target) > tol:
-                    a, b = modes[i], modes[j]
-                    raise AccuracyError(
-                        f"mode Gram check failed for pair (k={a.k}, m={a.polarization}) / "
-                        f"(k={b.k}, m={b.polarization}): <wi, wj> = {gram:.3e} vs {target}; refine the grid"
-                    )
+    if check and mode_vals:
+        # gram[i, j] = <w_i, w_j> = sum over points (and components) of
+        # weight * conj(w_j) * w_i, all pairs in one product
+        wv = stacked.reshape(len(modes), -1)
+        wq = np.repeat(w, wv.shape[1] // w.size)
+        gram = wv @ (np.conj(wv) * wq).T
+        bad = np.argwhere(np.triu(np.abs(gram - np.eye(len(modes))) > tol))
+        if bad.size:
+            i, j = bad[0]  # first pair i <= j in row order
+            a, b = modes[i], modes[j]
+            target = 1.0 if i == j else 0.0
+            raise AccuracyError(
+                f"mode Gram check failed for pair (k={a.k}, m={a.polarization}) / "
+                f"(k={b.k}, m={b.polarization}): <wi, wj> = {complex(gram[i, j]):.3e} vs {target}; refine the grid"
+            )
 
     gv = g.values.reshape(-1, g.values.shape[-1]) if g.is_vector else g.values.reshape(-1)
     raw = {}
@@ -551,10 +759,12 @@ def random_field(
     is only populated when include_mean=True.
     """
     pairs = enumerate_modes_cached(operator, lambda_max)
-    if isinstance(operator, (TorusLaplacian, TorusStokes)):
-        pairs = [p for p in pairs if any(ki != 0 for ki in p.index.k)]
+    if isinstance(operator, (TorusLaplacian, TorusStokes)) and pairs:
+        k = np.array([p.index.k for p in pairs], dtype=np.int64)
+        keep = np.any(k != 0, axis=1)
         if real:
-            pairs = [p for p in pairs if p.index.is_representative()]
+            keep &= _representative_rows(k)
+        pairs = [pairs[i] for i in np.flatnonzero(keep)]
     if n_modes is not None and n_modes < len(pairs):
         sel = rng.choice(len(pairs), size=n_modes, replace=False)
         pairs = [pairs[i] for i in sorted(sel)]

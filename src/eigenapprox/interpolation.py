@@ -122,6 +122,13 @@ def _tail_high(s1: np.ndarray, theta: float) -> np.ndarray:
     return s1**-b / b - s1 ** (-b - 2.0) / (b + 2.0) + s1 ** (-b - 4.0) / (b + 4.0)
 
 
+# bytes of one row block of the (t x mode) matrix in _interp_norm_sq.  Blocks
+# hold a multiple of 64 rows: the BLAS matrix-vector kernel takes rows in
+# small groups, and with aligned blocks each row is summed as it is on the
+# whole matrix (tests/test_interpolation.py pins the bit-identity).
+_KSQ_BLOCK_BYTES = 16 << 20
+
+
 def _interp_norm_sq(lams: np.ndarray, amps: np.ndarray, q: InterpolationQuery):
     """(window integral, low tail, high tail) of int t^{-2 theta} K^2 dt/t."""
     theta = q.theta
@@ -139,8 +146,11 @@ def _interp_norm_sq(lams: np.ndarray, amps: np.ndarray, q: InterpolationQuery):
         )
     tau = np.linspace(math.log(q.t_min), math.log(q.t_max), q.num_points)
     t = np.exp(tau)
-    s2 = np.square(t[:, None] * lams[None, :])
-    ksq = (s2 / (1.0 + s2)) @ amps
+    ksq = np.empty(t.size)
+    rows = max(64, _KSQ_BLOCK_BYTES // (8 * lams.size) // 64 * 64)
+    for a in range(0, t.size, rows):
+        s2 = np.square(t[a : a + rows, None] * lams[None, :])
+        ksq[a : a + rows] = (s2 / (1.0 + s2)) @ amps
     window = float(simpson(np.exp(-2.0 * theta * tau) * ksq, x=tau))
     low = float(np.sum(amps * lams ** (2.0 * theta) * _tail_low(s0, theta)))
     high = float(np.sum(amps * lams ** (2.0 * theta) * _tail_high(s1, theta)))

@@ -31,12 +31,15 @@ from .domains import (
     Torus,
     TorusLaplacian,
     TorusStokes,
+    _representative_rows,
 )
 from .errors import AccuracyError, ConfigError
 from .fields import (
     GridField,
     SpectralField,
+    _mirror_rows,
     _mode_on_grid,
+    _Packed,
     divergence_residual,
     lp_norm,
     quadrature_weights,
@@ -206,12 +209,27 @@ class _AscentState:
         self.axes = uniform_axes(self.domain, self.res)
         shape = tuple(a.size for a in self.axes)
         self.weights = quadrature_weights(GridField(self.domain, self.axes, np.zeros(shape)))
-        self.coeffs = dict(f.coefficients)
-        self.reps = sorted((idx for idx in self.coeffs if idx.is_representative()), key=lambda i: i.sort_key())
-        if not self.reps:
+        self.k, self.pol = f.k, f.pol
+        self.values = f.values.copy()
+        self.lams = f._eigenvalue_array()
+        # representatives in (k, polarization) order
+        reps = np.flatnonzero(_representative_rows(f.k))
+        self.reps = reps[np.lexsort((f.pol[reps],) + tuple(f.k[reps, a] for a in reversed(range(f.dim))))]
+        if not self.reps.size:
             raise ConfigError("ascent needs at least one representative mode")
+        self.mirror = None if self.dirichlet else _mirror_rows(f.k, f.pol)
+        if self.mirror is not None and np.any(self.mirror[self.reps] < 0):
+            raise ConfigError("ascent needs a conjugate-symmetric (real) torus field")
         self.g = synthesize(f, self.res).values.real.copy()
         self.gT = synthesize(apply_named_transform(f, name, param), self.res).values.real.copy()
+
+    def field(self) -> SpectralField:
+        """The current coefficients as a field."""
+        return SpectralField(self.operator, _Packed(self.k, self.pol, self.values.copy()))
+
+    @property
+    def coeffs(self):
+        return self.field().coefficients
 
     def norm(self, grid: np.ndarray) -> float:
         return float(np.sum(self.weights * np.abs(grid) ** self.p) ** (1.0 / self.p))
@@ -224,28 +242,29 @@ class _AscentState:
 
     def perturb(self, j: int, rel: float):
         """Scale mode j (and its conjugate partner) by (1+rel); returns undo()."""
-        idx = self.reps[j]
-        old = self.coeffs[idx]
+        i = self.reps[j]
+        k = self.k[i]
+        old = complex(self.values[i])
         delta = old * rel
-        mode = _mode_on_grid(self.operator, idx.k, self.axes)
+        mode = _mode_on_grid(self.operator, k.tolist(), self.axes)
         # a torus mode k != 0 moves its conjugate partner -k as well
-        mirror = None if self.dirichlet or not any(idx.k) else idx.mirror()
+        mirror = None if self.dirichlet or not k.any() else self.mirror[i]
         two = 1.0 if mirror is None else 2.0
         dg = two * (delta * mode).real
-        self.coeffs[idx] = old + delta
+        self.values[i] = old + delta
         if mirror is not None:
-            self.coeffs[mirror] = complex(self.coeffs[idx]).conjugate()
-        lam = self.operator.eigenvalue(idx)
-        fac = self.factor(idx.k, lam) if lam > 0.0 else 1.0
-        dgT = None if fac in (None, 0.0) else two * (fac * delta * mode).real
+            self.values[mirror] = complex(self.values[i]).conjugate()
+        lam = self.lams[i]
+        fac = float(self.factor(k[None], np.array([lam]))[0]) if lam > 0.0 else 1.0
+        dgT = None if math.isnan(fac) or fac == 0.0 else two * (fac * delta * mode).real
         self.g = self.g + dg
         if dgT is not None:
             self.gT = self.gT + dgT
 
         def undo():
-            self.coeffs[idx] = old
+            self.values[i] = old
             if mirror is not None:
-                self.coeffs[mirror] = complex(old).conjugate()
+                self.values[mirror] = old.conjugate()
             self.g = self.g - dg
             if dgT is not None:
                 self.gT = self.gT - dgT
@@ -258,9 +277,18 @@ def operator_norm_lower_bound(name: str, p: float, config: ExperimentConfig, par
     seeded coordinate ascent on the best field (multiplicative steps 10%
     decaying to 1%, fixed iteration count).  Returns (NormReport, field).
     """
+    _check_ascent_p(p)
+    return _lower_bound(sample_fields(config), name, p, config, param)
+
+
+def _check_ascent_p(p: float) -> None:
     if not 1.0 < p < math.inf:
         raise ConfigError(f"p must lie in (1, inf), got {p}")
-    fields = [f for f in sample_fields(config) if f.l2() > 0.0]
+
+
+def _lower_bound(family: list, name: str, p: float, config: ExperimentConfig, param):
+    """operator_norm_lower_bound on an already sampled family."""
+    fields = [f for f in family if f.l2() > 0.0]
     if not fields:
         raise ConfigError("degenerate family: every sampled field is zero")
     ratios = [lp_ratio(f, name, param, p) for f in fields]
@@ -279,7 +307,6 @@ def operator_norm_lower_bound(name: str, p: float, config: ExperimentConfig, par
             best = r
         else:
             undo()
-    achieving = SpectralField(st.operator, st.coeffs)
     report = NormReport(
         quantity=f"{name}_Lp_ratio",
         value=best,
@@ -287,7 +314,7 @@ def operator_norm_lower_bound(name: str, p: float, config: ExperimentConfig, par
         params={"transform": name, "param": param, "p": p, "n": param if name in ("spherical", "cubic") else None},
         meta={"seed": config.seed, "family": config.family, "samples": len(fields), "ascent_iters": iters, "grid": st.res},
     )
-    return report, achieving
+    return report, st.field()
 
 
 def truncation_experiment(
@@ -309,10 +336,12 @@ def truncation_experiment(
         seed=seed,
         ascent_iters=ascent_iters,
     )
+    _check_ascent_p(p)
+    family = sample_fields(config)  # seeded: the same family for every (transform, n)
     reports = []
     for name in ("spherical", "cubic"):
         for n in n_list:
-            rep, _ = operator_norm_lower_bound(name, p, config, param=int(n))
+            rep, _ = _lower_bound(family, name, p, config, int(n))
             rep.params["n"] = int(n)
             reports.append(rep)
     return reports

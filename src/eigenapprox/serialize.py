@@ -56,13 +56,17 @@ def spectral_field_from_csv(path, operator: OperatorSpec) -> SpectralField:
         header = next(reader)
         if len(header) != d + 3:
             raise ConfigError(f"expected {d + 3} columns for a dimension-{d} field, got {len(header)}")
+        kinds = set()
         for row in reader:
             k = tuple(int(v) for v in row[:d])
             pol = int(row[d])
             val = complex(float(row[d + 1]), float(row[d + 2]))
+            if pol == 0 and isinstance(operator, TorusStokes):
+                raise ConfigError("scalar rows are invalid for a divergence-free field")
+            kinds.add(pol == 0)
+            if len(kinds) > 1:
+                raise ConfigError("spectral CSV mixes scalar rows (polarization 0) with vector rows")
             if pol == 0:
-                if isinstance(operator, TorusStokes):
-                    raise ConfigError("scalar rows are invalid for a divergence-free field")
                 coeffs[ModeIndex(k)] = coeffs.get(ModeIndex(k), 0.0) + val
             else:
                 key = ModeIndex(k)

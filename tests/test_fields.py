@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from eigenapprox import (
     AccuracyError,
     AliasingError,
+    Box,
     ConfigError,
     DirichletLaplacian,
     GridField,
@@ -29,6 +30,7 @@ from eigenapprox import (
     synthesize,
     uniform_axes,
 )
+from eigenapprox.domains import mode_evaluator
 from eigenapprox.fields import enumerate_modes_cached, evaluate, quadrature_weights
 
 TWO_PI = 2.0 * math.pi
@@ -257,3 +259,38 @@ def test_dirichlet_synthesis_vanishes_on_boundary_exactly():
     g = synthesize(f)
     v = np.asarray(g.values)
     assert v[0] == 0.0 and v[-1] == 0.0
+
+
+@pytest.mark.parametrize(
+    "op,lambda_max,res",
+    [
+        (DirichletLaplacian(Interval(1.0)), 400.0, 8),
+        (DirichletLaplacian(Box((1.0, 2.0))), 150.0, 6),
+        (TorusStokes(Torus(2)), 10.0, 5),
+    ],
+)
+def test_analyze_names_the_first_failing_gram_pair(op, lambda_max, res):
+    # a grid too coarse for the modes: the reported pair must be the first
+    # pair i <= j, in row order, that a plain double loop finds
+    modes = [p.index for p in enumerate_modes(op, lambda_max)]
+    g = synthesize(SpectralField(op, {}), res)
+    if isinstance(op, TorusStokes):
+        g = GridField(g.domain, g.axes, np.zeros(g.grid_shape + (2,)))
+    w = quadrature_weights(g).reshape(-1)
+    vals = [mode_evaluator(op, idx)(g.points()) for idx in modes]
+    first = None
+    for i in range(len(modes)):
+        for j in range(i, len(modes)):
+            prod = np.conj(vals[j]) * vals[i]
+            gram = complex(np.sum(w[:, None] * prod if prod.ndim == 2 else w * prod))
+            if abs(gram - (1.0 if i == j else 0.0)) > 1e-8:
+                first = (modes[i], modes[j])
+                break
+        if first:
+            break
+    assert first is not None
+    a, b = first
+    want = f"pair (k={a.k}, m={a.polarization}) / (k={b.k}, m={b.polarization})"
+    with pytest.raises(AccuracyError) as err:
+        analyze(g, modes, op)
+    assert want in str(err.value)

@@ -202,3 +202,21 @@ def test_h00_custom_weight_and_guards():
         h00_weighted_norm(lambda pts: np.ones(pts.shape[0]), dom, levels=1)
     with pytest.raises(ConfigError):
         BoundaryWeight(Torus(1))
+
+
+@pytest.mark.parametrize("theta", [0.02, 0.5, 0.98])
+def test_row_blocked_norm_is_bitwise_the_one_shot_product(monkeypatch, theta):
+    # the (t x mode) matrix is built in row blocks under a byte budget; the
+    # blocks change memory, never the bits of the result
+    from eigenapprox import interpolation
+
+    f = random_field(TorusLaplacian(Torus(3)), 60.0, np.random.default_rng(21))
+    q = InterpolationQuery.auto(f, theta)
+    lams, amps = f.eigen_arrays(positive_only=True)
+    monkeypatch.setattr(interpolation, "_KSQ_BLOCK_BYTES", 1 << 40)
+    whole = interpolation._interp_norm_sq(lams, amps, q)
+    norm = interpolation_norm(f, q)
+    for rows in (1, 64, 200, 1000):
+        monkeypatch.setattr(interpolation, "_KSQ_BLOCK_BYTES", rows * 8 * lams.size)
+        assert interpolation._interp_norm_sq(lams, amps, q) == whole
+        assert interpolation_norm(f, q) == norm

@@ -142,3 +142,12 @@ def test_real_grid_stays_real(tmp_path):
     grid_field_to_csv(g, p)
     back = grid_field_from_csv(p, dom)
     assert np.isrealobj(np.asarray(back.values))
+
+
+def test_spectral_csv_mixing_scalar_and_vector_rows_is_rejected(tmp_path):
+    op = TorusLaplacian(Torus(2))
+    for rows in (["1,0,0,1.0,0.0", "0,1,-1,1.0,0.0", "0,1,-2,2.0,0.0"], ["1,0,-1,1.0,0.0", "1,0,-2,0.5,0.0", "0,1,0,1.0,0.0"]):
+        p = tmp_path / "mixed.csv"
+        p.write_text("k1,k2,polarization,re,im\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ConfigError, match="mixes scalar rows"):
+            spectral_field_from_csv(p, op)

@@ -1,0 +1,59 @@
+"""Print the sha256 of every file a fixed list of CLI jobs writes.
+
+Each job runs through `eigenapprox.cli.run` into its own directory under a
+temporary root; the output is one `<job>/<file> <sha256>` line per written
+file, sorted.  Running it on two checkouts and diffing the outputs checks that
+a change keeps every artifact byte-identical:
+
+    PYTHONPATH=src python3 tools/artifact_digests.py > digests.txt
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import sys
+import tempfile
+
+from eigenapprox.cli import run
+
+JOBS = (
+    ("modes-stokes3", ["modes", "--op", "torus-stokes", "--d", "3", "--lambda-max", "20"]),
+    ("modes-box", ["modes", "--op", "dirichlet-box", "--lambda-max", "40"]),
+    ("approx-torus2", ["approx", "--emit-field", "--op", "torus", "--d", "2", "--plot"]),
+    ("approx-stokes3", ["approx", "--emit-field", "--op", "torus-stokes", "--d", "3", "--transform", "semigroup"]),
+    ("approx-box", ["approx", "--emit-field", "--op", "dirichlet-box"]),
+    ("approx-interval", ["approx", "--emit-field", "--op", "dirichlet-interval", "--transform", "pi-theta"]),
+    ("interp-torus3", ["interp", "--op", "torus", "--d", "3", "--lambda-max", "100", "--n-modes", "400",
+                       "--reiteration", "--plot"]),
+    ("interp-box", ["interp", "--op", "dirichlet-box", "--check-itheta"]),
+    ("truncate", ["truncate", "--n-list", "4,16", "--plot"]),
+    ("cbf-2d", ["cbf", "--d", "2", "--N", "32", "--T", "0.05", "--save-traj", "--plot"]),
+    ("cbf-3d", ["cbf", "--d", "3", "--N", "16", "--beta", "1", "--T", "0.02", "--save-traj"]),
+)
+
+
+def _sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def main() -> int:
+    lines = []
+    with tempfile.TemporaryDirectory() as root:
+        for name, argv in JOBS:
+            out = os.path.join(root, name)
+            rc = run([*argv, "--out-dir", out])
+            if rc != 0:
+                print(f"{name}: exit code {rc}", file=sys.stderr)
+                return rc
+            for dirpath, _, files in os.walk(out):
+                for fn in files:
+                    path = os.path.join(dirpath, fn)
+                    lines.append(f"{name}/{os.path.relpath(path, out)} {_sha256(path)}")
+    print("\n".join(sorted(lines)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
