@@ -118,7 +118,8 @@ def _check_mode(operator: OperatorSpec, idx: ModeIndex, val, first_is_vector=Non
 def _check_tangential(k: tuple, v: np.ndarray) -> None:
     kv = np.asarray(k, dtype=float)
     resid = abs(complex(kv @ v))
-    bound = float(np.linalg.norm(kv)) * max(float(np.linalg.norm(v)), 1e-300)
+    # hypot, not a sum of squares: |v| must neither underflow nor overflow
+    bound = float(np.linalg.norm(kv)) * max(math.hypot(*np.abs(v).tolist()), 1e-300)
     if resid > 1e-9 * bound:
         raise ConfigError(f"Stokes amplitude at k={k} is not orthogonal to k (residual {resid:.3e})")
 
@@ -209,7 +210,7 @@ def _validate(operator: OperatorSpec, k: np.ndarray, pol: np.ndarray, values: np
         # roundoff in the batched dot product cannot hide a failing mode
         kf = k.astype(float)
         resid = np.abs(np.sum(kf * values, axis=1))
-        bound = np.sqrt(np.sum(kf * kf, axis=1)) * np.maximum(np.sqrt(np.sum(np.abs(values) ** 2, axis=1)), 1e-300)
+        bound = np.sqrt(np.sum(kf * kf, axis=1)) * np.maximum(np.hypot.reduce(np.abs(values), axis=1), 1e-300)
         for i in np.flatnonzero(resid > 0.5e-9 * bound):
             _check_tangential(tuple(k[i].tolist()), values[i])
 

@@ -285,3 +285,15 @@ def test_validation_names_the_first_offending_mode():
         SpectralField(st2, {(0, 1): [1.0, 0.0], (1, 0): [1.0, 1.0], (2, 0): [0.0, 1.0]})
     with pytest.raises(ConfigError, match=r"non-finite coefficient at \(2, 0\)"):
         SpectralField(st2, {(0, 1): [1.0, 0.0], (1, 0): [1.0, 1.0], (2, 0): [0.0, math.nan]})
+
+
+def test_orthogonality_check_scales_with_tiny_and_huge_amplitudes():
+    # |v|^2 underflows to 0 or overflows to inf; the bound must use |v| itself
+    st3 = TorusStokes(Torus(3))
+    e = polarization_basis((1, 0, 1))[0]
+    for scale in (6.37393212e-293j, 1e-200, 1e200):
+        SpectralField(st3, {(1, 0, 1): scale * e})
+    with pytest.raises(ConfigError, match="not orthogonal"):
+        SpectralField(TorusStokes(Torus(2)), {(1, 0): np.array([1e200, 1e200])})
+    with pytest.raises(ConfigError, match="not orthogonal"):
+        SpectralField(TorusStokes(Torus(2)), {(1, 0): np.array([1e-200, 1e-200])})
