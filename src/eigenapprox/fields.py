@@ -673,9 +673,12 @@ def analyze(g: GridField, modes, operator: OperatorSpec, check: bool = True, tol
 def lp_norm(g: GridField, p) -> float:
     """L^p norm over the domain; vector values use the pointwise Euclidean
     magnitude; p = inf is the max over samples."""
-    mag = np.abs(g.values)
     if g.is_vector:
-        mag = np.sqrt(np.sum(mag * mag, axis=-1))
+        # |x| |x| == x x exactly for real x, so real values skip the abs copy
+        v = g.values if np.isrealobj(g.values) else np.abs(g.values)
+        mag = np.sqrt(np.sum(v * v, axis=-1))
+    else:
+        mag = np.abs(g.values)
     if p == math.inf:
         return float(mag.max())
     p = float(p)

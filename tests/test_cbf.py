@@ -34,6 +34,7 @@ from eigenapprox import (
     time_mollify,
     to_spectral_field,
 )
+from eigenapprox import cbf
 
 TWO_PI2 = 2.0 * math.pi**2
 
@@ -113,6 +114,78 @@ def test_step_keeps_support_and_structure():
     assert divergence_residual(f) < 1e-13
     kmax = p.dealias_kmax
     assert all(max(abs(ki) for ki in idx.k) <= kmax for idx in f.coefficients)
+
+
+def _wavenumbers(dim, n):
+    """Broadcastable k_j arrays of the rfftn layout (last axis halved)."""
+    full = np.fft.fftfreq(n, d=1.0 / n)
+    half = np.arange(n // 2 + 1, dtype=float)
+    return np.meshgrid(*([full] * (dim - 1) + [half]), indexing="ij", sparse=True)
+
+
+def _advective_nonlinear(coeffs, params):
+    """-P[(u.grad)u + beta |u|^r u] in advective form u_j d_j u_i: one
+    numpy.fft call per component and per derivative, projected per mode and
+    cut to the dealias mask with a zero mean."""
+    dim, n = coeffs.shape[0], coeffs.shape[1]
+    real_shape, axes = (n,) * dim, tuple(range(dim))
+    ks = _wavenumbers(dim, n)
+    u = [np.fft.irfftn(coeffs[i], s=real_shape, axes=axes) for i in range(dim)]
+    speed_r = sum(ui * ui for ui in u) ** (params.r / 2.0)
+    f = np.empty_like(coeffs)
+    for i in range(dim):
+        conv = sum(u[j] * np.fft.irfftn(1j * ks[j] * coeffs[i], s=real_shape, axes=axes) for j in range(dim))
+        f[i] = np.fft.rfftn(conv + params.beta * speed_r * u[i], axes=axes)
+    k2 = sum(k * k for k in ks)
+    k2[(0,) * dim] = 1.0
+    dot = sum(ks[i] * f[i] for i in range(dim)) / k2
+    out = np.array([-(f[i] - ks[i] * dot) for i in range(dim)])
+    kept = np.ones(k2.shape, dtype=bool)
+    for k in ks:
+        kept = kept & (np.abs(k) <= params.dealias_kmax)
+    out *= kept
+    out[(slice(None),) + (0,) * dim] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+@pytest.mark.parametrize("r", [2.0, 3.0])
+def test_divergence_form_matches_advective_oracle(dim, beta, r):
+    # r = 3 takes the non-integer power |u|^(3/2) path
+    p = _params(dim=dim, beta=beta, r=r)
+    s = random_divergence_free_state(p, kmax_init=p.dealias_kmax, amplitude=3.0, seed=11)
+    want = _advective_nonlinear(s.coeffs, p)
+    got = cbf._nonlinear(s.coeffs, p)
+    assert np.max(np.abs(want)) > 0.0
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("dim, beta, r", [(2, 0.0, 2.0), (3, 1.0, 3.0)])
+def test_steps_match_advective_oracle_steps(monkeypatch, dim, beta, r):
+    p = _params(dim=dim, beta=beta, r=r, t_final=20 * 2e-3, snapshot_every=20)
+    s = random_divergence_free_state(p, kmax_init=2, amplitude=2.0, seed=4)
+    got = simulate(s, p).states[-1].coeffs
+    monkeypatch.setattr(cbf, "_nonlinear", _advective_nonlinear)
+    want = simulate(s, p).states[-1].coeffs
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_3d_steps_keep_support_and_structure():
+    p = _params(beta=1.0, dim=3)
+    s = random_divergence_free_state(p, kmax_init=p.dealias_kmax, amplitude=2.0, seed=2)
+    outside = np.zeros(s.coeffs.shape[1:], dtype=bool)
+    for k in _wavenumbers(3, p.resolution):
+        outside = outside | (np.abs(k) > p.dealias_kmax)
+    energy = state_energy(s, p)
+    for _ in range(5):
+        s = step(s, p)
+        assert state_divergence_residual(s) < 1e-13
+        assert not np.any(s.coeffs[:, outside])
+        assert np.all(s.coeffs[:, 0, 0, 0] == 0.0)
+        e = state_energy(s, p)
+        assert e <= energy
+        energy = e
 
 
 def test_blow_up_guard():

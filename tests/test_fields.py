@@ -102,6 +102,24 @@ def test_lp_norm_against_quadrature_oracle():
     assert lp_norm(g, math.inf) == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-6)
 
 
+def test_lp_norm_of_real_vector_grid_is_bitwise_the_abs_formula():
+    rng = np.random.default_rng(3)
+    torus = Torus(3)
+    vals = rng.standard_normal((12, 12, 12, 3))
+    vals[0, 0, 0] = [-0.0, -2.5, 0.0]
+    assert np.any(vals < 0.0)
+    mag = np.abs(vals)
+    mag = np.sqrt(np.sum(mag * mag, axis=-1))
+    # a contiguous array, and the component-first layout the solver's padded grids hand over
+    component_first = np.moveaxis(np.ascontiguousarray(np.moveaxis(vals, -1, 0)), 0, -1)
+    for layout in (vals, component_first):
+        g = GridField(torus, uniform_axes(torus, 12), layout)
+        w = quadrature_weights(g)
+        for p in (1.0, 2.0, 3.5, 4.0):
+            assert lp_norm(g, p) == float(np.sum(w * mag**p) ** (1.0 / p))
+        assert lp_norm(g, math.inf) == float(mag.max())
+
+
 def test_lp_norm_constant_mode_torus():
     op = TorusLaplacian(Torus(2))
     c = 1.7 - 0.4j
