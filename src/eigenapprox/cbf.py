@@ -34,9 +34,9 @@ import numpy as np
 import scipy.fft
 from scipy.integrate import simpson
 
-from .domains import ModeIndex, Torus, TorusStokes
+from .domains import Torus, TorusStokes
 from .errors import AccuracyError, AliasingError, ConfigError
-from .fields import GridField, SpectralField, _tangential, lp_norm, uniform_axes
+from .fields import GridField, SpectralField, _Packed, _tangential, _with_mirrors, lp_norm, uniform_axes
 
 TWO_PI = 2.0 * math.pi
 
@@ -99,10 +99,9 @@ class CBFParams:
 
 
 @functools.lru_cache(maxsize=32)
-def _tables(dim: int, n: int, kmax: int):
-    """Wavenumber arrays, |k|^2, the dealias mask, and Parseval weights for
-    the rfftn layout (last axis halved)."""
-    spec_shape = (n,) * (dim - 1) + (n // 2 + 1,)
+def _wavenumbers(dim: int, n: int) -> tuple:
+    """Per-axis wavenumber arrays of the rfftn layout (last axis halved),
+    shaped to broadcast against it."""
     karrs = []
     for ax in range(dim):
         if ax < dim - 1:
@@ -112,6 +111,15 @@ def _tables(dim: int, n: int, kmax: int):
         shape = [1] * dim
         shape[ax] = k.size
         karrs.append(k.reshape(shape))
+    return tuple(karrs)
+
+
+@functools.lru_cache(maxsize=32)
+def _tables(dim: int, n: int, kmax: int):
+    """Wavenumber arrays, |k|^2, the dealias mask, and Parseval weights for
+    the rfftn layout (last axis halved)."""
+    spec_shape = (n,) * (dim - 1) + (n // 2 + 1,)
+    karrs = _wavenumbers(dim, n)
     k2 = np.zeros(spec_shape)
     for k in karrs:
         k2 = k2 + k * k
@@ -166,10 +174,9 @@ def state_enstrophy(s: CBFState, params: CBFParams) -> float:
 def state_divergence_residual(s: CBFState) -> float:
     """max_k |k . u_hat(k)| in orthonormal-basis amplitude units (so the
     value does not scale with the grid resolution)."""
-    karrs, _, _, _, _ = _tables(s.dim, s.resolution, 1)
     div = np.zeros(s.coeffs.shape[1:], dtype=complex)
-    for i, k in enumerate(karrs):
-        div = div + 1j * k * s.coeffs[i]
+    for i, k in enumerate(_wavenumbers(s.dim, s.resolution)):
+        div += 1j * k * s.coeffs[i]
     sc = TWO_PI ** (s.dim / 2.0) / float(s.resolution) ** s.dim
     return sc * float(np.max(np.abs(div)))
 
@@ -527,17 +534,14 @@ def _array_to_field(coeffs: np.ndarray, n: int) -> SpectralField:
     """
     dim = coeffs.shape[0]
     sc = TWO_PI ** (dim / 2.0) / float(n) ** dim
-    out = {}
-    nz = np.argwhere(np.any(coeffs != 0.0, axis=0))
-    for pos in nz:
-        idx = ModeIndex(tuple(int(p) if p <= n // 2 else int(p) - n for p in pos[:-1]) + (int(pos[-1]),))
-        v = _tangential(idx.k, coeffs[(slice(None),) + tuple(pos)] * sc)
-        if any(idx.k) and not np.any(v):
-            continue
-        out[idx] = v
-        if pos[-1] > 0:  # mirror stored implicitly by the rfft layout
-            out[idx.mirror()] = np.conj(v)
-    return SpectralField(TorusStokes(Torus(dim)), out)
+    pos = np.argwhere(np.any(coeffs != 0.0, axis=0))
+    k = pos.copy()
+    k[:, :-1] = np.where(pos[:, :-1] <= n // 2, pos[:, :-1], pos[:, :-1] - n)
+    v = _tangential(k, np.moveaxis(coeffs, 0, -1)[tuple(pos.T)] * sc)
+    keep = ~np.any(k, axis=1) | np.any(v != 0.0, axis=1)
+    # the rfft layout stores the mirror of a row with last index > 0 implicitly
+    rows = _Packed(k[keep], np.zeros(np.count_nonzero(keep), dtype=np.int64), v[keep])
+    return SpectralField(TorusStokes(Torus(dim)), _with_mirrors(rows, pos[keep, -1] > 0))
 
 
 def to_spectral_field(s: CBFState) -> SpectralField:
@@ -559,18 +563,16 @@ def from_spectral_field(f: SpectralField, params: CBFParams, time: float = 0.0) 
     kmax = params.dealias_kmax
     sc = float(n) ** dim / TWO_PI ** (dim / 2.0)
     coeffs = np.zeros((dim,) + (n,) * (dim - 1) + (n // 2 + 1,), dtype=complex)
-    for idx, v in f.coefficients.items():
-        if all(ki == 0 for ki in idx.k):
-            if np.max(np.abs(v)) > 0.0:
-                raise ConfigError("state must be zero-mean; drop the k=0 amplitude")
-            continue
-        if max(abs(ki) for ki in idx.k) > kmax:
-            raise AliasingError(f"mode {idx.k} lies outside the dealias mask (kmax={kmax})")
-        k = idx.k
-        if k[-1] < 0:
-            continue  # the rfft layout stores this implicitly as the mirror of -k
-        pos = tuple(ki % n for ki in k[:-1]) + (k[-1],)
-        coeffs[(slice(None),) + pos] = np.asarray(v) * sc
+    mean = ~np.any(f.k, axis=1)
+    bad = (mean & np.any(f.values != 0.0, axis=1)) | (np.max(np.abs(f.k), axis=1, initial=0) > kmax)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        if mean[i]:
+            raise ConfigError("state must be zero-mean; drop the k=0 amplitude")
+        raise AliasingError(f"mode {tuple(f.k[i].tolist())} lies outside the dealias mask (kmax={kmax})")
+    # rows with last index < 0 are stored implicitly as the mirrors of -k
+    stored = ~mean & (f.k[:, -1] >= 0)
+    coeffs[(slice(None),) + tuple((f.k[stored] % n).T)] = (f.values[stored] * sc).T
     return CBFState(time, coeffs)
 
 

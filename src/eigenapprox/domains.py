@@ -279,6 +279,28 @@ class TorusStokes:
 OperatorSpec = Union[DirichletLaplacian, TorusLaplacian, TorusStokes]
 
 
+def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[..., i, :] @ b[..., i, :] for every row, bit for bit: each row goes
+    through the same BLAS dot as the 1-D product (a plain row sum can round
+    differently)."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _polarization_rows(k: np.ndarray) -> np.ndarray:
+    """polarization_basis of every row of an (M, d) array of nonzero k, shape
+    (M, d-1, d), bit for bit the one-row result."""
+    kv = np.asarray(k, dtype=float)
+    khat = kv / np.sqrt(_dot_rows(kv, kv))[:, None]
+    if kv.shape[1] == 2:
+        return np.stack([-khat[:, 1], khat[:, 0]], axis=1)[:, None, :]
+    ref = np.zeros_like(khat)
+    ref[:, 0] = 1.0
+    ref[np.abs(_dot_rows(khat, ref)) > 0.9] = (0.0, 1.0, 0.0)
+    e1 = ref - _dot_rows(ref, khat)[:, None] * khat
+    e1 = e1 / np.sqrt(_dot_rows(e1, e1))[:, None]
+    return np.stack([e1, np.cross(khat, e1)], axis=1)
+
+
 def polarization_basis(k) -> np.ndarray:
     """Orthonormal basis of the plane orthogonal to k, shape (d-1, d).
 
@@ -286,23 +308,12 @@ def polarization_basis(k) -> np.ndarray:
     falling back to e_y when k is within ~25 degrees of the x-axis, then the
     cross product for the second vector.  Deterministic by construction.
     """
-    kv = np.asarray(k, dtype=float)
-    norm = float(np.linalg.norm(kv))
-    if norm == 0.0:
+    kv = np.asarray(k, dtype=float).reshape(1, -1)
+    if not np.any(kv):
         raise ConfigError("polarization basis undefined for k = 0")
-    khat = kv / norm
-    d = kv.size
-    if d == 2:
-        return np.array([[-khat[1], khat[0]]])
-    if d == 3:
-        ref = np.array([1.0, 0.0, 0.0])
-        if abs(float(khat @ ref)) > 0.9:
-            ref = np.array([0.0, 1.0, 0.0])
-        e1 = ref - (ref @ khat) * khat
-        e1 = e1 / np.linalg.norm(e1)
-        e2 = np.cross(khat, e1)
-        return np.array([e1, e2])
-    raise ConfigError(f"polarization basis only defined for d in {{2, 3}}, got d={d}")
+    if kv.shape[1] not in (2, 3):
+        raise ConfigError(f"polarization basis only defined for d in {{2, 3}}, got d={kv.shape[1]}")
+    return _polarization_rows(kv)[0]
 
 
 # ---------------------------------------------------------------------------

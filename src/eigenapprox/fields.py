@@ -18,19 +18,18 @@ from typing import NamedTuple
 import numpy as np
 
 from .domains import (
-    Box,
     DirichletLaplacian,
     DomainSpec,
     EigenPair,
-    Interval,
     ModeIndex,
     OperatorSpec,
     Torus,
     TorusLaplacian,
     TorusStokes,
+    _dot_rows,
+    _polarization_rows,
     _representative_rows,
     mode_evaluator,
-    polarization_basis,
     sinpi,
 )
 from .errors import AliasingError, AccuracyError, ConfigError
@@ -45,22 +44,26 @@ def _as_mode_index(key, dim: int) -> ModeIndex:
     return idx
 
 
-def _tangential(k: tuple, v) -> np.ndarray:
-    """v - k (k.v)/|k|^2: the part of v orthogonal to k; v itself at k = 0."""
-    vv = np.asarray(v, dtype=complex)
-    kv = np.asarray(k, dtype=float)
-    k2 = float(kv @ kv)
-    if k2 == 0.0:
-        return vv
-    return vv - kv * (complex(kv @ vv) / k2)
+def _tangential(k: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """v - k (k.v)/|k|^2 for every row: the part of v orthogonal to k; v
+    itself where k = 0."""
+    kf = k.astype(float)
+    k2 = np.maximum(_dot_rows(kf, kf), 1.0)  # |k|^2 >= 1 on integer k != 0
+    kv = _dot_rows(kf, v)
+    # (k.v)/|k|^2 as Python's complex / float: the divisor enters as
+    # complex(|k|^2, 0.0), whose zero part can flip the sign of a zero
+    q = ((kv.real + kv.imag * 0.0) / k2).astype(complex)
+    q.imag = (kv.imag - kv.real * 0.0) / k2
+    return np.where(np.any(k, axis=1)[:, None], v - kf * q[:, None], v)
 
 
-def _add_polarized(vecs: dict, idx: ModeIndex, c) -> None:
-    """vecs[k] += c e_m(k): sum a Stokes (k, m) amplitude into the vector
-    amplitude at k."""
-    e = polarization_basis(idx.k)[idx.polarization - 1]
-    key = ModeIndex(idx.k)
-    vecs[key] = vecs.get(key, np.zeros(len(idx.k), dtype=complex)) + c * e
+def _py_mul(a, b) -> np.ndarray:
+    """a * b as Python's complex product computes it, without the fused
+    multiply-add that numpy's complex multiply may use."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    out = (a.real * b.real - a.imag * b.imag).astype(complex)
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 def _finite(arr) -> bool:
@@ -168,19 +171,51 @@ def _pack(operator: OperatorSpec, coefficients) -> _Packed:
         packed = _pack_entries(operator, coefficients)
     _validate(operator, *packed)
     if plain:
-        packed = _merge_duplicates(packed)
+        packed = _merge_rows(*packed, "last")
     return packed
 
 
-def _merge_duplicates(p: _Packed) -> _Packed:
-    keys = _row_keys(np.column_stack([p.k, p.pol]))
-    uniq, first, inv = np.unique(keys, return_index=True, return_inverse=True)
-    if uniq.size == keys.size:
-        return p
-    last = np.zeros(uniq.size, dtype=np.int64)
-    np.maximum.at(last, inv.reshape(-1), np.arange(keys.size))
+def _merge_rows(k: np.ndarray, pol: np.ndarray, values: np.ndarray, how: str) -> _Packed:
+    """One row per (k, pol), in order of first occurrence.  how="last" keeps
+    the last value; "sum" adds the later values to the first one in row
+    order; "sum0" adds every value to zero in row order (so a lone -0.0
+    becomes +0.0, as a sum into a fresh slot does)."""
+    _, first, inv = np.unique(_row_keys(np.column_stack([k, pol])), return_index=True, return_inverse=True)
     order = np.argsort(first)
-    return _Packed(p.k[first[order]], p.pol[first[order]], p.values[last[order]])
+    first = first[order]
+    group = np.argsort(order)[inv.reshape(-1)]
+    if how == "last":
+        last = np.zeros(first.size, dtype=np.int64)
+        np.maximum.at(last, group, np.arange(group.size))
+        merged = values[last]
+    elif how == "sum":
+        merged = values[first]
+        later = np.setdiff1d(np.arange(group.size), first, assume_unique=True)
+        np.add.at(merged, group[later], values[later])
+    else:
+        merged = np.zeros((first.size,) + values.shape[1:], dtype=complex)
+        np.add.at(merged, group, values)
+    return _Packed(k[first], pol[first], merged)
+
+
+def _polarized(k: np.ndarray, pol: np.ndarray, amps: np.ndarray) -> _Packed:
+    """Amplitudes along e_m(k) (pol = m > 0) or along Cartesian axis c
+    (pol = -(c+1)) as vector rows: summed per k from zero in row order."""
+    e = np.eye(k.shape[1])[-pol - 1]
+    tangential = pol > 0
+    if np.any(tangential):
+        e[tangential] = _polarization_rows(k[tangential])[np.arange(np.count_nonzero(tangential)), pol[tangential] - 1]
+    return _merge_rows(k, np.zeros_like(pol), amps[:, None] * e, "sum0")
+
+
+def _with_mirrors(p: _Packed, where: np.ndarray) -> _Packed:
+    """Each row followed, where `where` holds, by its mirror (-k, pol, conj v)."""
+    row = np.repeat(np.arange(where.size), np.where(where, 2, 1))
+    mirror = np.diff(row, prepend=-1) == 0  # second of a repeated row
+    k, values = p.k[row], p.values[row]
+    k[mirror] *= -1
+    values[mirror] = np.conj(values[mirror])
+    return _Packed(k, p.pol[row], values)
 
 
 def _invalid_index(operator: OperatorSpec, k: np.ndarray, pol: np.ndarray) -> np.ndarray:
@@ -367,18 +402,24 @@ class SpectralField:
 def add(f: SpectralField, g: SpectralField) -> SpectralField:
     if f.operator != g.operator:
         raise ConfigError("field arithmetic requires matching operators")
-    out = dict(f.coefficients)
-    for idx, v in g.coefficients.items():
-        out[idx] = out[idx] + v if idx in out else v
+    if f.values.ndim != g.values.ndim:
+        if f.k.shape[0] and g.k.shape[0]:
+            raise ConfigError("field arithmetic requires both fields scalar or both vector")
+        return f if g.k.shape[0] == 0 else g
+    out = _merge_rows(*(np.concatenate([a, b]) for a, b in zip((f.k, f.pol, f.values), (g.k, g.pol, g.values))), "sum")
     if isinstance(f.operator, TorusStokes):
         # a sum of tangential amplitudes is tangential; strip the roundoff
         # normal component so near-cancelling sums stay valid fields
-        out = {idx: _tangential(idx.k, v) for idx, v in out.items()}
+        out = out._replace(values=_tangential(out.k, out.values))
     return SpectralField(f.operator, out)
 
 
 def scale(f: SpectralField, c) -> SpectralField:
-    return SpectralField(f.operator, {idx: c * v for idx, v in f.coefficients.items()})
+    # bit for bit c * v per mode, v a Python complex or a 1-D array: numpy's
+    # product for vector rows and numpy real scalars c, else Python's
+    numpy_product = f.values.ndim == 2 or isinstance(c, (np.floating, np.integer))
+    values = c * f.values if numpy_product else _py_mul(c, f.values)
+    return SpectralField(f.operator, _Packed(f.k, f.pol, values))
 
 
 def subtract(f: SpectralField, g: SpectralField) -> SpectralField:
@@ -403,11 +444,8 @@ def divergence_residual(f: SpectralField) -> float:
     """max_k |k . c(k)| for a vector torus field (0 iff divergence-free)."""
     if not f.is_vector:
         raise ConfigError("divergence residual needs a vector field")
-    worst = 0.0
-    for idx, v in f.coefficients.items():
-        kv = np.asarray(idx.k, dtype=float)
-        worst = max(worst, abs(complex(kv @ np.asarray(v))))
-    return worst
+    div = _dot_rows(f.k.astype(float), f.values)
+    return float(np.max(np.hypot(div.real, div.imag), initial=0.0))
 
 
 def evaluate(f: SpectralField, points) -> np.ndarray:
@@ -624,12 +662,11 @@ def analyze(g: GridField, modes, operator: OperatorSpec, check: bool = True, tol
     pts = g.points()
     w = quadrature_weights(g).reshape(-1)
     modes = [m.index if isinstance(m, EigenPair) else m for m in modes]
-    mode_vals = [mode_evaluator(operator, idx)(pts) for idx in modes]
-    if mode_vals:
-        stacked = np.stack(mode_vals)
-        mode_vals = list(stacked)
+    if not modes:
+        return SpectralField(operator)
+    stacked = np.stack([mode_evaluator(operator, idx)(pts) for idx in modes])
 
-    if check and mode_vals:
+    if check:
         # gram[i, j] = <w_i, w_j> = sum over points (and components) of
         # weight * conj(w_j) * w_i, all pairs in one product
         wv = stacked.reshape(len(modes), -1)
@@ -645,25 +682,18 @@ def analyze(g: GridField, modes, operator: OperatorSpec, check: bool = True, tol
                 f"(k={b.k}, m={b.polarization}): <wi, wj> = {complex(gram[i, j]):.3e} vs {target}; refine the grid"
             )
 
-    gv = g.values.reshape(-1, g.values.shape[-1]) if g.is_vector else g.values.reshape(-1)
-    raw = {}
-    for idx, mv in zip(modes, mode_vals):
-        if mv.ndim == 2:
-            if not g.is_vector:
-                raise ConfigError("vector modes require a vector-valued grid field")
-            c = complex(np.sum(w[:, None] * np.conj(mv) * gv))
-        else:
-            if g.is_vector:
-                raise ConfigError("scalar modes require a scalar grid field")
-            c = complex(np.sum(w * np.conj(mv) * gv))
-        raw[idx] = c
-
-    if isinstance(operator, TorusStokes):
-        vecs = {}
-        for idx, c in raw.items():
-            _add_polarized(vecs, idx, c)
-        return SpectralField(operator, vecs)
-    return SpectralField(operator, raw)
+    vector = stacked.ndim == 3
+    if vector != g.is_vector:
+        raise ConfigError(
+            "vector modes require a vector-valued grid field" if vector else "scalar modes require a scalar grid field"
+        )
+    gv = g.values.reshape(-1, g.values.shape[-1]) if vector else g.values.reshape(-1)
+    # <g, w_j> = sum of weight * conj(w_j) * g over the points (and components)
+    prod = (w[:, None] if vector else w) * np.conj(stacked) * gv
+    raw = np.sum(prod.reshape(len(modes), -1), axis=1).astype(complex)  # real on real Dirichlet grids
+    kp = np.array([(*m.k, m.polarization) for m in modes], dtype=np.int64)
+    packed = _merge_rows(kp[:, :-1], kp[:, -1], raw, "last")
+    return SpectralField(operator, _polarized(*packed) if isinstance(operator, TorusStokes) else packed)
 
 
 # ---------------------------------------------------------------------------
@@ -700,38 +730,9 @@ def leray_project(f: SpectralField) -> SpectralField:
         raise ConfigError("leray_project expects vector amplitudes")
     if f.dim < 2:
         raise ConfigError("leray_project requires dimension >= 2")
-    out = {}
-    for idx, v in f.coefficients.items():
-        proj = _tangential(idx.k, v)
-        if not any(idx.k) or np.any(proj):
-            out[ModeIndex(idx.k)] = proj
-    return SpectralField(TorusStokes(f.operator.domain), out)
-
-
-def stokes_to_polarization(f: SpectralField) -> dict:
-    """Decompose Stokes vector amplitudes into (k, m) scalar coefficients.
-
-    Only defined on the zero-mean part; a carried k=0 amplitude is rejected
-    because it has no tangential decomposition.
-    """
-    if not isinstance(f.operator, TorusStokes):
-        raise ConfigError("expected a Stokes field")
-    out = {}
-    for idx, v in f.coefficients.items():
-        if all(ki == 0 for ki in idx.k):
-            raise ConfigError("polarization decomposition undefined for the carried k=0 mean")
-        basis = polarization_basis(idx.k)
-        for m in range(basis.shape[0]):
-            out[ModeIndex(idx.k, m + 1)] = complex(basis[m] @ np.asarray(v))
-    return out
-
-
-def polarization_to_stokes(operator: TorusStokes, coeffs: dict) -> SpectralField:
-    """Inverse of stokes_to_polarization: sum c_{k,m} e_m(k) per k."""
-    vecs = {}
-    for key, c in coeffs.items():
-        _add_polarized(vecs, key if isinstance(key, ModeIndex) else ModeIndex(key[0], key[1]), c)
-    return SpectralField(operator, vecs)
+    proj = _tangential(f.k, f.values)
+    keep = ~np.any(f.k, axis=1) | np.any(proj != 0, axis=1)
+    return SpectralField(TorusStokes(f.operator.domain), _Packed(f.k[keep], f.pol[keep], proj[keep]))
 
 
 # ---------------------------------------------------------------------------
@@ -762,39 +763,31 @@ def random_field(
     fields are conjugate-symmetric (real-valued) when real=True; the k=0 mode
     is only populated when include_mean=True.
     """
+    d = operator.dim
+    torus = isinstance(operator, (TorusLaplacian, TorusStokes))
+    stokes = isinstance(operator, TorusStokes)
     pairs = enumerate_modes_cached(operator, lambda_max)
-    if isinstance(operator, (TorusLaplacian, TorusStokes)) and pairs:
-        k = np.array([p.index.k for p in pairs], dtype=np.int64)
+    rows = np.array([(*p.index.k, p.index.polarization) for p in pairs], dtype=np.int64).reshape(-1, d + 1)
+    k, pol = rows[:, :d], rows[:, d]
+    if torus:
         keep = np.any(k != 0, axis=1)
         if real:
             keep &= _representative_rows(k)
-        pairs = [pairs[i] for i in np.flatnonzero(keep)]
-    if n_modes is not None and n_modes < len(pairs):
-        sel = rng.choice(len(pairs), size=n_modes, replace=False)
-        pairs = [pairs[i] for i in sorted(sel)]
+        k, pol = k[keep], pol[keep]
+    if n_modes is not None and n_modes < k.shape[0]:
+        sel = np.sort(rng.choice(k.shape[0], size=n_modes, replace=False))
+        k, pol = k[sel], pol[sel]
 
-    coeffs = {}
-    for p in pairs:
-        damp = (1.0 + p.eigenvalue) ** (-decay)
-        if isinstance(operator, TorusStokes):
-            _add_polarized(coeffs, p.index, (rng.standard_normal() + 1j * rng.standard_normal()) * damp)
-        else:
-            coeffs[p.index] = damp * complex(rng.standard_normal(), rng.standard_normal())
-
-    if isinstance(operator, (TorusLaplacian, TorusStokes)) and real:
-        full = {}
-        for idx, v in coeffs.items():
-            full[idx] = v
-            mirror = idx.mirror()
-            if mirror != idx:
-                full[mirror] = np.conj(v)
-        coeffs = full
+    # one (re, im) pair of draws per mode, in mode order
+    damp = _map_distinct(lambda lam: (1.0 + lam) ** (-decay), _eigenvalues(operator, k))
+    out = _Packed(k, pol, _py_mul(damp, rng.standard_normal(2 * k.shape[0]).view(complex)))
+    if stokes:
+        out = _polarized(*out)
+    if torus and real:
+        out = _with_mirrors(out, np.ones(out.k.shape[0], dtype=bool))
     if isinstance(operator, DirichletLaplacian) and real:
-        coeffs = {idx: complex(v.real) for idx, v in coeffs.items()}
-    if include_mean and isinstance(operator, (TorusLaplacian, TorusStokes)):
-        zero = ModeIndex((0,) * operator.dim)
-        if isinstance(operator, TorusStokes) or any(isinstance(v, np.ndarray) for v in coeffs.values()):
-            coeffs[zero] = rng.standard_normal(operator.dim).astype(complex)
-        else:
-            coeffs[zero] = complex(rng.standard_normal())
-    return SpectralField(operator, coeffs)
+        out = out._replace(values=out.values.real.astype(complex))
+    if include_mean and torus:
+        mean = rng.standard_normal(d).astype(complex) if stokes else complex(rng.standard_normal())
+        out = _Packed(*(np.concatenate([a, [b]]) for a, b in zip(out, (np.zeros(d, dtype=np.int64), 0, mean))))
+    return SpectralField(operator, out)

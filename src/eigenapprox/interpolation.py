@@ -16,7 +16,7 @@ from typing import Callable, Union
 import numpy as np
 from scipy.integrate import simpson
 
-from .domains import Box, Interval, ModeIndex
+from .domains import Box, Interval
 from .errors import AccuracyError, ConfigError
 from .fields import GridField, SpectralField, evaluate
 from .reports import NormReport

@@ -26,7 +26,6 @@ from .approx import (
 )
 from .domains import (
     DirichletLaplacian,
-    Interval,
     OperatorSpec,
     Torus,
     TorusLaplacian,
@@ -225,11 +224,12 @@ class _AscentState:
 
     def field(self) -> SpectralField:
         """The current coefficients as a field."""
-        return SpectralField(self.operator, _Packed(self.k, self.pol, self.values.copy()))
+        return SpectralField(self.operator, self.coeffs)
 
     @property
-    def coeffs(self):
-        return self.field().coefficients
+    def coeffs(self) -> _Packed:
+        """A copy of the current modes, accepted by SpectralField."""
+        return _Packed(self.k, self.pol, self.values.copy())
 
     def norm(self, grid: np.ndarray) -> float:
         return float(np.sum(self.weights * np.abs(grid) ** self.p) ** (1.0 / self.p))
@@ -421,12 +421,7 @@ def _zero_extension_coeffs(f: SpectralField, m_cap: int) -> np.ndarray:
     (0 when |m| = k) and  int_0^pi sin(k w) sin(m w) dw = (pi/2) delta_{k,|m|} sgn(m).
     """
     L = f.operator.domain.length
-    ks, cs = [], []
-    for idx, v in f.coefficients.items():
-        ks.append(idx.k[0])
-        cs.append(complex(v))
-    ks = np.asarray(ks, dtype=int)
-    cs = np.asarray(cs, dtype=complex)
+    ks, cs = f.k[:, 0], f.values
     ms = np.arange(-m_cap, m_cap + 1)
     K = ks[None, :].astype(float)
     M = ms[:, None].astype(float)
@@ -453,11 +448,10 @@ def sobolev_surrogate_norm(f: SpectralField, theta: float, m_cap: int = 4096) ->
     if theta == 0.0:
         return f.l2()
     if theta == 0.5:
-        # || grad u ||: exact via Parseval for the cosine system
-        total = 0.0
-        for idx, v in f.coefficients.items():
-            total += (idx.k[0] * math.pi / L) ** 2 * abs(complex(v)) ** 2
-        return math.sqrt(total)
+        # || grad u ||: exact via Parseval for the cosine system, lambda_k |c_k|^2
+        # summed left to right
+        lams, amps = f.eigen_arrays()
+        return math.sqrt(float(np.cumsum(lams * amps)[-1])) if amps.size else 0.0
     cm, ms = _zero_extension_coeffs(f, m_cap)
     kappa = np.abs(ms) * (math.pi / L)
     mask = ms != 0

@@ -17,71 +17,69 @@ import csv
 
 import numpy as np
 
-from .domains import ModeIndex, OperatorSpec, TorusStokes, polarization_basis
+from .domains import OperatorSpec, TorusStokes, _dot_rows, _polarization_rows
 from .errors import ConfigError
-from .fields import GridField, SpectralField
+from .fields import GridField, SpectralField, _merge_rows, _polarized
 from .reports import format_number
 
 
 def spectral_field_to_csv(f: SpectralField, path) -> None:
     d = f.dim
-    rows = []
-    for idx, v in f.items_sorted():
-        if isinstance(f.operator, TorusStokes):
-            if all(ki == 0 for ki in idx.k):
-                for c in range(d):
-                    rows.append((idx.k, -(c + 1), v[c]))
-            else:
-                basis = polarization_basis(idx.k)
-                for m in range(basis.shape[0]):
-                    rows.append((idx.k, m + 1, complex(basis[m] @ np.asarray(v))))
-        elif isinstance(v, np.ndarray):
-            for c in range(d):
-                rows.append((idx.k, -(c + 1), v[c]))
-        else:
-            rows.append((idx.k, 0, v))
+    order = np.lexsort((f.pol,) + tuple(f.k[:, a] for a in reversed(range(d))))  # by (k, polarization)
+    k, vals = f.k[order], f.values[order]
+    # one row per scalar value, per Cartesian component (tags -1..-d) or, for
+    # a divergence-free field at k != 0, per tangential amplitude (1..d-1)
+    vector = vals.ndim == 2
+    vals = vals if vector else vals[:, None]
+    tags = np.tile(-np.arange(1, d + 1) if vector else [0], (k.shape[0], 1))
+    used = np.ones(vals.shape, dtype=bool)
+    if isinstance(f.operator, TorusStokes):
+        nz = np.any(k, axis=1)
+        vals[nz, : d - 1] = _dot_rows(_polarization_rows(k[nz]), vals[nz][:, None, :])
+        tags[nz] = np.arange(1, d + 1)
+        used[nz, d - 1] = False
+    re, im = (map(format_number, part.tolist()) for part in (vals[used].real, vals[used].imag))
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow([f"k{i + 1}" for i in range(d)] + ["polarization", "re", "im"])
-        for k, pol, val in rows:
-            val = complex(val)
-            w.writerow([*k, pol, format_number(val.real), format_number(val.imag)])
+        w.writerows(zip(*np.repeat(k, used.sum(axis=1), axis=0).T.tolist(), tags[used].tolist(), re, im))
 
 
 def spectral_field_from_csv(path, operator: OperatorSpec) -> SpectralField:
     d = operator.dim
-    coeffs: dict = {}
+    stokes = isinstance(operator, TorusStokes)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         if len(header) != d + 3:
             raise ConfigError(f"expected {d + 3} columns for a dimension-{d} field, got {len(header)}")
-        kinds = set()
-        for row in reader:
-            k = tuple(int(v) for v in row[:d])
-            pol = int(row[d])
-            val = complex(float(row[d + 1]), float(row[d + 2]))
-            if pol == 0 and isinstance(operator, TorusStokes):
-                raise ConfigError("scalar rows are invalid for a divergence-free field")
-            kinds.add(pol == 0)
-            if len(kinds) > 1:
-                raise ConfigError("spectral CSV mixes scalar rows (polarization 0) with vector rows")
-            if pol == 0:
-                coeffs[ModeIndex(k)] = coeffs.get(ModeIndex(k), 0.0) + val
-            else:
-                key = ModeIndex(k)
-                vec = coeffs.get(key)
-                if not isinstance(vec, np.ndarray):
-                    vec = np.zeros(d, dtype=complex)
-                if pol > 0:
-                    vec = vec + val * polarization_basis(k)[pol - 1]
-                else:
-                    c = -pol - 1
-                    if not 0 <= c < d:
-                        raise ConfigError(f"component tag {pol} out of range for dimension {d}")
-                    vec[c] += val
-                coeffs[key] = vec
-    return SpectralField(operator, coeffs)
+        rows = list(reader)
+    cells = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    if np.any(cells != d + 3):
+        i = int(np.argmax(cells != d + 3))
+        raise ConfigError(f"line {i + 2} has {cells[i]} cells, expected {d + 3}")
+    table = np.array(rows, dtype=str).reshape(-1, d + 3)
+    k = table[:, :d].astype(np.int64)
+    pol = table[:, d].astype(np.int64)
+    vals = table[:, d + 1 :].astype(float).view(complex)[:, 0]
+
+    # the first row that fails a check, reported by its first failing check
+    checks = (
+        ((pol == 0) & stokes, "scalar rows are invalid for a divergence-free field"),
+        ((pol == 0) != (pol[:1] == 0), "spectral CSV mixes scalar rows (polarization 0) with vector rows"),
+        ((pol > 0) & (not stokes), "polarization {pol} is reserved for divergence-free fields"),
+        (pol > d - 1, f"polarization {{pol}} out of range 1..{d - 1}"),
+        ((pol > 0) & ~np.any(k, axis=1), "polarization basis undefined for k = 0"),
+        (pol < -d, f"component tag {{pol}} out of range for dimension {d}"),
+    )
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        msg = next(msg for mask, msg in checks if mask[i])
+        raise ConfigError(f"line {i + 2}: " + msg.format(pol=pol[i]))
+
+    scalar = len(rows) and pol[0] == 0
+    return SpectralField(operator, _merge_rows(k, pol, vals, "sum0") if scalar else _polarized(k, pol, vals))
 
 
 def grid_field_to_csv(g: GridField, path) -> None:

@@ -307,6 +307,17 @@ def test_state_field_round_trip(dim):
     assert np.max(np.abs(back.coeffs - s.coeffs)) < 1e-12 * np.max(np.abs(s.coeffs))
 
 
+def test_divergence_residual_adds_no_table_entry():
+    # the residual needs only the wavenumbers, which the solver's tables share
+    p = _params(dim=3, resolution=16)
+    s = step(random_divergence_free_state(p, kmax_init=2, seed=3), p)
+    cbf._tables.cache_clear()
+    s = step(s, p)
+    before = cbf._tables.cache_info().currsize
+    assert state_divergence_residual(s) < 1e-13
+    assert cbf._tables.cache_info().currsize == before
+
+
 def test_random_state_is_seeded_and_normalized():
     p = _params()
     a = random_divergence_free_state(p, kmax_init=2, amplitude=3.0, seed=5)

@@ -2,18 +2,25 @@
 
 Every vectorized rule must give bit-for-bit what the scalar rule gives mode by
 mode: eigenvalues, |c|^2, conjugate symmetry (and with it the real/complex
-choice of torus synthesis) and every diagonal multiplier.
+choice of torus synthesis), every diagonal multiplier, field arithmetic, the
+polarization basis and sums, random fields, analysis, the spectral CSV codec
+and the solver's state conversion.
 """
 
+import itertools
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from eigenapprox import (
+    AliasingError,
     Box,
+    CBFParams,
     ConfigError,
     DirichletLaplacian,
     Interval,
@@ -22,11 +29,32 @@ from eigenapprox import (
     Torus,
     TorusLaplacian,
     TorusStokes,
+    add,
+    analyze,
+    cbf_rhs,
     conjugate_symmetry_violation,
+    divergence_residual,
+    enumerate_modes,
+    from_spectral_field,
+    leray_project,
+    mode_evaluator,
+    random_divergence_free_state,
+    random_field,
+    scale,
+    sobolev_surrogate_norm,
+    spectral_field_from_csv,
+    spectral_field_to_csv,
+    step,
+    subtract,
     synthesize,
+    to_spectral_field,
 )
+from eigenapprox import cbf
 from eigenapprox.approx import MULTIPLIERS, _apply_multiplier, multiplier
-from eigenapprox.domains import polarization_basis
+from eigenapprox.domains import _polarization_rows, polarization_basis
+from eigenapprox.fields import enumerate_modes_cached, quadrature_weights
+from eigenapprox.normlab import _zero_extension_coeffs
+from eigenapprox.reports import format_number
 
 SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -52,7 +80,7 @@ def operators(draw):
 
 
 @st.composite
-def fields(draw, operator=None):
+def fields(draw, operator=None, vector=None):
     """A valid field: random modes, each torus mirror present as its exact
     conjugate, as a perturbed copy or not at all; scalar or vector values."""
     op = draw(operators()) if operator is None else operator
@@ -61,7 +89,9 @@ def fields(draw, operator=None):
     torus = isinstance(op, (TorusLaplacian, TorusStokes))
     lo = -4 if torus else 1
     ks = draw(st.lists(st.tuples(*[st.integers(lo, 4)] * d), max_size=14, unique=True))
-    vector = stokes or (torus and d > 1 and draw(st.booleans()))
+    if vector is None:
+        vector = torus and d > 1 and draw(st.booleans())
+    vector = stokes or vector
     coeffs = {}
 
     def value(k):
@@ -297,3 +327,377 @@ def test_orthogonality_check_scales_with_tiny_and_huge_amplitudes():
         SpectralField(TorusStokes(Torus(2)), {(1, 0): np.array([1e200, 1e200])})
     with pytest.raises(ConfigError, match="not orthogonal"):
         SpectralField(TorusStokes(Torus(2)), {(1, 0): np.array([1e-200, 1e-200])})
+
+
+# -- per-mode oracles of the field operations ----------------------------------
+#
+# Each is the per-mode loop the packed code replaced; the library must match it
+# bit for bit, -0.0 included.
+
+
+def _basis_oracle(k):
+    kv = np.asarray(k, dtype=float)
+    khat = kv / float(np.linalg.norm(kv))
+    if kv.size == 2:
+        return np.array([[-khat[1], khat[0]]])
+    ref = np.array([1.0, 0.0, 0.0])
+    if abs(float(khat @ ref)) > 0.9:
+        ref = np.array([0.0, 1.0, 0.0])
+    e1 = ref - (ref @ khat) * khat
+    e1 = e1 / np.linalg.norm(e1)
+    return np.array([e1, np.cross(khat, e1)])
+
+
+def _tangential_oracle(k, v):
+    vv = np.asarray(v, dtype=complex)
+    kv = np.asarray(k, dtype=float)
+    k2 = float(kv @ kv)
+    return vv if k2 == 0.0 else vv - kv * (complex(kv @ vv) / k2)
+
+
+def _add_polarized_oracle(vecs, idx, c):
+    key = ModeIndex(idx.k)
+    vecs[key] = vecs.get(key, np.zeros(len(idx.k), dtype=complex)) + c * _basis_oracle(idx.k)[idx.polarization - 1]
+
+
+def _add_oracle(f, g):
+    out = dict(f.coefficients)
+    for idx, v in g.coefficients.items():
+        out[idx] = out[idx] + v if idx in out else v
+    if isinstance(f.operator, TorusStokes):
+        out = {idx: _tangential_oracle(idx.k, v) for idx, v in out.items()}
+    return out
+
+
+def _scale_oracle(f, c):
+    return {idx: c * v for idx, v in f.coefficients.items()}
+
+
+def _random_field_oracle(op, lambda_max, rng, n_modes, decay, real, include_mean):
+    torus = isinstance(op, (TorusLaplacian, TorusStokes))
+    pairs = enumerate_modes_cached(op, lambda_max)
+    if torus:
+        pairs = [p for p in pairs if any(p.index.k) and (not real or p.index.is_representative())]
+    if n_modes is not None and n_modes < len(pairs):
+        sel = rng.choice(len(pairs), size=n_modes, replace=False)
+        pairs = [pairs[i] for i in sorted(sel)]
+    coeffs = {}
+    for p in pairs:
+        damp = (1.0 + p.eigenvalue) ** (-decay)
+        if isinstance(op, TorusStokes):
+            _add_polarized_oracle(coeffs, p.index, (rng.standard_normal() + 1j * rng.standard_normal()) * damp)
+        else:
+            coeffs[p.index] = damp * complex(rng.standard_normal(), rng.standard_normal())
+    if torus and real:
+        full = {}
+        for idx, v in coeffs.items():
+            full[idx] = v
+            full[idx.mirror()] = np.conj(v)
+        coeffs = full
+    if isinstance(op, DirichletLaplacian) and real:
+        coeffs = {idx: complex(v.real) for idx, v in coeffs.items()}
+    if include_mean and torus:
+        zero = ModeIndex((0,) * op.dim)
+        if isinstance(op, TorusStokes):
+            coeffs[zero] = rng.standard_normal(op.dim).astype(complex)
+        else:
+            coeffs[zero] = complex(rng.standard_normal())
+    return coeffs
+
+
+def _analyze_oracle(g, modes, op):
+    pts = g.points()
+    w = quadrature_weights(g).reshape(-1)
+    gv = g.values.reshape(-1, g.values.shape[-1]) if g.is_vector else g.values.reshape(-1)
+    raw = {}
+    for idx in modes:
+        mv = mode_evaluator(op, idx)(pts)
+        raw[idx] = complex(np.sum((w[:, None] if mv.ndim == 2 else w) * np.conj(mv) * gv))
+    if not isinstance(op, TorusStokes):
+        return raw
+    vecs = {}
+    for idx, c in raw.items():
+        _add_polarized_oracle(vecs, idx, c)
+    return vecs
+
+
+def _csv_oracle(f) -> str:
+    d = f.dim
+    lines = [",".join([f"k{i + 1}" for i in range(d)] + ["polarization", "re", "im"])]
+    for idx, v in f.items_sorted():
+        if isinstance(f.operator, TorusStokes) and any(idx.k):
+            rows = [(m + 1, complex(b @ np.asarray(v))) for m, b in enumerate(_basis_oracle(idx.k))]
+        elif isinstance(v, np.ndarray):
+            rows = [(-(c + 1), v[c]) for c in range(d)]
+        else:
+            rows = [(0, v)]
+        for pol, val in rows:
+            val = complex(val)
+            lines.append(",".join([*map(str, idx.k), str(pol), format_number(val.real), format_number(val.imag)]))
+    return "\n".join(lines) + "\n"
+
+
+def _csv_reader_oracle(text, op):
+    d = op.dim
+    coeffs = {}
+    for line in text.splitlines()[1:]:
+        row = line.split(",")
+        k, pol, val = tuple(int(x) for x in row[:d]), int(row[d]), complex(float(row[d + 1]), float(row[d + 2]))
+        if pol == 0:
+            coeffs[ModeIndex(k)] = coeffs.get(ModeIndex(k), 0.0) + val
+            continue
+        vec = coeffs.get(ModeIndex(k))
+        vec = np.zeros(d, dtype=complex) if vec is None else vec
+        if pol > 0:
+            vec = vec + val * _basis_oracle(k)[pol - 1]
+        else:
+            vec[-pol - 1] += val
+        coeffs[ModeIndex(k)] = vec
+    return coeffs
+
+
+def _array_to_field_oracle(coeffs, n):
+    dim = coeffs.shape[0]
+    sc = (2.0 * math.pi) ** (dim / 2.0) / float(n) ** dim
+    out = {}
+    for pos in np.argwhere(np.any(coeffs != 0.0, axis=0)):
+        idx = ModeIndex(tuple(int(p) if p <= n // 2 else int(p) - n for p in pos[:-1]) + (int(pos[-1]),))
+        v = _tangential_oracle(idx.k, coeffs[(slice(None),) + tuple(pos)] * sc)
+        if any(idx.k) and not np.any(v):
+            continue
+        out[idx] = v
+        if pos[-1] > 0:
+            out[idx.mirror()] = np.conj(v)
+    return out
+
+
+def _from_field_oracle(f, params):
+    n, dim = params.resolution, params.dim
+    sc = float(n) ** dim / (2.0 * math.pi) ** (dim / 2.0)
+    coeffs = np.zeros((dim,) + (n,) * (dim - 1) + (n // 2 + 1,), dtype=complex)
+    for idx, v in f.coefficients.items():
+        if any(idx.k) and idx.k[-1] >= 0:
+            coeffs[(slice(None),) + tuple(ki % n for ki in idx.k)] = np.asarray(v) * sc
+    return coeffs
+
+
+def _agrees(got, op, want) -> bool:
+    """The library's field (or its ConfigError) against the oracle's map."""
+    try:
+        want = SpectralField(op, want)
+    except ConfigError:
+        return isinstance(got, ConfigError)
+    return not isinstance(got, ConfigError) and _same(got.coefficients, want.coefficients)
+
+
+def _run(fn, *args):
+    try:
+        return fn(*args)
+    except ConfigError as e:
+        return e
+
+
+_TORUS_OPS = [TorusLaplacian(Torus(d)) for d in (1, 2, 3)] + [TorusStokes(Torus(d)) for d in (2, 3)]
+_SCALES = [-1.0, 2, 0.3 + 0.7j, np.float64(1 / 3), np.int64(-3), np.complex128(0.1 - 0.9j), -0.0, 1e-310]
+
+
+# -- the packed field operations against their oracles --------------------------
+
+
+def test_polarization_rows_match_the_per_mode_basis():
+    for d, r in ((2, 40), (3, 14)):
+        ks = np.array([k for k in itertools.product(range(-r, r + 1), repeat=d) if any(k)])
+        rows = _polarization_rows(ks)
+        for k, row in zip(ks.tolist(), rows):
+            want = _basis_oracle(k).tobytes()
+            assert row.tobytes() == want and polarization_basis(k).tobytes() == want
+
+
+@SETTINGS
+@given(st.data())
+def test_arithmetic_matches_per_mode_oracle(data):
+    f = data.draw(fields())
+    g = data.draw(fields(f.operator, vector=f.values.ndim == 2))
+    c = data.draw(st.sampled_from(_SCALES))
+    op = f.operator
+    assert _agrees(_run(scale, f, c), op, _scale_oracle(f, c))
+    for a, b in ((f, g), (g, f), (f, f)):
+        assert _agrees(_run(add, a, b), op, _add_oracle(a, b))
+        assert _agrees(_run(subtract, a, b), op, _add_oracle(a, SpectralField(op, _scale_oracle(b, -1.0))))
+    if f.is_vector:
+        divs = [abs(complex(np.asarray(idx.k, dtype=float) @ np.asarray(v))) for idx, v in f.coefficients.items()]
+        assert divergence_residual(f) == max(divs, default=0.0)
+
+
+@SETTINGS
+@given(st.data())
+def test_leray_projection_matches_per_mode_oracle(data):
+    op = TorusLaplacian(Torus(data.draw(st.integers(2, 3))))
+    f = data.draw(fields(op, vector=True))
+    assume(f.is_vector)  # an empty field holds no vectors
+    want = {}
+    for idx, v in f.coefficients.items():
+        proj = _tangential_oracle(idx.k, v)
+        if not any(idx.k) or np.any(proj):
+            want[ModeIndex(idx.k)] = proj
+    assert _agrees(_run(leray_project, f), TorusStokes(op.domain), want)
+
+
+@SETTINGS
+@given(
+    op=operators(),
+    lambda_max=st.floats(0.5, 40.0),
+    seed=st.integers(0, 2**32 - 1),
+    n_modes=st.one_of(st.none(), st.integers(0, 40)),
+    decay=st.sampled_from([0.0, 1.0, 2.5, 400.0]),
+    real=st.booleans(),
+    include_mean=st.booleans(),
+)
+def test_random_field_matches_per_mode_draws(op, lambda_max, seed, n_modes, decay, real, include_mean):
+    if isinstance(op, TorusStokes) or op.dim == 3:
+        lambda_max = min(lambda_max, 12.0)
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    f = random_field(op, lambda_max, rng, n_modes=n_modes, decay=decay, real=real, include_mean=include_mean)
+    want = _random_field_oracle(op, lambda_max, ref, n_modes, decay, real, include_mean)
+    assert _same(f.coefficients, SpectralField(op, want).coefficients)
+    assert rng.standard_normal() == ref.standard_normal()  # the same number of draws
+
+
+# (operator, lambda_max) with a few dozen modes on grids of at most 17^3 points
+_ANALYZE_CASES = [
+    (DirichletLaplacian(Interval(1.0)), 400.0),
+    (DirichletLaplacian(Box((1.0, 2.0))), 100.0),
+    (DirichletLaplacian(Box((1.0, 1.2, 0.8))), 120.0),
+    (TorusLaplacian(Torus(1)), 8.0),
+    (TorusLaplacian(Torus(2)), 8.0),
+    (TorusLaplacian(Torus(3)), 4.0),
+    (TorusStokes(Torus(2)), 8.0),
+    (TorusStokes(Torus(3)), 4.0),
+]
+
+
+@SETTINGS
+@given(case=st.sampled_from(_ANALYZE_CASES), seed=st.integers(0, 1000), data=st.data())
+def test_analyze_matches_per_mode_inner_products(case, seed, data):
+    op, lam = case
+    g = synthesize(random_field(op, lam, np.random.default_rng(seed), real=data.draw(st.booleans())))
+    modes = [p.index for p in enumerate_modes(op, lam)]
+    modes = data.draw(st.lists(st.sampled_from(modes), max_size=12)) if modes else []
+    want = _analyze_oracle(g, modes, op)
+    got = analyze(g, modes, op, check=False)
+    assert _same(got.coefficients, SpectralField(op, want).coefficients)
+
+
+@SETTINGS
+@given(st.data())
+def test_spectral_csv_matches_per_row_codec(data):
+    f = data.draw(fields())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.csv")
+        spectral_field_to_csv(f, path)
+        with open(path) as fh:
+            text = fh.read()
+        assert text == _csv_oracle(f)
+        back = spectral_field_from_csv(path, f.operator)
+        assert _same(back.coefficients, SpectralField(f.operator, _csv_reader_oracle(text, f.operator)).coefficients)
+        # rows in any order, naming a mode more than once, sum as they did
+        lines = text.splitlines()
+        rows = data.draw(st.lists(st.sampled_from(lines[1:]), max_size=20)) if len(lines) > 1 else []
+        shuffled = "\n".join([lines[0], *rows]) + "\n"
+        with open(path, "w") as fh:
+            fh.write(shuffled)
+        got = _run(spectral_field_from_csv, path, f.operator)
+        assert _agrees(got, f.operator, _csv_reader_oracle(shuffled, f.operator))
+
+
+@SETTINGS
+@given(dim=st.integers(2, 3), beta=st.sampled_from([0.0, 1.0]), seed=st.integers(0, 1000), kmax=st.integers(1, 2))
+def test_state_conversion_matches_per_mode_loops(dim, beta, seed, kmax):
+    params = CBFParams(mu=0.05, beta=beta, dim=dim, resolution=12 if dim == 3 else 16, dt=1e-3)
+    s = random_divergence_free_state(params, kmax_init=kmax, seed=seed)
+    n = params.resolution
+    viscous = -params.mu * cbf._tables(dim, n, params.dealias_kmax)[1] * s.coeffs
+    rhs = viscous + cbf._nonlinear(s.coeffs, params)  # carries a roundoff normal part
+    noise = np.random.default_rng(seed).standard_normal((2,) + s.coeffs.shape)
+    noise = np.where(noise[0] > 1.0, noise[0] + 1j * noise[1], np.where(noise[0] < -2.0, -0.0, 0.0))
+    # the noise is not tangential: both sides may reject its projection residue
+    for arr in (s.coeffs, step(s, params).coeffs, viscous, rhs, noise):
+        assert _agrees(_run(cbf._array_to_field, arr, n), TorusStokes(Torus(dim)), _array_to_field_oracle(arr, n))
+    assert _same(cbf_rhs(s, params).coefficients, cbf._array_to_field(rhs, n).coefficients)
+    f = to_spectral_field(s)
+    assert from_spectral_field(f, params).coeffs.tobytes() == _from_field_oracle(f, params).tobytes()
+
+
+def test_state_conversion_names_the_first_offending_mode():
+    params = CBFParams(mu=0.05, dim=2, resolution=16)
+    op = TorusStokes(Torus(2))
+    out = params.dealias_kmax + 1
+    e = polarization_basis((out, 1))[0]
+    mean_first = {(1, 0): [0.0, 1.0], (-1, 0): [0.0, 1.0], (0, 0): [0.5, 0.0], (out, 1): e, (-out, -1): e}
+    outside_first = {(out, 1): e, (-out, -1): e, (0, 0): [0.5, 0.0]}
+    for coeffs, err, match in (
+        (mean_first, ConfigError, "zero-mean"),
+        (outside_first, AliasingError, rf"mode \({out}, 1\) lies outside"),
+    ):
+        with pytest.raises(err, match=match):
+            from_spectral_field(SpectralField(op, coeffs), params)
+
+
+@SETTINGS
+@given(fields(DirichletLaplacian(Interval(1.7))))
+def test_sobolev_sums_match_per_mode_loops(f):
+    total = 0.0
+    for idx, v in f.coefficients.items():
+        total += (idx.k[0] * math.pi / 1.7) ** 2 * abs(complex(v)) ** 2
+    assert sobolev_surrogate_norm(f, 0.5) == math.sqrt(total)
+    ks = np.asarray([idx.k[0] for idx in f.coefficients], dtype=int)
+    cs = np.asarray([complex(v) for v in f.coefficients.values()], dtype=complex)
+    got, ms = _zero_extension_coeffs(f, 64)
+    ref = SpectralField(f.operator, dict(zip(map(ModeIndex, ks.tolist()), cs.tolist())))
+    assert got.tobytes() == _zero_extension_coeffs(ref, 64)[0].tobytes() and ms.tolist() == list(range(-64, 65))
+
+
+# -- invariants of the packed operations ------------------------------------------
+
+
+@SETTINGS
+@given(st.data())
+def test_csv_round_trip_is_exact_for_scalar_and_close_for_stokes(data):
+    f = data.draw(fields())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.csv")
+        spectral_field_to_csv(f, path)
+        back = dict(spectral_field_from_csv(path, f.operator).coefficients)
+    assert set(back) == set(f.coefficients)
+    for idx, v in f.coefficients.items():
+        if isinstance(f.operator, TorusStokes) and any(idx.k):
+            assert np.max(np.abs(back[idx] - v)) <= 1e-14 * np.max(np.abs(v))
+        else:
+            assert np.array_equal(back[idx], v)  # -0.0 reads back as 0.0
+
+
+@SETTINGS
+@given(op=st.sampled_from(_TORUS_OPS), seeds=st.tuples(st.integers(0, 1000), st.integers(0, 1000)))
+def test_arithmetic_keeps_zero_divergence_and_conjugate_symmetry(op, seeds):
+    lam = 12.0 if op.dim == 3 else 30.0
+    f, g = (random_field(op, lam, np.random.default_rng(s), decay=1.0, include_mean=True) for s in seeds)
+    results = [add(f, g), subtract(f, g), subtract(f, f), add(f, scale(g, 1e-17))]
+    if op.dim > 1 and isinstance(op, TorusLaplacian):
+        # never parallel to an integer k, whose projection would be roundoff
+        skew = np.array([1.0, math.pi, math.e][: op.dim])
+        vf = SpectralField(op, {idx: v * skew for idx, v in f.coefficients.items()})
+        results.append(leray_project(vf))
+    for h in results:
+        assert conjugate_symmetry_violation(h) == 0.0
+        if h.is_vector:
+            assert divergence_residual(h) <= 1e-13 * max(1.0, float(np.max(np.abs(h.values), initial=0.0)))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_state_survives_the_field_round_trip(dim):
+    params = CBFParams(mu=0.05, beta=1.0, dim=dim, resolution=16 if dim == 3 else 32, dt=1e-3)
+    s = random_divergence_free_state(params, kmax_init=3, seed=dim)
+    for _ in range(3):
+        back = from_spectral_field(to_spectral_field(s), params)
+        assert np.max(np.abs(back.coeffs - s.coeffs)) <= 1e-14 * np.max(np.abs(s.coeffs))
+        s = step(s, params)

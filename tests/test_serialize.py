@@ -151,3 +151,31 @@ def test_spectral_csv_mixing_scalar_and_vector_rows_is_rejected(tmp_path):
         p.write_text("k1,k2,polarization,re,im\n" + "\n".join(rows) + "\n")
         with pytest.raises(ConfigError, match="mixes scalar rows"):
             spectral_field_from_csv(p, op)
+
+
+def test_stokes_polarization_beyond_the_basis_is_rejected(tmp_path):
+    p = tmp_path / "bad.csv"
+    p.write_text("k1,k2,polarization,re,im\n1,0,1,1.0,0.0\n0,1,2,1.0,0.0\n")
+    with pytest.raises(ConfigError, match=r"line 3: polarization 2 out of range 1\.\.1"):
+        spectral_field_from_csv(p, TorusStokes(Torus(2)))
+
+
+def test_short_spectral_row_is_rejected(tmp_path):
+    p = tmp_path / "bad.csv"
+    p.write_text("k1,k2,polarization,re,im\n1,0,0,1.0,0.0\n2,0,0,1.0\n")
+    with pytest.raises(ConfigError, match="line 3 has 4 cells, expected 5"):
+        spectral_field_from_csv(p, TorusLaplacian(Torus(2)))
+
+
+@pytest.mark.parametrize(
+    "op", [TorusLaplacian(Torus(2)), DirichletLaplacian(Interval(1.0)), TorusLaplacian(Torus(1))],
+    ids=["torus2", "interval", "torus1"],
+)
+def test_positive_polarization_needs_a_divergence_free_field(tmp_path, op):
+    # 1..d-1 tag tangential amplitudes, which only divergence-free fields have
+    d = op.dim
+    p = tmp_path / "bad.csv"
+    header = ",".join([f"k{i + 1}" for i in range(d)] + ["polarization", "re", "im"])
+    p.write_text(f"{header}\n{','.join(['1'] * d)},1,1.0,0.0\n")
+    with pytest.raises(ConfigError, match="line 2: polarization 1 is reserved for divergence-free fields"):
+        spectral_field_from_csv(p, op)

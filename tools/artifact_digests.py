@@ -1,8 +1,11 @@
 """Print the sha256 of every file a fixed list of CLI jobs writes.
 
 Each job runs through `eigenapprox.cli.run` into its own directory under a
-temporary root; the output is one `<job>/<file> <sha256>` line per written
-file, sorted.  Running it on two checkouts and diffing the outputs checks that
+temporary root, with that root as the working directory; the output is one
+`<job>/<file> <sha256>` line per written file, sorted.  The `readback-*` jobs
+read the spectral CSVs the `approx-*` jobs emit (by relative path, so their
+manifests do not depend on the root) and emit them again, so the CSV reader is
+covered too.  Running it on two checkouts and diffing the outputs checks that
 a change keeps every artifact byte-identical:
 
     PYTHONPATH=src python3 tools/artifact_digests.py > digests.txt
@@ -30,6 +33,13 @@ JOBS = (
     ("truncate", ["truncate", "--n-list", "4,16", "--plot"]),
     ("cbf-2d", ["cbf", "--d", "2", "--N", "32", "--T", "0.05", "--save-traj", "--plot"]),
     ("cbf-3d", ["cbf", "--d", "3", "--N", "16", "--beta", "1", "--T", "0.02", "--save-traj"]),
+    ("readback-torus2", ["approx", "--field", "approx-torus2/field_out.csv", "--emit-field",
+                         "--op", "torus", "--d", "2"]),
+    ("readback-stokes3", ["approx", "--field", "approx-stokes3/field_out.csv", "--emit-field", "--op", "torus-stokes",
+                          "--d", "3", "--transform", "semigroup"]),
+    ("readback-box", ["approx", "--field", "approx-box/field_out.csv", "--emit-field", "--op", "dirichlet-box"]),
+    ("readback-interval", ["approx", "--field", "approx-interval/field_out.csv", "--emit-field",
+                           "--op", "dirichlet-interval", "--transform", "pi-theta"]),
 )
 
 
@@ -40,17 +50,21 @@ def _sha256(path: str) -> str:
 
 def main() -> int:
     lines = []
+    cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as root:
-        for name, argv in JOBS:
-            out = os.path.join(root, name)
-            rc = run([*argv, "--out-dir", out])
-            if rc != 0:
-                print(f"{name}: exit code {rc}", file=sys.stderr)
-                return rc
-            for dirpath, _, files in os.walk(out):
-                for fn in files:
-                    path = os.path.join(dirpath, fn)
-                    lines.append(f"{name}/{os.path.relpath(path, out)} {_sha256(path)}")
+        os.chdir(root)
+        try:
+            for name, argv in JOBS:
+                rc = run([*argv, "--out-dir", name])
+                if rc != 0:
+                    print(f"{name}: exit code {rc}", file=sys.stderr)
+                    return rc
+                for dirpath, _, files in os.walk(name):
+                    for fn in files:
+                        path = os.path.join(dirpath, fn)
+                        lines.append(f"{name}/{os.path.relpath(path, name)} {_sha256(path)}")
+        finally:
+            os.chdir(cwd)
     print("\n".join(sorted(lines)))
     return 0
 
