@@ -16,7 +16,7 @@ import numpy as np
 
 from .domains import TorusLaplacian, TorusStokes
 from .errors import ConfigError
-from .fields import SpectralField, _map_distinct, _Packed
+from .fields import SpectralField, _Packed
 
 
 @dataclass(frozen=True)
@@ -50,26 +50,25 @@ _FOURIER_TRUNCATIONS = ("spherical", "cubic")  # torus only; keep (factor 1) or 
 def multiplier(name: str, param=None):
     """Rule (k (M, d), lambda (M,)) -> factors (M,) of a named diagonal
     operator, NaN where the operator drops the mode; a factor of exactly 1
-    keeps the coefficient as stored.  Rules of lambda evaluate their scalar
-    formula once per distinct eigenvalue; the truncations are masks on k.  The
-    parameter is checked here.  Rules are only consulted on the positive
-    spectrum: the carried mean passes through."""
+    keeps the coefficient as stored.  The parameter is checked here.  Rules
+    are only consulted on the positive spectrum: the carried mean passes
+    through."""
     if name == "identity":
         return lambda k, lam: np.ones(lam.shape)
     if name == "semigroup":
         theta = float(param)
         if theta < 0:
             raise ConfigError(f"semigroup time must be >= 0, got {theta}")
-        return lambda k, lam: _map_distinct(lambda x: math.exp(-theta * x), lam)
+        return lambda k, lam: np.exp(-theta * lam)
     if name == "pi_theta":
         theta = float(param)
         if not theta > 0:
             raise ConfigError(f"pi_theta needs theta > 0, got {theta}")
         cutoff = theta**-2
-        return lambda k, lam: _map_distinct(lambda x: math.exp(-theta * x) if x < cutoff else math.nan, lam)
+        return lambda k, lam: np.where(lam < cutoff, np.exp(-theta * lam), math.nan)
     if name == "fractional_power":
         alpha = float(param)
-        return lambda k, lam: _map_distinct(lambda x: x**alpha, lam)
+        return lambda k, lam: lam**alpha
     if name in _FOURIER_TRUNCATIONS:
         if param < 0:
             raise ConfigError(f"truncation order must be >= 0, got {param}")

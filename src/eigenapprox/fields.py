@@ -9,7 +9,6 @@ an orthonormality self-check on the way back in.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -45,24 +44,14 @@ def _as_mode_index(key, dim: int) -> ModeIndex:
 
 
 def _tangential(k: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """v - k (k.v)/|k|^2 for every row: the part of v orthogonal to k; v
-    itself where k = 0."""
-    kf = k.astype(float)
-    k2 = np.maximum(_dot_rows(kf, kf), 1.0)  # |k|^2 >= 1 on integer k != 0
-    kv = _dot_rows(kf, v)
-    # (k.v)/|k|^2 as Python's complex / float: the divisor enters as
-    # complex(|k|^2, 0.0), whose zero part can flip the sign of a zero
-    q = ((kv.real + kv.imag * 0.0) / k2).astype(complex)
-    q.imag = (kv.imag - kv.real * 0.0) / k2
-    return np.where(np.any(k, axis=1)[:, None], v - kf * q[:, None], v)
-
-
-def _py_mul(a, b) -> np.ndarray:
-    """a * b as Python's complex product computes it, without the fused
-    multiply-add that numpy's complex multiply may use."""
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    out = (a.real * b.real - a.imag * b.imag).astype(complex)
-    out.imag = a.real * b.imag + a.imag * b.real
+    """The part of every row of v orthogonal to its k, as the sum of its
+    components along the polarization basis of k; v itself where k = 0.
+    Unlike v - k (k.v)/|k|^2, it leaves no roundoff component along k."""
+    out = np.array(v, dtype=complex)
+    nz = np.any(k, axis=1)
+    if np.any(nz):
+        e = _polarization_rows(k[nz])
+        out[nz] = np.sum(_dot_rows(e, out[nz][:, None, :])[:, :, None] * e, axis=1)
     return out
 
 
@@ -118,15 +107,6 @@ def _check_mode(operator: OperatorSpec, idx: ModeIndex, val, first_is_vector=Non
     return v
 
 
-def _check_tangential(k: tuple, v: np.ndarray) -> None:
-    kv = np.asarray(k, dtype=float)
-    resid = abs(complex(kv @ v))
-    # hypot, not a sum of squares: |v| must neither underflow nor overflow
-    bound = float(np.linalg.norm(kv)) * max(math.hypot(*np.abs(v).tolist()), 1e-300)
-    if resid > 1e-9 * bound:
-        raise ConfigError(f"Stokes amplitude at k={k} is not orthogonal to k (residual {resid:.3e})")
-
-
 def _pack_entries(operator: OperatorSpec, coefficients) -> _Packed:
     """Mapping -> packed modes through the checks of each entry in turn, so
     the first offending entry is the one reported."""
@@ -177,9 +157,7 @@ def _pack(operator: OperatorSpec, coefficients) -> _Packed:
 
 def _merge_rows(k: np.ndarray, pol: np.ndarray, values: np.ndarray, how: str) -> _Packed:
     """One row per (k, pol), in order of first occurrence.  how="last" keeps
-    the last value; "sum" adds the later values to the first one in row
-    order; "sum0" adds every value to zero in row order (so a lone -0.0
-    becomes +0.0, as a sum into a fresh slot does)."""
+    the last value; "sum" adds the values in row order."""
     _, first, inv = np.unique(_row_keys(np.column_stack([k, pol])), return_index=True, return_inverse=True)
     order = np.argsort(first)
     first = first[order]
@@ -188,10 +166,6 @@ def _merge_rows(k: np.ndarray, pol: np.ndarray, values: np.ndarray, how: str) ->
         last = np.zeros(first.size, dtype=np.int64)
         np.maximum.at(last, group, np.arange(group.size))
         merged = values[last]
-    elif how == "sum":
-        merged = values[first]
-        later = np.setdiff1d(np.arange(group.size), first, assume_unique=True)
-        np.add.at(merged, group[later], values[later])
     else:
         merged = np.zeros((first.size,) + values.shape[1:], dtype=complex)
         np.add.at(merged, group, values)
@@ -200,12 +174,12 @@ def _merge_rows(k: np.ndarray, pol: np.ndarray, values: np.ndarray, how: str) ->
 
 def _polarized(k: np.ndarray, pol: np.ndarray, amps: np.ndarray) -> _Packed:
     """Amplitudes along e_m(k) (pol = m > 0) or along Cartesian axis c
-    (pol = -(c+1)) as vector rows: summed per k from zero in row order."""
+    (pol = -(c+1)) as vector rows, summed per k."""
     e = np.eye(k.shape[1])[-pol - 1]
     tangential = pol > 0
     if np.any(tangential):
         e[tangential] = _polarization_rows(k[tangential])[np.arange(np.count_nonzero(tangential)), pol[tangential] - 1]
-    return _merge_rows(k, np.zeros_like(pol), amps[:, None] * e, "sum0")
+    return _merge_rows(k, np.zeros_like(pol), amps[:, None] * e, "sum")
 
 
 def _with_mirrors(p: _Packed, where: np.ndarray) -> _Packed:
@@ -229,8 +203,7 @@ def _invalid_index(operator: OperatorSpec, k: np.ndarray, pol: np.ndarray) -> np
 
 def _validate(operator: OperatorSpec, k: np.ndarray, pol: np.ndarray, values: np.ndarray) -> None:
     """The checks of `_check_mode` on every row at once, then Stokes
-    orthogonality; a failure is reported by the per-mode check of the first
-    offending row."""
+    orthogonality; the first offending row is reported."""
     d = operator.dim
     bad = np.any(np.abs(k) > _MAX_AXIS_INDEX, axis=1) | _invalid_index(operator, k, pol)
     if values.ndim == 1:
@@ -241,13 +214,16 @@ def _validate(operator: OperatorSpec, k: np.ndarray, pol: np.ndarray, values: np
     for i in np.flatnonzero(bad):
         _check_mode(operator, ModeIndex(k[i].tolist(), int(pol[i])), values[i])
     if isinstance(operator, TorusStokes) and len(k):
-        # flag at half the tolerance and let the per-mode check decide, so
-        # roundoff in the batched dot product cannot hide a failing mode
         kf = k.astype(float)
         resid = np.abs(np.sum(kf * values, axis=1))
+        # hypot, not a sum of squares: |v| must neither underflow nor overflow
         bound = np.sqrt(np.sum(kf * kf, axis=1)) * np.maximum(np.hypot.reduce(np.abs(values), axis=1), 1e-300)
-        for i in np.flatnonzero(resid > 0.5e-9 * bound):
-            _check_tangential(tuple(k[i].tolist()), values[i])
+        off = np.flatnonzero(resid > 1e-9 * bound)
+        if off.size:
+            i = off[0]
+            raise ConfigError(
+                f"Stokes amplitude at k={tuple(k[i].tolist())} is not orthogonal to k (residual {resid[i]:.3e})"
+            )
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -295,12 +271,6 @@ def _eigenvalues(operator: OperatorSpec, k: np.ndarray) -> np.ndarray:
             lam += _map_distinct(lambda ki: (ki * math.pi / L) ** 2, k[:, a])
         return lam
     return np.sum(k * k, axis=1).astype(float)  # integer sums are exact
-
-
-def _pow2(x: np.ndarray) -> np.ndarray:
-    """x ** 2 with Python's float power, which numpy's square does not match
-    bit for bit."""
-    return np.fromiter(map(float.__pow__, x.tolist(), itertools.repeat(2.0)), dtype=float, count=x.size)
 
 
 class SpectralField:
@@ -377,10 +347,9 @@ class SpectralField:
         """(eigenvalues, |coefficient|^2) flat arrays in mode order;
         positive_only drops lambda = 0."""
         lams = self._eigenvalue_array()
-        if self.values.ndim == 2:
-            amps = np.sum(np.abs(self.values) ** 2, axis=1)
-        else:
-            amps = _pow2(np.hypot(self.values.real, self.values.imag))  # abs(c) ** 2
+        amps = np.abs(self.values) ** 2
+        if amps.ndim == 2:
+            amps = np.sum(amps, axis=1)
         if positive_only:
             keep = lams > 0.0
             return lams[keep], amps[keep]
@@ -415,11 +384,7 @@ def add(f: SpectralField, g: SpectralField) -> SpectralField:
 
 
 def scale(f: SpectralField, c) -> SpectralField:
-    # bit for bit c * v per mode, v a Python complex or a 1-D array: numpy's
-    # product for vector rows and numpy real scalars c, else Python's
-    numpy_product = f.values.ndim == 2 or isinstance(c, (np.floating, np.integer))
-    values = c * f.values if numpy_product else _py_mul(c, f.values)
-    return SpectralField(f.operator, _Packed(f.k, f.pol, values))
+    return SpectralField(f.operator, _Packed(f.k, f.pol, c * f.values))
 
 
 def subtract(f: SpectralField, g: SpectralField) -> SpectralField:
@@ -778,9 +743,10 @@ def random_field(
         sel = np.sort(rng.choice(k.shape[0], size=n_modes, replace=False))
         k, pol = k[sel], pol[sel]
 
-    # one (re, im) pair of draws per mode, in mode order
+    # Python's float power, bit for bit: numpy's power may round differently
     damp = _map_distinct(lambda lam: (1.0 + lam) ** (-decay), _eigenvalues(operator, k))
-    out = _Packed(k, pol, _py_mul(damp, rng.standard_normal(2 * k.shape[0]).view(complex)))
+    # one (re, im) pair of draws per mode, in mode order
+    out = _Packed(k, pol, damp * rng.standard_normal(2 * k.shape[0]).view(complex))
     if stokes:
         out = _polarized(*out)
     if torus and real:

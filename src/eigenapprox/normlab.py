@@ -79,8 +79,9 @@ class ExperimentConfig:
 # field families
 
 
-def _near_extremal_coeffs(kmax: int, rng: np.random.Generator) -> dict:
-    """Band-limited smoothed disc indicator on the 2-torus.
+def _near_extremal_coeffs(kmax: int, rng: np.random.Generator) -> _Packed:
+    """Band-limited smoothed disc indicator on the 2-torus, on the modes
+    0 < |k| <= kmax in (k1, k2) order.
 
     The transform of a disc indicator of radius R is R*J1(|k|R)/|k| up to
     constants; a Gaussian damp keeps it smooth and a seeded multiplicative
@@ -89,25 +90,20 @@ def _near_extremal_coeffs(kmax: int, rng: np.random.Generator) -> dict:
     R = 1.2
     x0 = (math.pi, math.pi)
     sigma = 2.0 / kmax
-    out = {}
-    for k1 in range(-kmax, kmax + 1):
-        for k2 in range(-kmax, kmax + 1):
-            kn = math.hypot(k1, k2)
-            if kn == 0.0 or kn > kmax:
-                continue
-            base = R * j1(kn * R) / (2.0 * math.pi * kn)
-            phase = -(k1 * x0[0] + k2 * x0[1])
-            c = base * math.exp(-0.5 * (sigma * kn) ** 2) * complex(math.cos(phase), math.sin(phase))
-            out[(k1, k2)] = c
-    for k in sorted(out):
-        mk = (-k[0], -k[1])
-        if mk < k:
-            continue
-        factor = 1.0 + 0.05 * complex(rng.standard_normal(), rng.standard_normal())
-        out[k] = out[k] * factor
-        if mk != k:
-            out[mk] = out[k].conjugate()
-    return out
+    axis = np.arange(-kmax, kmax + 1)
+    k = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    k2 = np.sum(k * k, axis=1)
+    # symmetric about the omitted origin: the mirror of row i is row m - 1 - i
+    k = k[(k2 > 0) & (k2 <= kmax * kmax)]
+    kn = np.hypot(k[:, 0], k[:, 1])
+    base = R * j1(kn * R) / (2.0 * math.pi * kn)
+    phase = -(k[:, 0] * x0[0] + k[:, 1] * x0[1])
+    c = base * np.exp(-0.5 * (sigma * kn) ** 2) * (np.cos(phase) + 1j * np.sin(phase))
+    # one (re, im) pair of draws per mode that sorts before its mirror, in order
+    half = k.shape[0] // 2
+    c[:half] *= 1.0 + 0.05 * rng.standard_normal(2 * half).view(complex)
+    c[half:] = np.conj(c[:half][::-1])
+    return _Packed(k, np.zeros(k.shape[0], dtype=np.int64), c)
 
 
 def sample_fields(config: ExperimentConfig) -> list:
@@ -449,9 +445,8 @@ def sobolev_surrogate_norm(f: SpectralField, theta: float, m_cap: int = 4096) ->
         return f.l2()
     if theta == 0.5:
         # || grad u ||: exact via Parseval for the cosine system, lambda_k |c_k|^2
-        # summed left to right
         lams, amps = f.eigen_arrays()
-        return math.sqrt(float(np.cumsum(lams * amps)[-1])) if amps.size else 0.0
+        return math.sqrt(float(np.sum(lams * amps)))
     cm, ms = _zero_extension_coeffs(f, m_cap)
     kappa = np.abs(ms) * (math.pi / L)
     mask = ms != 0

@@ -79,7 +79,7 @@ def spectral_field_from_csv(path, operator: OperatorSpec) -> SpectralField:
         raise ConfigError(f"line {i + 2}: " + msg.format(pol=pol[i]))
 
     scalar = len(rows) and pol[0] == 0
-    return SpectralField(operator, _merge_rows(k, pol, vals, "sum0") if scalar else _polarized(k, pol, vals))
+    return SpectralField(operator, _merge_rows(k, pol, vals, "sum") if scalar else _polarized(k, pol, vals))
 
 
 def grid_field_to_csv(g: GridField, path) -> None:

@@ -196,6 +196,20 @@ def test_leray_projection_self_adjoint():
     assert abs(lhs - rhs) < 1e-13 * max(1.0, abs(lhs))
 
 
+def test_leray_projection_of_a_gradient_leaves_a_valid_roundoff_field():
+    # c k projects to zero; what roundoff leaves must pass the orthogonality
+    # check instead of raising
+    lap = TorusLaplacian(Torus(2))
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        k = rng.integers(-5, 6, size=2)
+        if not k.any():
+            continue
+        v = complex(rng.standard_normal(), rng.standard_normal()) * k
+        proj = leray_project(SpectralField(lap, {tuple(k.tolist()): v}))
+        assert np.max(np.abs(proj.values), initial=0.0) <= np.finfo(float).eps * np.linalg.norm(v)
+
+
 def test_stokes_norm_matches_componentwise_laplacian():
     # the vector Stokes norm is the sum of scalar Laplacian norms per component
     st = TorusStokes(Torus(2))

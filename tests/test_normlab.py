@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import j1
 
 from eigenapprox import (
     AccuracyError,
@@ -26,7 +27,7 @@ from eigenapprox import (
     synthesize,
     truncation_experiment,
 )
-from eigenapprox.normlab import _AscentState
+from eigenapprox.normlab import _AscentState, _near_extremal_coeffs
 
 
 def _config(**kw):
@@ -181,6 +182,45 @@ def test_sobolev_surrogate_guards():
     f = random_field(DirichletLaplacian(Interval(1.0)), 400.0, rng)
     with pytest.raises(ConfigError):
         sobolev_surrogate_norm(f, 1.0)
+
+
+def _near_extremal_oracle(kmax, rng):
+    """The per-mode loop the vectorized family replaced."""
+    R = 1.2
+    x0 = (math.pi, math.pi)
+    sigma = 2.0 / kmax
+    out = {}
+    for k1 in range(-kmax, kmax + 1):
+        for k2 in range(-kmax, kmax + 1):
+            kn = math.hypot(k1, k2)
+            if kn == 0.0 or kn > kmax:
+                continue
+            base = R * j1(kn * R) / (2.0 * math.pi * kn)
+            phase = -(k1 * x0[0] + k2 * x0[1])
+            c = base * math.exp(-0.5 * (sigma * kn) ** 2) * complex(math.cos(phase), math.sin(phase))
+            out[(k1, k2)] = c
+    for k in sorted(out):
+        mk = (-k[0], -k[1])
+        if mk < k:
+            continue
+        factor = 1.0 + 0.05 * complex(rng.standard_normal(), rng.standard_normal())
+        out[k] = out[k] * factor
+        if mk != k:
+            out[mk] = out[k].conjugate()
+    return out
+
+
+@pytest.mark.parametrize("kmax", [1, 2, 3, 7, 16, 40])
+def test_near_extremal_family_matches_per_mode_loop(kmax):
+    for seed in range(3):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _near_extremal_coeffs(kmax, rng)
+        want = _near_extremal_oracle(kmax, ref)
+        assert [tuple(k) for k in got.k.tolist()] == list(want)
+        assert not np.any(got.pol)
+        assert rng.standard_normal() == ref.standard_normal()  # the same draws
+        w = np.array(list(want.values()))
+        assert np.max(np.abs(got.values - w)) <= 8 * np.finfo(float).eps * np.max(np.abs(w))
 
 
 def test_truncation_experiment_small_run_deterministic():

@@ -1,10 +1,14 @@
 """The array-backed SpectralField against per-mode oracles written here.
 
-Every vectorized rule must give bit-for-bit what the scalar rule gives mode by
-mode: eigenvalues, |c|^2, conjugate symmetry (and with it the real/complex
-choice of torus synthesis), every diagonal multiplier, field arithmetic, the
-polarization basis and sums, random fields, analysis, the spectral CSV codec
-and the solver's state conversion.
+Where the choice of the last bit decides something, the vectorized rule must
+give bit for bit what the scalar rule gives mode by mode: eigenvalues (they
+decide the cutoffs), conjugate symmetry (and with it the real/complex choice
+of torus synthesis), the polarization basis, random fields, analysis and the
+spectral CSV codec.  Elsewhere plain numpy may round differently, and the
+oracle bounds the result instead: the same keys in the same order, the same
+shapes and error classes, and values within 8 eps of the row's magnitude.
+This holds for |c|^2, the diagonal multipliers, field arithmetic, the Leray
+projection, the solver's state conversion and the Sobolev sums.
 """
 
 import itertools
@@ -127,6 +131,39 @@ def _same(a, b) -> bool:
     return list(a) == list(b) and all(_bits(a[i]) == _bits(b[i]) for i in a)
 
 
+EPS = np.finfo(float).eps
+BOUND = 8 * EPS  # relative to the magnitude of a row's input
+
+
+def _bound(magnitude) -> float:
+    """BOUND relative to a magnitude floored at the smallest normal double,
+    below which doubles are evenly spaced and only an absolute bound holds."""
+    return BOUND * max(magnitude, np.finfo(float).tiny)
+
+
+def _norm(v) -> float:
+    """|v| by hypot, which neither underflows nor overflows."""
+    return float(np.hypot.reduce(np.abs(np.atleast_1d(v))))
+
+
+def _within(a, b, scale) -> bool:
+    """Mappings with the same keys in the same order and values of the same
+    shape, each within _bound(scale[key]) of the other.  A row one side drops
+    as exactly zero (the projection of a gradient) may be left by the other
+    as roundoff within the bound."""
+
+    def kept(m, other):
+        return [i for i in m if i in other or np.max(np.abs(m[i])) > _bound(scale[i])]
+
+    if kept(a, b) != kept(b, a):
+        return False
+    for i in kept(a, b):
+        x, y = np.asarray(a[i]), np.asarray(b[i])
+        if x.shape != y.shape or np.max(np.abs(x - y), initial=0.0) > _bound(scale[i]):
+            return False
+    return True
+
+
 # -- per-mode oracles ---------------------------------------------------------
 
 
@@ -174,7 +211,7 @@ def test_eigenvalues_and_amplitudes_match_scalar_formulas(f):
     for i, (idx, v) in enumerate(f.coefficients.items()):
         assert lams[i] == f.operator.eigenvalue(idx)  # bitwise: no tolerance
         want = float(np.sum(np.abs(v) ** 2)) if isinstance(v, np.ndarray) else abs(v) ** 2
-        assert amps[i] == want
+        assert abs(amps[i] - want) <= _bound(want)
     pos, pamps = f.eigen_arrays(positive_only=True)
     keep = [f.operator.eigenvalue(idx) > 0.0 for idx in f.coefficients]
     assert pos.tolist() == [x for x, kp in zip(lams.tolist(), keep) if kp]
@@ -238,15 +275,17 @@ def test_multipliers_match_scalar_rules(data):
     factors = multiplier(name, param)(k[pos], lams[pos])
     for kk, lam, c in zip(k[pos].tolist(), lams[pos].tolist(), factors.tolist()):
         want = _scalar_rule(name, param, kk, lam)
-        assert math.isnan(c) if want is None else c == want
-    # the applied operator against the per-mode loop it replaces
-    out = {}
+        assert math.isnan(c) if want is None else abs(c - want) <= _bound(want)
+    # the applied operator against the per-mode loop it replaces, each row
+    # bounded relative to the exact product |c| |v|
+    out, scale = {}, {}
     for idx, v in f.coefficients.items():
         lam = f.operator.eigenvalue(idx)
         c = 1.0 if lam <= 0.0 else _scalar_rule(name, param, idx.k, lam)
         if c is not None:
             out[idx] = v if c == 1.0 else c * v
-    assert _same(_apply_multiplier(f, name, param).coefficients, out)
+            scale[idx] = abs(c) * _norm(v)
+    assert _within(_apply_multiplier(f, name, param).coefficients, out, scale)
 
 
 def test_ascent_rule_takes_one_row():
@@ -457,18 +496,21 @@ def _csv_reader_oracle(text, op):
 
 
 def _array_to_field_oracle(coeffs, n):
+    """The field's map, and the magnitude of each row's input."""
     dim = coeffs.shape[0]
     sc = (2.0 * math.pi) ** (dim / 2.0) / float(n) ** dim
-    out = {}
+    out, scale = {}, {}
     for pos in np.argwhere(np.any(coeffs != 0.0, axis=0)):
         idx = ModeIndex(tuple(int(p) if p <= n // 2 else int(p) - n for p in pos[:-1]) + (int(pos[-1]),))
-        v = _tangential_oracle(idx.k, coeffs[(slice(None),) + tuple(pos)] * sc)
+        row = coeffs[(slice(None),) + tuple(pos)] * sc
+        scale[idx] = scale[idx.mirror()] = _norm(row)
+        v = _tangential_oracle(idx.k, row)
         if any(idx.k) and not np.any(v):
             continue
         out[idx] = v
         if pos[-1] > 0:
             out[idx.mirror()] = np.conj(v)
-    return out
+    return out, scale
 
 
 def _from_field_oracle(f, params):
@@ -481,13 +523,22 @@ def _from_field_oracle(f, params):
     return coeffs
 
 
-def _agrees(got, op, want) -> bool:
-    """The library's field (or its ConfigError) against the oracle's map."""
+def _agrees(got, op, want, scale=None) -> bool:
+    """The library's field (or its ConfigError) against the oracle's map:
+    bit for bit, or given `scale`, row by row within _bound(scale[key]); then
+    where roundoff leaves the oracle's own result not orthogonal to k, the
+    library's must be a valid field."""
     try:
         want = SpectralField(op, want)
-    except ConfigError:
+    except ConfigError as e:
+        if scale is not None and "not orthogonal" in str(e):
+            return not isinstance(got, ConfigError)
         return isinstance(got, ConfigError)
-    return not isinstance(got, ConfigError) and _same(got.coefficients, want.coefficients)
+    if isinstance(got, ConfigError):
+        return False
+    if scale is None:
+        return _same(got.coefficients, want.coefficients)
+    return _within(got.coefficients, want.coefficients, scale)
 
 
 def _run(fn, *args):
@@ -520,10 +571,14 @@ def test_arithmetic_matches_per_mode_oracle(data):
     g = data.draw(fields(f.operator, vector=f.values.ndim == 2))
     c = data.draw(st.sampled_from(_SCALES))
     op = f.operator
-    assert _agrees(_run(scale, f, c), op, _scale_oracle(f, c))
+    scaled = {idx: abs(c) * _norm(v) for idx, v in f.coefficients.items()}
+    assert _agrees(_run(scale, f, c), op, _scale_oracle(f, c), scaled)
     for a, b in ((f, g), (g, f), (f, f)):
-        assert _agrees(_run(add, a, b), op, _add_oracle(a, b))
-        assert _agrees(_run(subtract, a, b), op, _add_oracle(a, SpectralField(op, _scale_oracle(b, -1.0))))
+        # a sum row against |a| + |b|
+        summed = {idx: _norm(a.coefficients.get(idx, 0.0)) + _norm(b.coefficients.get(idx, 0.0))
+                  for idx in [*a.coefficients, *b.coefficients]}
+        assert _agrees(_run(add, a, b), op, _add_oracle(a, b), summed)
+        assert _agrees(_run(subtract, a, b), op, _add_oracle(a, SpectralField(op, _scale_oracle(b, -1.0))), summed)
     if f.is_vector:
         divs = [abs(complex(np.asarray(idx.k, dtype=float) @ np.asarray(v))) for idx, v in f.coefficients.items()]
         assert divergence_residual(f) == max(divs, default=0.0)
@@ -540,7 +595,8 @@ def test_leray_projection_matches_per_mode_oracle(data):
         proj = _tangential_oracle(idx.k, v)
         if not any(idx.k) or np.any(proj):
             want[ModeIndex(idx.k)] = proj
-    assert _agrees(_run(leray_project, f), TorusStokes(op.domain), want)
+    scale = {ModeIndex(idx.k): _norm(v) for idx, v in f.coefficients.items()}
+    assert _agrees(_run(leray_project, f), TorusStokes(op.domain), want, scale)
 
 
 @SETTINGS
@@ -620,9 +676,9 @@ def test_state_conversion_matches_per_mode_loops(dim, beta, seed, kmax):
     rhs = viscous + cbf._nonlinear(s.coeffs, params)  # carries a roundoff normal part
     noise = np.random.default_rng(seed).standard_normal((2,) + s.coeffs.shape)
     noise = np.where(noise[0] > 1.0, noise[0] + 1j * noise[1], np.where(noise[0] < -2.0, -0.0, 0.0))
-    # the noise is not tangential: both sides may reject its projection residue
+    # the noise is not tangential: the oracle may reject its projection residue
     for arr in (s.coeffs, step(s, params).coeffs, viscous, rhs, noise):
-        assert _agrees(_run(cbf._array_to_field, arr, n), TorusStokes(Torus(dim)), _array_to_field_oracle(arr, n))
+        assert _agrees(_run(cbf._array_to_field, arr, n), TorusStokes(Torus(dim)), *_array_to_field_oracle(arr, n))
     assert _same(cbf_rhs(s, params).coefficients, cbf._array_to_field(rhs, n).coefficients)
     f = to_spectral_field(s)
     assert from_spectral_field(f, params).coeffs.tobytes() == _from_field_oracle(f, params).tobytes()
@@ -649,7 +705,7 @@ def test_sobolev_sums_match_per_mode_loops(f):
     total = 0.0
     for idx, v in f.coefficients.items():
         total += (idx.k[0] * math.pi / 1.7) ** 2 * abs(complex(v)) ** 2
-    assert sobolev_surrogate_norm(f, 0.5) == math.sqrt(total)
+    assert abs(sobolev_surrogate_norm(f, 0.5) - math.sqrt(total)) <= _bound(math.sqrt(total))
     ks = np.asarray([idx.k[0] for idx in f.coefficients], dtype=int)
     cs = np.asarray([complex(v) for v in f.coefficients.values()], dtype=complex)
     got, ms = _zero_extension_coeffs(f, 64)
