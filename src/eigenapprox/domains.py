@@ -10,6 +10,7 @@ which is what the rest of the toolkit leans on.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -320,58 +321,56 @@ def polarization_basis(k) -> np.ndarray:
 # evaluators
 
 
+def _torus_scale(d: int) -> float:
+    """(2 pi)^{-d/2}, the L^2 normalization of e^{ik.x} on the d-torus."""
+    return (2.0 * math.pi) ** (-d / 2.0)
+
+
+def _axis_factors(operator: OperatorSpec, axis: int, k, x) -> np.ndarray:
+    """The one-axis factor of the eigenfunctions, for index k along `axis` at
+    coordinates x (broadcast against each other).  Every eigenfunction is the
+    product of its d factors: sqrt(2/L) sin(k pi x/L) for Dirichlet, e^{ikx}
+    on the torus, where the first axis also carries the scale (2 pi)^{-d/2};
+    a Stokes eigenfunction is that scalar times its polarization vector."""
+    if isinstance(operator, DirichletLaplacian):
+        L = operator.domain.lengths[axis]
+        return math.sqrt(2.0 / L) * sinpi(k * x / L)
+    w = np.exp(1j * k * x)
+    return _torus_scale(operator.dim) * w if axis == 0 else w
+
+
+def _as_points(points, d: int) -> np.ndarray:
+    """points as an (n, d) float array; a 1-D array is n points if d = 1, else one point."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts.reshape(-1, 1) if d == 1 else pts.reshape(1, -1)
+    if pts.shape[1] != d:
+        raise ConfigError(f"points must have shape (n, {d})")
+    return pts
+
+
+def _mode_product(operator: OperatorSpec, k, coords, combine=np.multiply) -> np.ndarray:
+    """The product of the axis factors of index k at coords[a] on each axis a:
+    pointwise, or on the grid they span with combine=np.multiply.outer."""
+    return functools.reduce(combine, [_axis_factors(operator, a, ki, x) for a, (ki, x) in enumerate(zip(k, coords))])
+
+
 def mode_evaluator(operator: OperatorSpec, index: ModeIndex) -> Callable:
     """Point evaluator for one eigenfunction of `operator`."""
+    if not isinstance(operator, (DirichletLaplacian, TorusLaplacian, TorusStokes)):
+        raise ConfigError(f"unknown operator {operator!r}")
+    operator.validate_index(index)
     d = operator.dim
+    stokes = isinstance(operator, TorusStokes)
+    if stokes and not 1 <= index.polarization <= d - 1:
+        raise ConfigError(f"Stokes polarization must be in 1..{d - 1}, got {index.polarization}")
+    e = polarization_basis(index.k)[index.polarization - 1] if stokes else None
 
-    def _points(points):
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts.reshape(-1, 1) if d == 1 else pts.reshape(1, -1)
-        if pts.shape[1] != d:
-            raise ConfigError(f"points must have shape (n, {d})")
-        return pts
+    def ev(points):
+        vals = _mode_product(operator, index.k, _as_points(points, d).T)
+        return vals if e is None else vals[:, None] * e[None, :]
 
-    if isinstance(operator, DirichletLaplacian):
-        operator.validate_index(index)
-        ks = index.k
-        lengths = operator.domain.lengths
-
-        def ev(points):
-            pts = _points(points)
-            vals = np.ones(pts.shape[0])
-            for i, (ki, L) in enumerate(zip(ks, lengths)):
-                vals = vals * (math.sqrt(2.0 / L) * sinpi(ki * pts[:, i] / L))
-            return vals
-
-        return ev
-
-    if isinstance(operator, TorusLaplacian):
-        operator.validate_index(index)
-        kv = np.asarray(index.k, dtype=float)
-        scale = (2.0 * math.pi) ** (-d / 2.0)
-
-        def ev(points):
-            pts = _points(points)
-            return scale * np.exp(1j * (pts @ kv))
-
-        return ev
-
-    if isinstance(operator, TorusStokes):
-        operator.validate_index(index)
-        if not 1 <= index.polarization <= d - 1:
-            raise ConfigError(f"Stokes polarization must be in 1..{d - 1}, got {index.polarization}")
-        kv = np.asarray(index.k, dtype=float)
-        e = polarization_basis(index.k)[index.polarization - 1]
-        scale = (2.0 * math.pi) ** (-d / 2.0)
-
-        def ev(points):
-            pts = _points(points)
-            return scale * np.exp(1j * (pts @ kv))[:, None] * e[None, :]
-
-        return ev
-
-    raise ConfigError(f"unknown operator {operator!r}")
+    return ev
 
 
 # ---------------------------------------------------------------------------

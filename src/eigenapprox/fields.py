@@ -25,15 +25,16 @@ from .domains import (
     Torus,
     TorusLaplacian,
     TorusStokes,
+    _as_points,
+    _axis_factors,
     _dot_rows,
+    _mode_product,
     _polarization_rows,
     _representative_rows,
+    _torus_scale,
     mode_evaluator,
-    sinpi,
 )
 from .errors import AliasingError, AccuracyError, ConfigError
-
-TWO_PI = 2.0 * math.pi
 
 
 def _as_mode_index(key, dim: int) -> ModeIndex:
@@ -252,15 +253,6 @@ def _mirror_rows(k: np.ndarray, pol: np.ndarray) -> np.ndarray:
     return np.where(own[hit] == mir, hit, -1)
 
 
-def _map_distinct(fn, x: np.ndarray) -> np.ndarray:
-    """fn evaluated once per distinct entry of x, as a Python scalar, and
-    spread back over x (float64)."""
-    if x.size == 0:
-        return np.zeros(x.shape)
-    uniq, inv = np.unique(x, return_inverse=True)
-    return np.array([fn(v) for v in uniq.tolist()], dtype=float)[inv.reshape(x.shape)]
-
-
 def _eigenvalues(operator: OperatorSpec, k: np.ndarray) -> np.ndarray:
     """operator.eigenvalue of every row of k, bit for bit: each axis term is
     the scalar formula evaluated per distinct index, and the terms are summed
@@ -268,7 +260,8 @@ def _eigenvalues(operator: OperatorSpec, k: np.ndarray) -> np.ndarray:
     if isinstance(operator, DirichletLaplacian):
         lam = np.zeros(k.shape[0])
         for a, L in enumerate(operator.domain.lengths):
-            lam += _map_distinct(lambda ki: (ki * math.pi / L) ** 2, k[:, a])
+            uniq, place = np.unique(k[:, a], return_inverse=True)
+            lam += np.array([(ki * math.pi / L) ** 2 for ki in uniq.tolist()])[place.reshape(-1)]
         return lam
     return np.sum(k * k, axis=1).astype(float)  # integer sums are exact
 
@@ -414,21 +407,12 @@ def divergence_residual(f: SpectralField) -> float:
 
 
 def evaluate(f: SpectralField, points) -> np.ndarray:
-    """Pointwise evaluation sum_j c_j w_j(x); O(modes x points)."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1) if f.dim == 1 else pts.reshape(1, -1)
-    n = pts.shape[0]
-    if f.is_vector:
-        sc = TWO_PI ** (-f.dim / 2.0)
-        out = np.zeros((n, f.dim), dtype=complex)
-        for idx, v in f.coefficients.items():
-            phase = sc * np.exp(1j * (pts @ np.asarray(idx.k, dtype=float)))
-            out += phase[:, None] * np.asarray(v)[None, :]
-        return out
-    out = np.zeros(n, dtype=complex)
-    for idx, v in f.coefficients.items():
-        out = out + v * mode_evaluator(f.operator, idx)(pts)
+    """Pointwise evaluation sum_j c_j w_j(x); O(modes x points).  A vector
+    amplitude multiplies the scalar eigenfunction of its k."""
+    pts = _as_points(points, f.dim)
+    out = np.zeros((pts.shape[0],) + f.values.shape[1:], dtype=complex)
+    for k, v in zip(f.k.tolist(), f.values):
+        out = out + np.multiply.outer(_mode_product(f.operator, k, pts.T), v)
     if isinstance(f.operator, DirichletLaplacian) and np.max(np.abs(out.imag), initial=0.0) == 0.0:
         return out.real
     return out
@@ -508,17 +492,14 @@ def default_grid_resolution(f: SpectralField, factor: int = 4, floor: int = 8) -
     return max(floor, factor * max(f.max_axis_index(), 1))
 
 
-def _mode_on_grid(operator: OperatorSpec, k: tuple, axes) -> np.ndarray:
-    """One scalar eigenfunction sampled on the tensor-product grid `axes`."""
-    if isinstance(operator, DirichletLaplacian):
-        parts = [math.sqrt(2.0 / L) * sinpi(ki * a / L) for ki, L, a in zip(k, operator.domain.lengths, axes)]
-    else:
-        parts = [np.exp(1j * ki * a) for ki, a in zip(k, axes)]
-        parts[0] = TWO_PI ** (-len(k) / 2.0) * parts[0]
-    w = parts[0]
-    for p in parts[1:]:
-        w = np.multiply.outer(w, p)
-    return w
+def _axis_tables(operator: OperatorSpec, k: np.ndarray, axes) -> list:
+    """Per axis a: the factors of the distinct k[:, a] on axes[a], shape
+    (distinct, points), and each row's place among them."""
+    tables = []
+    for a, x in enumerate(axes):
+        uniq, place = np.unique(k[:, a], return_inverse=True)
+        tables.append((_axis_factors(operator, a, uniq[:, None], x[None, :]), place.reshape(-1)))
+    return tables
 
 
 def _axis_quadrature(domain: DomainSpec, a: np.ndarray, L: float) -> np.ndarray:
@@ -541,13 +522,14 @@ def _axis_quadrature(domain: DomainSpec, a: np.ndarray, L: float) -> np.ndarray:
     return w * (h / 3.0)
 
 
+def _axis_weights(g: GridField) -> list:
+    """The one-axis quadrature weights of g's axes."""
+    return [_axis_quadrature(g.domain, a, L) for a, L in zip(g.axes, g.domain.lengths)]
+
+
 def quadrature_weights(g: GridField) -> np.ndarray:
     """Tensor-product quadrature weights matching g's axes (shape grid_shape)."""
-    parts = [_axis_quadrature(g.domain, a, L) for a, L in zip(g.axes, g.domain.lengths)]
-    w = parts[0]
-    for p in parts[1:]:
-        w = np.multiply.outer(w, p)
-    return w
+    return functools.reduce(np.multiply.outer, _axis_weights(g))
 
 
 # ---------------------------------------------------------------------------
@@ -573,21 +555,18 @@ def synthesize(f: SpectralField, resolution=None) -> GridField:
                 f"{points} points per axis cannot represent modes up to k={kmax} (need >= {2 * kmax + 1})"
             )
     axes = uniform_axes(domain, res)
-    shape = tuple(a.size for a in axes)
-
     if isinstance(f.operator, (TorusLaplacian, TorusStokes)):
-        return _synthesize_torus_fft(f, axes, shape)
+        return _synthesize_torus_fft(f, axes, tuple(a.size for a in axes))
 
-    vector = f.is_vector
-    d = domain.dim
-    out = np.zeros(shape + ((d,) if vector else ()), dtype=complex)
-    vals = list(f.values) if vector else f.values.tolist()
-    for k, v in zip(f.k.tolist(), vals):
-        w = _mode_on_grid(f.operator, k, axes)
-        if vector:
-            out += w[..., None] * v[None, :]
-        else:
-            out += v * w
+    # the values in one dense block over the distinct indices of each axis,
+    # contracted with that axis's factors one axis at a time
+    tables = _axis_tables(f.operator, f.k, axes)
+    out = np.zeros(tuple(t.shape[0] for t, _ in tables) + f.values.shape[1:], dtype=complex)
+    out[tuple(place for _, place in tables)] = f.values
+    for t, _ in tables:
+        out = np.tensordot(out, t, axes=(0, 0))
+    if f.is_vector:
+        out = np.moveaxis(out, 0, -1)
     if np.max(np.abs(out.imag), initial=0.0) == 0.0:
         out = out.real
     return GridField(domain, axes, out)
@@ -595,7 +574,7 @@ def synthesize(f: SpectralField, resolution=None) -> GridField:
 
 def _synthesize_torus_fft(f: SpectralField, axes, shape) -> GridField:
     d = f.dim
-    sc = TWO_PI ** (-d / 2.0) * float(np.prod(shape))
+    sc = _torus_scale(d) * float(np.prod(shape))
     is_vec = f.is_vector
     comps = d if is_vec else 1
     spec = np.zeros((comps,) + shape, dtype=complex)
@@ -613,52 +592,69 @@ def _synthesize_torus_fft(f: SpectralField, axes, shape) -> GridField:
     return GridField(f.operator.domain, axes, vals)
 
 
+def _mode_rows(operator: OperatorSpec, modes: list) -> tuple:
+    """(k, pol) arrays of ModeIndex rows, checked as `mode_evaluator` checks
+    each one; the first mode it rejects raises its error."""
+    d = operator.dim
+    n = next((i for i, m in enumerate(modes) if m.dim != d), len(modes))
+    kp = np.array([(*m.k, m.polarization) for m in modes[:n]], dtype=np.int64).reshape(n, d + 1)
+    k, pol = kp[:, :d], kp[:, d]
+    bad = _invalid_index(operator, k, pol) | (isinstance(operator, TorusStokes) & (pol < 1))
+    first = np.append(np.flatnonzero(bad), n)[0]
+    if first < len(modes):
+        mode_evaluator(operator, modes[first])  # raises
+    return k, pol
+
+
 def analyze(g: GridField, modes, operator: OperatorSpec, check: bool = True, tol: float = 1e-8) -> SpectralField:
     """Quadrature inner products of g against the given modes (ModeIndex or
-    EigenPair); each eigenfunction is evaluated with `mode_evaluator`.
+    EigenPair).  Modes and weights are tensor products, so g is contracted
+    with the weighted conjugate axis factors one axis at a time and the
+    requested rows are read off; Stokes (k, m) rows take the e_m(k) component
+    and are reassembled into vector amplitudes.
 
-    With check=True the Gram matrix of the modes on g's grid is verified
-    against the identity to `tol`; the first offending pair is named in the
-    AccuracyError.  Stokes (k, m) projections are reassembled into vector
-    amplitudes.
+    With check=True the Gram matrix of the modes on g's grid, (e_i . e_j)
+    times the one-axis Gram tables of k_i and k_j, is verified against the
+    identity to `tol`; the first offending pair is named in the AccuracyError.
     """
     if operator.domain != g.domain:
         raise ConfigError("grid domain does not match operator domain")
-    pts = g.points()
-    w = quadrature_weights(g).reshape(-1)
-    modes = [m.index if isinstance(m, EigenPair) else m for m in modes]
-    if not modes:
+    k, pol = _mode_rows(operator, [m.index if isinstance(m, EigenPair) else m for m in modes])
+    m = k.shape[0]
+    if not m:
         return SpectralField(operator)
-    stacked = np.stack([mode_evaluator(operator, idx)(pts) for idx in modes])
+    weights = _axis_weights(g)
+    tables = _axis_tables(operator, k, g.axes)
+    vector = isinstance(operator, TorusStokes)
+    e = _polarization_rows(k)[np.arange(m), pol - 1] if vector else None
 
     if check:
-        # gram[i, j] = <w_i, w_j> = sum over points (and components) of
-        # weight * conj(w_j) * w_i, all pairs in one product
-        wv = stacked.reshape(len(modes), -1)
-        wq = np.repeat(w, wv.shape[1] // w.size)
-        gram = wv @ (np.conj(wv) * wq).T
-        bad = np.argwhere(np.triu(np.abs(gram - np.eye(len(modes))) > tol))
+        # gram[i, j] = <w_i, w_j> = (e_i . e_j) prod_a <axis factor of k_ia, of k_ja>
+        gram = np.ones((m, m)) if e is None else e @ e.T
+        for (t, place), w in zip(tables, weights):
+            gram = gram * ((t * w) @ np.conj(t).T)[np.ix_(place, place)]
+        bad = np.argwhere(np.triu(np.abs(gram - np.eye(m)) > tol))
         if bad.size:
             i, j = bad[0]  # first pair i <= j in row order
-            a, b = modes[i], modes[j]
-            target = 1.0 if i == j else 0.0
+            a, b = (f"(k={tuple(k[r].tolist())}, m={pol[r]})" for r in (i, j))
             raise AccuracyError(
-                f"mode Gram check failed for pair (k={a.k}, m={a.polarization}) / "
-                f"(k={b.k}, m={b.polarization}): <wi, wj> = {complex(gram[i, j]):.3e} vs {target}; refine the grid"
+                f"mode Gram check failed for pair {a} / {b}: <wi, wj> = {complex(gram[i, j]):.3e} vs {float(i == j)}; "
+                "refine the grid"
             )
 
-    vector = stacked.ndim == 3
     if vector != g.is_vector:
         raise ConfigError(
             "vector modes require a vector-valued grid field" if vector else "scalar modes require a scalar grid field"
         )
-    gv = g.values.reshape(-1, g.values.shape[-1]) if vector else g.values.reshape(-1)
     # <g, w_j> = sum of weight * conj(w_j) * g over the points (and components)
-    prod = (w[:, None] if vector else w) * np.conj(stacked) * gv
-    raw = np.sum(prod.reshape(len(modes), -1), axis=1).astype(complex)  # real on real Dirichlet grids
-    kp = np.array([(*m.k, m.polarization) for m in modes], dtype=np.int64)
-    packed = _merge_rows(kp[:, :-1], kp[:, -1], raw, "last")
-    return SpectralField(operator, _polarized(*packed) if isinstance(operator, TorusStokes) else packed)
+    coef = g.values
+    for (t, _), w in zip(tables, weights):
+        coef = np.tensordot(coef, np.conj(t) * w, axes=(0, 1))
+    raw = coef[(Ellipsis,) + tuple(place for _, place in tables)].astype(complex)  # real on real Dirichlet grids
+    if vector:
+        raw = _dot_rows(e, raw.T)
+    packed = _merge_rows(k, pol, raw, "last")
+    return SpectralField(operator, _polarized(*packed) if vector else packed)
 
 
 # ---------------------------------------------------------------------------
@@ -743,8 +739,7 @@ def random_field(
         sel = np.sort(rng.choice(k.shape[0], size=n_modes, replace=False))
         k, pol = k[sel], pol[sel]
 
-    # Python's float power, bit for bit: numpy's power may round differently
-    damp = _map_distinct(lambda lam: (1.0 + lam) ** (-decay), _eigenvalues(operator, k))
+    damp = (1.0 + _eigenvalues(operator, k)) ** -decay
     # one (re, im) pair of draws per mode, in mode order
     out = _Packed(k, pol, damp * rng.standard_normal(2 * k.shape[0]).view(complex))
     if stokes:

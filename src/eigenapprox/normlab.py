@@ -8,6 +8,7 @@ ready for CSV.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,6 +31,7 @@ from .domains import (
     Torus,
     TorusLaplacian,
     TorusStokes,
+    _mode_product,
     _representative_rows,
 )
 from .errors import AccuracyError, ConfigError
@@ -37,7 +39,6 @@ from .fields import (
     GridField,
     SpectralField,
     _mirror_rows,
-    _mode_on_grid,
     _Packed,
     divergence_residual,
     lp_norm,
@@ -123,16 +124,11 @@ def sample_fields(config: ExperimentConfig) -> list:
         pairs = enumerate_modes(op, config.lambda_max)
         kmax = max(max(p.index.k) for p in pairs)
         axes = uniform_axes(op.domain, 4 * kmax)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-        shape = tuple(a.size for a in axes)
         for _ in range(config.n_samples):
             centers = [L * (0.12 + 0.1 * rng.random()) for L in op.domain.lengths]
             widths = [L * (0.05 + 0.05 * rng.random()) for L in op.domain.lengths]
-            v = np.ones(pts.shape[0])
-            for i, (c, wdt) in enumerate(zip(centers, widths)):
-                v = v * np.exp(-((pts[:, i] - c) ** 2) / wdt**2)
-            g = GridField(op.domain, axes, v.reshape(shape))
+            bumps = [np.exp(-((x - c) ** 2) / wdt**2) for x, c, wdt in zip(axes, centers, widths)]
+            g = GridField(op.domain, axes, functools.reduce(np.multiply.outer, bumps))
             fields.append(analyze(g, pairs, op, check=False))
     else:  # near-extremal
         if not (isinstance(op, TorusLaplacian) and op.dim == 2):
@@ -242,7 +238,7 @@ class _AscentState:
         k = self.k[i]
         old = complex(self.values[i])
         delta = old * rel
-        mode = _mode_on_grid(self.operator, k.tolist(), self.axes)
+        mode = _mode_product(self.operator, k.tolist(), self.axes, np.multiply.outer)
         # a torus mode k != 0 moves its conjugate partner -k as well
         mirror = None if self.dirichlet or not k.any() else self.mirror[i]
         two = 1.0 if mirror is None else 2.0

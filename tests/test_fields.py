@@ -55,6 +55,21 @@ def test_torus_synthesize_matches_pointwise_sum():
     assert np.max(np.abs(direct.imag)) < 1e-12  # conjugate-symmetric input
 
 
+def test_evaluate_matches_synthesize_on_vector_fields():
+    # a vector amplitude multiplies the scalar eigenfunction of its k,
+    # the Dirichlet sine as well as the torus exponential
+    line = SpectralField(DirichletLaplacian(Interval(math.pi)), {(1,): np.array([1.0])})
+    assert np.allclose(evaluate(line, [[0.0], [math.pi / 2]]), [[0.0], [math.sqrt(2.0 / math.pi)]], rtol=0, atol=1e-15)
+    box = SpectralField(DirichletLaplacian(Box((1.0, 2.0))), {(1, 2): [0.5, -1.0], (3, 1): [2.0 + 1j, 0.25]})
+    torus = SpectralField(TorusLaplacian(Torus(2)), {(1, -2): [0.5, 1j], (0, 1): [1.0, -0.5], (-1, 0): [0.2, 0.3]})
+    for f in (line, box, torus):
+        g = synthesize(f, 8)
+        got = evaluate(f, g.points()).reshape(g.values.shape)
+        assert np.max(np.abs(got - g.values)) <= 1e-14 * np.max(np.abs(g.values))
+    with pytest.raises(ConfigError, match=r"points must have shape \(n, 2\)"):
+        evaluate(torus, np.zeros((3, 3)))
+
+
 def test_synthesize_rejects_undersampled_grid():
     op = TorusLaplacian(Torus(1))
     f = SpectralField(op, {(6,): 1.0 + 0j, (-6,): 1.0 + 0j})

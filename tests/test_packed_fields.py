@@ -3,12 +3,13 @@
 Where the choice of the last bit decides something, the vectorized rule must
 give bit for bit what the scalar rule gives mode by mode: eigenvalues (they
 decide the cutoffs), conjugate symmetry (and with it the real/complex choice
-of torus synthesis), the polarization basis, random fields, analysis and the
-spectral CSV codec.  Elsewhere plain numpy may round differently, and the
-oracle bounds the result instead: the same keys in the same order, the same
-shapes and error classes, and values within 8 eps of the row's magnitude.
-This holds for |c|^2, the diagonal multipliers, field arithmetic, the Leray
-projection, the solver's state conversion and the Sobolev sums.
+of torus synthesis), the polarization basis and the spectral CSV codec.
+Elsewhere plain numpy may round differently, and the oracle bounds the result
+instead: the same keys in the same order, the same shapes and error classes,
+and values within 8 eps of the row's magnitude.  This holds for |c|^2, the
+diagonal multipliers, field arithmetic, the Leray projection, random fields,
+the solver's state conversion and the Sobolev sums; analysis is bounded by
+8 eps of the grid's L^2 norm.
 """
 
 import itertools
@@ -18,7 +19,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from eigenapprox import (
@@ -41,6 +42,7 @@ from eigenapprox import (
     enumerate_modes,
     from_spectral_field,
     leray_project,
+    lp_norm,
     mode_evaluator,
     random_divergence_free_state,
     random_field,
@@ -133,12 +135,13 @@ def _same(a, b) -> bool:
 
 EPS = np.finfo(float).eps
 BOUND = 8 * EPS  # relative to the magnitude of a row's input
+PARSEVAL = 16 * EPS  # relative to the l2 norm of a field
 
 
-def _bound(magnitude) -> float:
-    """BOUND relative to a magnitude floored at the smallest normal double,
+def _bound(magnitude, rel=BOUND) -> float:
+    """`rel` relative to a magnitude floored at the smallest normal double,
     below which doubles are evenly spaced and only an absolute bound holds."""
-    return BOUND * max(magnitude, np.finfo(float).tiny)
+    return rel * max(magnitude, np.finfo(float).tiny)
 
 
 def _norm(v) -> float:
@@ -609,13 +612,17 @@ def test_leray_projection_matches_per_mode_oracle(data):
     real=st.booleans(),
     include_mean=st.booleans(),
 )
+# a damping of 5e-324 at mode (1, 2, 4): numpy and Python may round its
+# product with a draw to zeros of opposite sign
+@example(op=DirichletLaplacian(Box((6.5, 6.1875, 6.15625))), lambda_max=6.0, seed=0, n_modes=None, decay=400.0,
+         real=False, include_mean=False)
 def test_random_field_matches_per_mode_draws(op, lambda_max, seed, n_modes, decay, real, include_mean):
     if isinstance(op, TorusStokes) or op.dim == 3:
         lambda_max = min(lambda_max, 12.0)
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     f = random_field(op, lambda_max, rng, n_modes=n_modes, decay=decay, real=real, include_mean=include_mean)
-    want = _random_field_oracle(op, lambda_max, ref, n_modes, decay, real, include_mean)
-    assert _same(f.coefficients, SpectralField(op, want).coefficients)
+    want = SpectralField(op, _random_field_oracle(op, lambda_max, ref, n_modes, decay, real, include_mean))
+    assert _within(f.coefficients, want.coefficients, {idx: _norm(v) for idx, v in want.coefficients.items()})
     assert rng.standard_normal() == ref.standard_normal()  # the same number of draws
 
 
@@ -639,9 +646,9 @@ def test_analyze_matches_per_mode_inner_products(case, seed, data):
     g = synthesize(random_field(op, lam, np.random.default_rng(seed), real=data.draw(st.booleans())))
     modes = [p.index for p in enumerate_modes(op, lam)]
     modes = data.draw(st.lists(st.sampled_from(modes), max_size=12)) if modes else []
-    want = _analyze_oracle(g, modes, op)
+    want = SpectralField(op, _analyze_oracle(g, modes, op)).coefficients
     got = analyze(g, modes, op, check=False)
-    assert _same(got.coefficients, SpectralField(op, want).coefficients)
+    assert _within(got.coefficients, want, dict.fromkeys(want, lp_norm(g, 2)))
 
 
 @SETTINGS
@@ -727,9 +734,21 @@ def test_csv_round_trip_is_exact_for_scalar_and_close_for_stokes(data):
     assert set(back) == set(f.coefficients)
     for idx, v in f.coefficients.items():
         if isinstance(f.operator, TorusStokes) and any(idx.k):
-            assert np.max(np.abs(back[idx] - v)) <= 1e-14 * np.max(np.abs(v))
+            assert np.max(np.abs(back[idx] - v)) <= _bound(np.max(np.abs(v)), 1e-14)
         else:
             assert np.array_equal(back[idx], v)  # -0.0 reads back as 0.0
+
+
+@SETTINGS
+@given(case=st.sampled_from(_ANALYZE_CASES), seed=st.integers(0, 1000), real=st.booleans(), extra=st.integers(0, 3))
+def test_parseval_round_trip(case, seed, real, extra):
+    # analyze(synthesize(f)) gives f back, and the grid's L^2 norm is f's l2
+    op, lam = case
+    f = random_field(op, lam, np.random.default_rng(seed), real=real)
+    g = synthesize(f, 4 * max(f.max_axis_index(), 2) + 2 * extra)
+    back = analyze(g, [p.index for p in enumerate_modes(op, lam)], op)
+    assert subtract(back, f).l2() <= PARSEVAL * f.l2()
+    assert abs(lp_norm(g, 2) - f.l2()) <= PARSEVAL * f.l2()
 
 
 @SETTINGS

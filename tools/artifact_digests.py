@@ -5,8 +5,9 @@ temporary root, with that root as the working directory; the output is one
 `<job>/<file> <sha256>` line per written file, sorted.  The `readback-*` jobs
 read the spectral CSVs the `approx-*` jobs emit (by relative path, so their
 manifests do not depend on the root) and emit them again, so the CSV reader is
-covered too.  Running it on two checkouts and diffing the outputs checks that
-a change keeps every artifact byte-identical:
+covered too; `h00` evaluates a spectral field pointwise.  Running it on two
+checkouts and diffing the outputs checks that a change keeps every artifact
+byte-identical:
 
     PYTHONPATH=src python3 tools/artifact_digests.py > digests.txt
 """
@@ -30,6 +31,7 @@ JOBS = (
     ("interp-torus3", ["interp", "--op", "torus", "--d", "3", "--lambda-max", "100", "--n-modes", "400",
                        "--reiteration", "--plot"]),
     ("interp-box", ["interp", "--op", "dirichlet-box", "--check-itheta"]),
+    ("h00", ["h00", "--profile", "bump", "--levels", "6"]),
     ("truncate", ["truncate", "--n-list", "4,16", "--plot"]),
     ("cbf-2d", ["cbf", "--d", "2", "--N", "32", "--T", "0.05", "--save-traj", "--plot"]),
     ("cbf-3d", ["cbf", "--d", "3", "--N", "16", "--beta", "1", "--T", "0.02", "--save-traj"]),
