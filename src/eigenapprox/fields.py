@@ -594,15 +594,25 @@ def _synthesize_torus_fft(f: SpectralField, axes, shape) -> GridField:
 
 def _mode_rows(operator: OperatorSpec, modes: list) -> tuple:
     """(k, pol) arrays of ModeIndex rows, checked as `mode_evaluator` checks
-    each one; the first mode it rejects raises its error."""
+    each one and against `_MAX_AXIS_INDEX` as `SpectralField` checks them;
+    the first mode it rejects raises its error."""
     d = operator.dim
     n = next((i for i, m in enumerate(modes) if m.dim != d), len(modes))
-    kp = np.array([(*m.k, m.polarization) for m in modes[:n]], dtype=np.int64).reshape(n, d + 1)
+    rows = [(*m.k, m.polarization) for m in modes[:n]]
+    try:
+        kp = np.array(rows, dtype=np.int64).reshape(n, d + 1)
+    except OverflowError:  # beyond int64 is beyond _MAX_AXIS_INDEX: stop the rows at the first such mode
+        n = next(i for i, row in enumerate(rows) if max(map(abs, row)) > _MAX_AXIS_INDEX)
+        kp = np.array(rows[:n], dtype=np.int64).reshape(n, d + 1)
     k, pol = kp[:, :d], kp[:, d]
-    bad = _invalid_index(operator, k, pol) | (isinstance(operator, TorusStokes) & (pol < 1))
+    bad = np.any(np.abs(k) > _MAX_AXIS_INDEX, axis=1) | _invalid_index(operator, k, pol)
+    bad |= isinstance(operator, TorusStokes) & (pol < 1)
     first = np.append(np.flatnonzero(bad), n)[0]
     if first < len(modes):
-        mode_evaluator(operator, modes[first])  # raises
+        idx = modes[first]
+        if idx.dim == d and max(map(abs, idx.k), default=0) > _MAX_AXIS_INDEX:
+            raise ConfigError(f"mode index {idx.k} exceeds {_MAX_AXIS_INDEX} on some axis")
+        mode_evaluator(operator, idx)  # raises
     return k, pol
 
 

@@ -1,7 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 from eigenapprox import (
     AccuracyError,
@@ -20,6 +22,7 @@ from eigenapprox import (
     energy_ledger,
     from_spectral_field,
     load_trajectory,
+    lp_norm,
     random_divergence_free_state,
     save_trajectory,
     scale,
@@ -148,6 +151,24 @@ def _advective_nonlinear(coeffs, params):
     return out
 
 
+def _kept_index(n, kmax, dim):
+    """Positions of the kept block in the full rfftn layout: wavenumbers 0..K
+    then -K..-1 on each full axis, 0..K on the halved last axis."""
+    full = np.r_[0 : kmax + 1, n - kmax : n]
+    return (slice(None),) + np.ix_(*([full] * (dim - 1) + [np.arange(kmax + 1)]))
+
+
+def _kept(coeffs, kmax):
+    return coeffs[_kept_index(coeffs.shape[1], kmax, coeffs.shape[0])]
+
+
+def _full(block, n):
+    dim, kmax = block.shape[0], block.shape[-1] - 1
+    out = np.zeros((dim,) + (n,) * (dim - 1) + (n // 2 + 1,), dtype=complex)
+    out[_kept_index(n, kmax, dim)] = block
+    return out
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("beta", [0.0, 1.0])
 @pytest.mark.parametrize("r", [2.0, 3.0])
@@ -156,7 +177,7 @@ def test_divergence_form_matches_advective_oracle(dim, beta, r):
     p = _params(dim=dim, beta=beta, r=r)
     s = random_divergence_free_state(p, kmax_init=p.dealias_kmax, amplitude=3.0, seed=11)
     want = _advective_nonlinear(s.coeffs, p)
-    got = cbf._nonlinear(s.coeffs, p)
+    got = _full(cbf._nonlinear(_kept(s.coeffs, p.dealias_kmax), p), p.resolution)
     assert np.max(np.abs(want)) > 0.0
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -166,9 +187,58 @@ def test_steps_match_advective_oracle_steps(monkeypatch, dim, beta, r):
     p = _params(dim=dim, beta=beta, r=r, t_final=20 * 2e-3, snapshot_every=20)
     s = random_divergence_free_state(p, kmax_init=2, amplitude=2.0, seed=4)
     got = simulate(s, p).states[-1].coeffs
-    monkeypatch.setattr(cbf, "_nonlinear", _advective_nonlinear)
+    kmax, n = p.dealias_kmax, p.resolution
+    monkeypatch.setattr(cbf, "_nonlinear", lambda c, q: _kept(_advective_nonlinear(_full(c, n), q), kmax))
     want = simulate(s, p).states[-1].coeffs
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _reference_step(coeffs, p):
+    """One integrating-factor RK4 step on the full rfftn layout, with the
+    advective oracle as the nonlinear term and a final Leray projection."""
+    dim, n, dt = coeffs.shape[0], coeffs.shape[1], p.dt
+    ks = _wavenumbers(dim, n)
+    k2 = sum(k * k for k in ks)
+    e1 = np.exp(-p.mu * k2 * (dt / 2.0))
+    e2 = e1 * e1
+    a = _advective_nonlinear(coeffs, p)
+    b = _advective_nonlinear(e1 * (coeffs + (dt / 2.0) * a), p)
+    c3 = _advective_nonlinear(e1 * coeffs + (dt / 2.0) * b, p)
+    d = _advective_nonlinear(e2 * coeffs + dt * (e1 * c3), p)
+    new = e2 * coeffs + (dt / 6.0) * (e2 * a + 2.0 * e1 * (b + c3) + d)
+    k2[(0,) * dim] = 1.0
+    dot = sum(ks[i] * new[i] for i in range(dim)) / k2
+    return np.array([new[i] - ks[i] * dot for i in range(dim)])
+
+
+@pytest.mark.parametrize("dim, beta, r", [(2, 0.0, 2.0), (3, 1.0, 2.0), (3, 1.0, 3.0)])
+def test_step_matches_full_layout_reference_steps(dim, beta, r):
+    p = _params(dim=dim, beta=beta, r=r)
+    s = random_divergence_free_state(p, kmax_init=p.dealias_kmax, amplitude=2.0, seed=9)
+    want = s.coeffs
+    for _ in range(20):
+        s = step(s, p)
+        want = _reference_step(want, p)
+    assert s.coeffs.shape == want.shape
+    assert np.max(np.abs(s.coeffs - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_state_outside_the_dealias_mask_is_rejected():
+    # the step computes on the kept block only: a coefficient outside it
+    # would be dropped, so step, simulate and cbf_rhs name it instead
+    p = _params()  # N = 16, kmax = 5
+    s = taylor_green(p)
+    for k, pos in (((-6, 1), (10, 1)), ((0, 6), (0, 6)), ((8, 0), (8, 0))):
+        bad = s.copy()
+        bad.coeffs[(1,) + pos] = 1e-300
+        msg = re.escape(f"mode {k} lies outside the dealias mask (kmax=5)")
+        for call in (step, simulate, cbf_rhs):
+            with pytest.raises(AliasingError, match=msg):
+                call(bad, p)
+    two = s.copy()
+    two.coeffs[0, 10, 1] = two.coeffs[0, 0, 6] = 1.0
+    with pytest.raises(AliasingError, match=re.escape("mode (0, 6)")):
+        step(two, p)
 
 
 def test_3d_steps_keep_support_and_structure():
@@ -225,6 +295,31 @@ def test_energy_ledger_with_absorption():
     row = led.csv_row()
     assert len(row) == len(led.CSV_HEADER) == 7
     assert row[-1] == led.residual
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_ledger_quadratures_r2_on_the_solver_grid(dim):
+    # |u|^4 has degree 4 kmax < N per axis, so the N-point rule is exact
+    p = _params(dim=dim, beta=1.0, r=2.0)
+    assert cbf._absorption_pad(p) == 1
+    s = random_divergence_free_state(p, kmax_init=p.dealias_kmax, amplitude=2.0, seed=5)
+    for state in (s, step(s, p)):
+        on_grid = lp_norm(cbf._padded_velocity_grid(state, 1), 4.0) ** 4
+        doubled = lp_norm(cbf._padded_velocity_grid(state, 2), 4.0) ** 4
+        assert abs(on_grid - doubled) <= 1e-13 * doubled
+
+
+def test_ledger_grid_choice():
+    # an even q = r + 2 takes the smallest multiple M of N with q kmax < M
+    assert cbf._absorption_pad(_params(beta=1.0, r=4.0)) == 2  # 6 * 3 = 18 >= 16
+    assert cbf._absorption_pad(_params(beta=1.0, r=10.0)) == 3  # 12 * 3 = 36 >= 32
+    assert cbf._absorption_pad(_params(beta=1.0, r=0.0)) == 1
+    # any other q keeps the doubled grid, and the ledger its old value bit for bit
+    p = CBFParams(mu=0.05, beta=1.0, r=3.0, dim=2, resolution=16, dt=1e-3, t_final=0.02, snapshot_every=5)
+    assert cbf._absorption_pad(p) == 2
+    traj = simulate(random_divergence_free_state(p, kmax_init=3, seed=3), p)
+    vals = [lp_norm(cbf._padded_velocity_grid(s, 2), 5.0) ** 5.0 for s in traj.states]
+    assert energy_ledger(traj, 0.0, 0.02).absorption == 2.0 * p.beta * float(simpson(vals, x=traj.times))
 
 
 def test_energy_ledger_guards():

@@ -172,6 +172,20 @@ def test_quadrature_weights_integrate_polynomial_exactly():
     assert float(np.sum(w * g.values)) == pytest.approx(4.0 - 2.0 + 1.0, rel=1e-13)
 
 
+@pytest.mark.parametrize("check", [True, False])
+def test_analyze_rejects_an_index_beyond_the_axis_bound(check):
+    # the bound SpectralField enforces, named as it names it, also for an
+    # index no int64 holds
+    op = DirichletLaplacian(Interval(1.0))
+    g = synthesize(SpectralField(op, {(1,): 1.0 + 0j}), 16)
+    for k in (2**70, 2**31):
+        with pytest.raises(ConfigError, match=rf"mode index \({k},\) exceeds"):
+            analyze(g, [ModeIndex((1,)), ModeIndex((k,))], op, check=check)
+    # a mode invalid for the operator before it is still the one reported
+    with pytest.raises(ConfigError, match=r">= 1 per axis, got \(0,\)"):
+        analyze(g, [ModeIndex((0,)), ModeIndex((2**70,))], op, check=check)
+
+
 def test_leray_projection_properties():
     lap = TorusLaplacian(Torus(2))
     rng = np.random.default_rng(5)
