@@ -3,8 +3,9 @@ identities, and the boundary-weighted norm that discriminates the exceptional
 half-order space.
 
 The interpolation norm is computed as a log-variable Simpson quadrature over a
-finite t-window plus analytic per-mode tail series; a window whose estimated
-tails exceed 1% of the total is rejected rather than silently accepted.
+finite t-window plus analytic tail series, both taken once per distinct
+eigenvalue; a window whose estimated tails exceed 1% of the total is rejected
+rather than silently accepted.
 """
 
 from __future__ import annotations
@@ -122,9 +123,9 @@ def _tail_high(s1: np.ndarray, theta: float) -> np.ndarray:
     return s1**-b / b - s1 ** (-b - 2.0) / (b + 2.0) + s1 ** (-b - 4.0) / (b + 4.0)
 
 
-# bytes of one row block of the (t x mode) matrix in _interp_norm_sq.  Blocks
-# hold a multiple of 64 rows: the BLAS matrix-vector kernel takes rows in
-# small groups, and with aligned blocks each row is summed as it is on the
+# bytes of one row block of the (t x eigenvalue) matrix in _interp_norm_sq.
+# Blocks hold a multiple of 64 rows: the BLAS matrix-vector kernel takes rows
+# in small groups, and with aligned blocks each row is summed as it is on the
 # whole matrix (tests/test_interpolation.py pins the bit-identity).
 _KSQ_BLOCK_BYTES = 16 << 20
 
@@ -132,6 +133,10 @@ _KSQ_BLOCK_BYTES = 16 << 20
 def _interp_norm_sq(lams: np.ndarray, amps: np.ndarray, q: InterpolationQuery):
     """(window integral, low tail, high tail) of int t^{-2 theta} K^2 dt/t."""
     theta = q.theta
+    # K^2 sees a mode only through its eigenvalue: one column per distinct
+    # lambda, carrying the summed amplitude of its modes
+    lams, inv = np.unique(lams, return_inverse=True)
+    amps = np.bincount(inv, weights=amps, minlength=lams.size)
     s0 = q.t_min * lams
     s1 = q.t_max * lams
     if float(s0.max()) > 0.5:

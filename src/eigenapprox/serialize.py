@@ -14,6 +14,8 @@ Grid rows are `x1..xd, re, im` (scalar) or `x1..xd, c0_re, c0_im, ...`
 from __future__ import annotations
 
 import csv
+import io
+import re
 
 import numpy as np
 
@@ -21,6 +23,12 @@ from .domains import OperatorSpec, TorusStokes, _dot_rows, _polarization_rows
 from .errors import ConfigError
 from .fields import GridField, SpectralField, _merge_rows, _polarized
 from .reports import format_number
+
+
+def _column(values: np.ndarray) -> list:
+    """Each entry as text, from one repr of the column: str for ints and, for
+    doubles, repr, which is format_number's text (nan and +-inf included)."""
+    return repr(values.tolist())[1:-1].split(", ") if values.size else []
 
 
 def spectral_field_to_csv(f: SpectralField, path) -> None:
@@ -38,30 +46,72 @@ def spectral_field_to_csv(f: SpectralField, path) -> None:
         vals[nz, : d - 1] = _dot_rows(_polarization_rows(k[nz]), vals[nz][:, None, :])
         tags[nz] = np.arange(1, d + 1)
         used[nz, d - 1] = False
-    re, im = (map(format_number, part.tolist()) for part in (vals[used].real, vals[used].imag))
+    k = np.repeat(k, used.sum(axis=1), axis=0)
+    columns = [_column(k[:, a]) for a in range(d)] + [_column(tags[used])]
+    columns += [_column(vals[used].real), _column(vals[used].imag)]
+    header = ",".join([f"k{i + 1}" for i in range(d)] + ["polarization", "re", "im"])
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow([f"k{i + 1}" for i in range(d)] + ["polarization", "re", "im"])
-        w.writerows(zip(*np.repeat(k, used.sum(axis=1), axis=0).T.tolist(), tags[used].tolist(), re, im))
+        fh.write("\n".join([header, *map(",".join, zip(*columns))]) + "\n")
+
+
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
+
+
+def _cell_error(cell: str, name: str):
+    """Why the fast parse rejects one cell, or None.  Its grammar: indices are
+    ASCII decimal int64, values ASCII floats without digit separators."""
+    if name == "value":
+        if cell.isascii() and "_" not in cell:
+            try:
+                float(cell)
+                return None
+            except ValueError:
+                pass
+        return f"value cell {cell!r} is not a number"
+    if not _INTEGER.fullmatch(cell):
+        return f"{name} cell {cell!r} is not an integer"
+    if not -(2**63) <= int(cell) < 2**63:
+        return f"{name} cell {cell!r} lies outside the int64 range"
+    return None
+
+
+def _malformed(body: str, d: int, err: Exception) -> ConfigError:
+    """The error naming the first body line that the fast parse cannot take:
+    a line with the wrong number of cells first, then a cell that does not
+    parse, then (a row the csv module reads differently) loadtxt's own."""
+    rows = list(csv.reader(io.StringIO(body)))
+    for line, row in enumerate(rows, start=2):
+        if len(row) != d + 3:
+            return ConfigError(f"line {line} has {len(row)} cells, expected {d + 3}")
+    names = ["index"] * d + ["polarization", "value", "value"]
+    for line, row in enumerate(rows, start=2):
+        for cell, name in zip(row, names):
+            msg = _cell_error(cell, name)
+            if msg is not None:
+                return ConfigError(f"line {line}: {msg}")
+    return ConfigError(f"spectral CSV body does not parse: {err}")
 
 
 def spectral_field_from_csv(path, operator: OperatorSpec) -> SpectralField:
     d = operator.dim
     stokes = isinstance(operator, TorusStokes)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if len(header) != d + 3:
-            raise ConfigError(f"expected {d + 3} columns for a dimension-{d} field, got {len(header)}")
-        rows = list(reader)
-    cells = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    if np.any(cells != d + 3):
-        i = int(np.argmax(cells != d + 3))
-        raise ConfigError(f"line {i + 2} has {cells[i]} cells, expected {d + 3}")
-    table = np.array(rows, dtype=str).reshape(-1, d + 3)
-    k = table[:, :d].astype(np.int64)
-    pol = table[:, d].astype(np.int64)
-    vals = table[:, d + 1 :].astype(float).view(complex)[:, 0]
+    with open(path) as fh:
+        header = next(csv.reader([fh.readline()]), [])
+        body = fh.read()
+    if len(header) != d + 3:
+        raise ConfigError(f"expected {d + 3} columns for a dimension-{d} field, got {len(header)}")
+    # one C parse of the whole body; loadtxt warns on an empty body and skips
+    # a blank line, which the csv module reads as a row of 0 cells
+    row = np.dtype([("k", np.int64, (d,)), ("pol", np.int64), ("val", float, (2,))])
+    if body.startswith("\n") or "\n\n" in body:
+        raise _malformed(body, d, None)
+    table = np.zeros(0, dtype=row)
+    if body:
+        try:
+            table = np.loadtxt(io.StringIO(body), dtype=row, delimiter=",", comments=None, quotechar='"', ndmin=1)
+        except ValueError as e:
+            raise _malformed(body, d, e) from None
+    k, pol, vals = table["k"], table["pol"], table["val"].view(complex)[:, 0]
 
     # the first row that fails a check, reported by its first failing check
     checks = (
@@ -78,7 +128,7 @@ def spectral_field_from_csv(path, operator: OperatorSpec) -> SpectralField:
         msg = next(msg for mask, msg in checks if mask[i])
         raise ConfigError(f"line {i + 2}: " + msg.format(pol=pol[i]))
 
-    scalar = len(rows) and pol[0] == 0
+    scalar = len(pol) and pol[0] == 0
     return SpectralField(operator, _merge_rows(k, pol, vals, "sum") if scalar else _polarized(k, pol, vals))
 
 

@@ -238,3 +238,11 @@ def test_emitted_field_feeds_back(tmp_path):
     )
     assert rc == 0
     assert (d2 / "approx.csv").exists()
+
+
+def test_malformed_field_csv_is_exit_2(tmp_path, capsys):
+    field = tmp_path / "bad.csv"
+    field.write_text("k1,k2,polarization,re,im\n1,0,0,1.0,0.0\n0,1,0,abc,0.0\n")
+    rc = _run(["approx", "--op", "torus", "--d", "2", "--field", str(field), "--theta", "0.3"], tmp_path / "out")
+    assert rc == 2
+    assert capsys.readouterr().err == "error: config: line 3: value cell 'abc' is not a number\n"

@@ -355,3 +355,21 @@ def test_analyze_names_the_first_failing_gram_pair(op, lambda_max, res):
     with pytest.raises(AccuracyError) as err:
         analyze(g, modes, op)
     assert want in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "op, lam",
+    [(TorusLaplacian(Torus(2)), 30.0), (TorusStokes(Torus(3)), 6.0), (DirichletLaplacian(Interval(1.0)), 400.0)],
+)
+def test_coefficient_view_keys_are_plain_mode_indices(op, lam):
+    # the view's keys are set from the packed rows directly, without the
+    # per-key normalization of ModeIndex; they must be the same keys
+    f = random_field(op, lam, np.random.default_rng(5))
+    keys = list(f.coefficients)
+    assert len(keys) == f.k.shape[0] > 0
+    for idx, k, p in zip(keys, f.k.tolist(), f.pol.tolist()):
+        want = ModeIndex(tuple(int(v) for v in k), int(p))
+        assert type(idx) is ModeIndex and type(idx.polarization) is int
+        assert all(type(v) is int for v in idx.k) and type(idx.k) is tuple
+        assert idx == want and hash(idx) == hash(want)
+        assert f.coefficients[want] is f.coefficients[idx]

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, simpson
 from scipy.optimize import minimize_scalar
 
 from eigenapprox import (
@@ -17,6 +17,7 @@ from eigenapprox import (
     SpectralField,
     Torus,
     TorusLaplacian,
+    TorusStokes,
     fractional_norm,
     h00_weighted_norm,
     i_theta,
@@ -26,6 +27,9 @@ from eigenapprox import (
     random_field,
     reiteration_check,
 )
+
+
+EPS = np.finfo(float).eps
 
 
 def _i_theta_reference(theta: float) -> float:
@@ -220,3 +224,35 @@ def test_row_blocked_norm_is_bitwise_the_one_shot_product(monkeypatch, theta):
         monkeypatch.setattr(interpolation, "_KSQ_BLOCK_BYTES", rows * 8 * lams.size)
         assert interpolation._interp_norm_sq(lams, amps, q) == whole
         assert interpolation_norm(f, q) == norm
+
+
+def _per_mode_norm(lams, amps, q):
+    """sqrt of int t^{-2 theta} K(f, t)^2 dt/t from the (t x mode) product, one
+    column per mode, plus the three-term tail series of every mode."""
+    theta, a, b = q.theta, 2.0 - 2.0 * q.theta, 2.0 * q.theta
+    tau = np.linspace(math.log(q.t_min), math.log(q.t_max), q.num_points)
+    s2 = np.square(np.exp(tau)[:, None] * lams[None, :])
+    window = simpson(np.exp(-2.0 * theta * tau) * ((s2 / (1.0 + s2)) @ amps), x=tau)
+    s0, s1 = q.t_min * lams, q.t_max * lams
+    low = s0**a / a - s0 ** (a + 2.0) / (a + 2.0) + s0 ** (a + 4.0) / (a + 4.0)
+    high = s1**-b / b - s1 ** (-b - 2.0) / (b + 2.0) + s1 ** (-b - 4.0) / (b + 4.0)
+    return math.sqrt(window + float(np.sum(amps * lams**b * (low + high))))
+
+
+@pytest.mark.parametrize(
+    "op, lambda_max",
+    [(TorusStokes(Torus(3)), 40.0), (DirichletLaplacian(Box((1.0, 2.0))), 2000.0)],
+    ids=["stokes3-many-modes-per-eigenvalue", "box-distinct-eigenvalues"],
+)
+@pytest.mark.parametrize("theta", [0.02, 0.5, 0.98])
+def test_norm_per_eigenvalue_matches_the_per_mode_product(op, lambda_max, theta):
+    # the K-functional is summed once per distinct eigenvalue; the per-mode
+    # product bounds it to 8 eps, in interpolation_norm and both reiterations
+    f = random_field(op, lambda_max, np.random.default_rng(31))
+    lams, amps = f.eigen_arrays(positive_only=True)
+    q = InterpolationQuery.auto(f, theta)
+    got = interpolation_norm(f, q)
+    assert abs(got - _per_mode_norm(lams, amps, q)) <= 8 * EPS * got
+    q_half = InterpolationQuery.auto(np.sqrt(lams), theta)
+    for rep, shifted in zip(reiteration_check(f, theta), (amps, amps * lams)):
+        assert abs(rep.value - _per_mode_norm(np.sqrt(lams), shifted, q_half)) <= 8 * EPS * rep.value

@@ -696,6 +696,57 @@ def test_spectral_csv_matches_per_row_codec(data):
         assert _agrees(got, f.operator, _csv_reader_oracle(shuffled, f.operator))
 
 
+_TINY, _NORMAL, _HUGE = 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308
+_EXTREMES = [0.0, -0.0, _TINY, -_TINY, _NORMAL, -_NORMAL, _HUGE, -_HUGE]
+
+
+def _scalar_extremes(op, ks):
+    parts = itertools.cycle(_EXTREMES + [0.5])  # odd length: each value lands in both columns
+    return SpectralField(op, {k: complex(next(parts), next(parts)) for k in ks})
+
+
+def _stokes_extremes():
+    """Amplitudes along the basis (the Cartesian components at k = 0), one
+    huge part per vector at most: the orthogonality check of SpectralField
+    takes |k| |v|, which overflows beyond that."""
+    amps = {
+        (0, 0, 0): [complex(_HUGE, -0.0), complex(0.0, -_TINY), complex(_NORMAL, -_NORMAL)],
+        (1, 0, 0): [complex(-_HUGE, _TINY), complex(-0.0, 0.0)],
+        (0, -1, 0): [complex(-_NORMAL, _HUGE), complex(_TINY, -0.0)],
+        (0, 0, 1): [complex(0.0, -_HUGE), complex(-_TINY, _NORMAL)],
+        (0, 2, 0): [complex(-0.0, _TINY), complex(-_TINY, -_NORMAL)],
+        (0, 0, -3): [complex(_NORMAL, 0.0), complex(-_NORMAL, -0.0)],
+    }
+    coeffs = {(0, 0, 0): np.array(amps.pop((0, 0, 0)))}
+    for k, a in amps.items():  # in real arithmetic: a complex product of two huge parts overflows
+        basis = polarization_basis(k)
+        coeffs[k] = np.array([x.real for x in a]) @ basis + 1j * (np.array([x.imag for x in a]) @ basis)
+    return SpectralField(TorusStokes(Torus(3)), coeffs)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        _scalar_extremes(DirichletLaplacian(Interval(2.0)), [(n,) for n in range(1, 17)]),
+        _scalar_extremes(TorusLaplacian(Torus(2)), [(a, b) for a in range(-2, 3) for b in range(-2, 2)]),
+        _stokes_extremes(),
+    ],
+    ids=["interval", "torus2", "stokes3"],
+)
+def test_spectral_csv_keeps_extreme_doubles(tmp_path, f):
+    path = tmp_path / "f.csv"
+    spectral_field_to_csv(f, path)
+    text = path.read_text()
+    assert text == _csv_oracle(f)
+    cells = {cell for line in text.splitlines()[1:] for cell in line.split(",")[-2:]}
+    assert {format_number(x) for x in _EXTREMES} <= cells
+    back = spectral_field_from_csv(path, f.operator)
+    assert _same(back.coefficients, SpectralField(f.operator, _csv_reader_oracle(text, f.operator)).coefficients)
+    # the reader sums each row onto a zero, which turns -0.0 into 0.0 and
+    # keeps every other double's bits; on the axes the Stokes basis is exact
+    assert _same(back.coefficients, {idx: v + 0.0 for idx, v in f.items_sorted()})
+
+
 @SETTINGS
 @given(dim=st.integers(2, 3), beta=st.sampled_from([0.0, 1.0]), seed=st.integers(0, 1000), kmax=st.integers(1, 2))
 def test_state_conversion_matches_per_mode_loops(dim, beta, seed, kmax):

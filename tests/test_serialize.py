@@ -179,3 +179,61 @@ def test_positive_polarization_needs_a_divergence_free_field(tmp_path, op):
     p.write_text(f"{header}\n{','.join(['1'] * d)},1,1.0,0.0\n")
     with pytest.raises(ConfigError, match="line 2: polarization 1 is reserved for divergence-free fields"):
         spectral_field_from_csv(p, op)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("1.5,0,0,1.0,0.0", r"line 3: index cell '1\.5' is not an integer"),
+        ("1,0,1.5,1.0,0.0", r"line 3: polarization cell '1\.5' is not an integer"),
+        ("1,0,0,abc,0.0", r"line 3: value cell 'abc' is not a number"),
+        ("1,0,0,1.0,0x1p3", r"line 3: value cell '0x1p3' is not a number"),
+        ("1,99999999999999999999,0,1.0,0.0", r"line 3: index cell '99999999999999999999' lies outside the int64 range"),
+        ("1,0,-9223372036854775809,1.0,0.0", r"line 3: polarization cell '-9223372036854775809' lies outside"),
+        # Python's int() takes digit separators; the one-pass parse does not
+        ("1_0,0,0,1.0,0.0", r"line 3: index cell '1_0' is not an integer"),
+    ],
+)
+def test_unparsable_spectral_cell_names_its_line(tmp_path, row, message):
+    p = tmp_path / "bad.csv"
+    p.write_text(f"k1,k2,polarization,re,im\n2,0,0,1.0,0.0\n{row}\n0,1,0,1.0,0.0\n")
+    with pytest.raises(ConfigError, match=message):
+        spectral_field_from_csv(p, TorusLaplacian(Torus(2)))
+
+
+def test_spectral_cell_count_is_checked_before_the_cells(tmp_path):
+    # a short row later in the file is named before a bad cell earlier on
+    p = tmp_path / "bad.csv"
+    p.write_text("k1,k2,polarization,re,im\n1,0,0,abc,0.0\n0,1,0,1.0\n")
+    with pytest.raises(ConfigError, match="line 3 has 4 cells, expected 5"):
+        spectral_field_from_csv(p, TorusLaplacian(Torus(2)))
+
+
+@pytest.mark.parametrize("body", ["1,0,0,1.0,0.0\n\n0,1,0,1.0,0.0\n", "\n", "1,0,0,1.0,0.0\n\n"])
+def test_blank_spectral_line_is_a_row_of_no_cells(tmp_path, body):
+    p = tmp_path / "bad.csv"
+    p.write_text("k1,k2,polarization,re,im\n" + body)
+    line = 2 + body.split("\n").index("")
+    with pytest.raises(ConfigError, match=f"line {line} has 0 cells, expected 5"):
+        spectral_field_from_csv(p, TorusLaplacian(Torus(2)))
+
+
+@pytest.mark.parametrize("text", ["k1,k2,polarization,re,im\n", "k1,k2,polarization,re,im"])
+def test_header_only_spectral_csv_is_the_empty_field(tmp_path, text):
+    p = tmp_path / "f.csv"
+    p.write_text(text)
+    assert spectral_field_from_csv(p, TorusLaplacian(Torus(2))).k.shape == (0, 2)
+
+
+def test_empty_spectral_csv_is_rejected(tmp_path):
+    p = tmp_path / "f.csv"
+    p.write_text("")
+    with pytest.raises(ConfigError, match="expected 5 columns for a dimension-2 field, got 0"):
+        spectral_field_from_csv(p, TorusLaplacian(Torus(2)))
+
+
+def test_quoted_spectral_cells_parse(tmp_path):
+    p = tmp_path / "f.csv"
+    p.write_text('k1,k2,polarization,re,im\n"1",0,0," 2.5","-0.0"\n')
+    f = spectral_field_from_csv(p, TorusLaplacian(Torus(2)))
+    assert f.coefficients == {ModeIndex((1, 0)): 2.5 + 0j}

@@ -30,6 +30,7 @@ JOBS = (
     ("approx-interval", ["approx", "--emit-field", "--op", "dirichlet-interval", "--transform", "pi-theta"]),
     ("interp-torus3", ["interp", "--op", "torus", "--d", "3", "--lambda-max", "100", "--n-modes", "400",
                        "--reiteration", "--plot"]),
+    ("interp-stokes3", ["interp", "--op", "torus-stokes", "--d", "3", "--lambda-max", "40"]),
     ("interp-box", ["interp", "--op", "dirichlet-box", "--check-itheta"]),
     ("h00", ["h00", "--profile", "bump", "--levels", "6"]),
     ("truncate", ["truncate", "--n-list", "4,16", "--plot"]),
