@@ -134,6 +134,20 @@ class ModeIndex:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "polarization", int(self.polarization))
 
+    @classmethod
+    def _from_rows(cls, k: np.ndarray, pol: np.ndarray) -> list:
+        """ModeIndex(k[i], pol[i]) for every row of an (M, d) int64 array, set
+        without running __post_init__: the tuples of plain ints that tolist
+        gives are what it would make of them."""
+        new, put = object.__new__, object.__setattr__
+        out = []
+        for kk, p in zip(map(tuple, k.tolist()), pol.tolist()):
+            idx = new(cls)
+            put(idx, "k", kk)
+            put(idx, "polarization", p)
+            out.append(idx)
+        return out
+
     @property
     def dim(self) -> int:
         return len(self.k)

@@ -44,19 +44,6 @@ def _as_mode_index(key, dim: int) -> ModeIndex:
     return idx
 
 
-def _mode_keys(k: np.ndarray, pol: np.ndarray) -> list:
-    """ModeIndex(k, p) for every row, set directly: the tuples of plain ints
-    that tolist gives are what ModeIndex.__post_init__ would make of them."""
-    new, put = object.__new__, object.__setattr__
-    keys = []
-    for kk, p in zip(map(tuple, k.tolist()), pol.tolist()):
-        idx = new(ModeIndex)
-        put(idx, "k", kk)
-        put(idx, "polarization", p)
-        keys.append(idx)
-    return keys
-
-
 def _tangential(k: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The part of every row of v orthogonal to its k, as the sum of its
     components along the polarization basis of k; v itself where k = 0.
@@ -321,7 +308,7 @@ class SpectralField:
     def coefficients(self):
         """Read-only {ModeIndex: value} view of the modes, in input order."""
         if self._view is None:
-            keys = _mode_keys(self.k, self.pol)
+            keys = ModeIndex._from_rows(self.k, self.pol)
             vals = list(self.values) if self.values.ndim == 2 else self.values.tolist()
             object.__setattr__(self, "_view", MappingProxyType(dict(zip(keys, vals))))
         return self._view

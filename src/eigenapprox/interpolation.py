@@ -136,7 +136,7 @@ def _interp_norm_sq(lams: np.ndarray, amps: np.ndarray, q: InterpolationQuery):
     # K^2 sees a mode only through its eigenvalue: one column per distinct
     # lambda, carrying the summed amplitude of its modes
     lams, inv = np.unique(lams, return_inverse=True)
-    amps = np.bincount(inv, weights=amps, minlength=lams.size)
+    amps = np.bincount(inv, weights=amps)
     s0 = q.t_min * lams
     s1 = q.t_max * lams
     if float(s0.max()) > 0.5:

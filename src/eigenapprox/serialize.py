@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import re
+import warnings
 
 import numpy as np
 
@@ -107,9 +108,13 @@ def spectral_field_from_csv(path, operator: OperatorSpec) -> SpectralField:
         raise _malformed(body, d, None)
     table = np.zeros(0, dtype=row)
     if body:
+        # numpy releases that read an integer cell such as '1.5' through a
+        # float only warn (DeprecationWarning); make that the parse failure
         try:
-            table = np.loadtxt(io.StringIO(body), dtype=row, delimiter=",", comments=None, quotechar='"', ndmin=1)
-        except ValueError as e:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                table = np.loadtxt(io.StringIO(body), dtype=row, delimiter=",", comments=None, quotechar='"', ndmin=1)
+        except (ValueError, DeprecationWarning) as e:
             raise _malformed(body, d, e) from None
     k, pol, vals = table["k"], table["pol"], table["val"].view(complex)[:, 0]
 

@@ -246,3 +246,13 @@ def test_malformed_field_csv_is_exit_2(tmp_path, capsys):
     rc = _run(["approx", "--op", "torus", "--d", "2", "--field", str(field), "--theta", "0.3"], tmp_path / "out")
     assert rc == 2
     assert capsys.readouterr().err == "error: config: line 3: value cell 'abc' is not a number\n"
+
+
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+def test_non_integer_index_cell_is_exit_2(tmp_path, capsys):
+    # with DeprecationWarning hidden, as outside the test suite
+    field = tmp_path / "bad.csv"
+    field.write_text("k1,k2,polarization,re,im\n1,0,0,1.0,0.0\n1.5,1,0,1.0,0.0\n")
+    rc = _run(["approx", "--op", "torus", "--d", "2", "--field", str(field), "--theta", "0.3"], tmp_path / "out")
+    assert rc == 2
+    assert capsys.readouterr().err == "error: config: line 3: index cell '1.5' is not an integer\n"

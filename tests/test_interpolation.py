@@ -226,6 +226,27 @@ def test_row_blocked_norm_is_bitwise_the_one_shot_product(monkeypatch, theta):
         assert interpolation_norm(f, q) == norm
 
 
+@pytest.mark.parametrize("theta", [0.02, 0.5, 0.98])
+def test_blocks_sized_by_distinct_eigenvalues_are_bitwise_the_one_shot_product(monkeypatch, theta):
+    # the matrix has one column per distinct eigenvalue, so budgets sized by
+    # that count split the t-grid of 2500 points into blocks of about 64, 200
+    # and 1000 rows
+    from eigenapprox import interpolation
+
+    f = random_field(TorusLaplacian(Torus(3)), 60.0, np.random.default_rng(21))
+    auto = InterpolationQuery.auto(f, theta)
+    q = InterpolationQuery(theta, auto.t_min, auto.t_max, 2500)
+    lams, amps = f.eigen_arrays(positive_only=True)
+    distinct = np.unique(lams).size
+    monkeypatch.setattr(interpolation, "_KSQ_BLOCK_BYTES", 1 << 40)
+    whole = interpolation._interp_norm_sq(lams, amps, q)
+    norm = interpolation_norm(f, q)
+    for rows in (64, 200, 1000):
+        monkeypatch.setattr(interpolation, "_KSQ_BLOCK_BYTES", rows * 8 * distinct)
+        assert interpolation._interp_norm_sq(lams, amps, q) == whole
+        assert interpolation_norm(f, q) == norm
+
+
 def _per_mode_norm(lams, amps, q):
     """sqrt of int t^{-2 theta} K(f, t)^2 dt/t from the (t x mode) product, one
     column per mode, plus the three-term tail series of every mode."""

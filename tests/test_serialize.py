@@ -201,6 +201,26 @@ def test_unparsable_spectral_cell_names_its_line(tmp_path, row, message):
         spectral_field_from_csv(p, TorusLaplacian(Torus(2)))
 
 
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        ("1.5", r"index cell '1\.5' is not an integer"),
+        ("1.0", r"index cell '1\.0' is not an integer"),
+        ("1e3", r"index cell '1e3' is not an integer"),
+        ("nan", r"index cell 'nan' is not an integer"),
+        ("99999999999999999999", r"index cell '99999999999999999999' lies outside the int64 range"),
+    ],
+)
+def test_index_cells_read_through_a_float_are_named_with_deprecations_hidden(tmp_path, cell, message):
+    # Python's default filters hide DeprecationWarning outside __main__; the
+    # reader must reject these cells there too, not read them through a float
+    p = tmp_path / "bad.csv"
+    p.write_text(f"k1,k2,polarization,re,im\n2,0,0,1.0,0.0\n{cell},0,0,1.0,0.0\n")
+    with pytest.raises(ConfigError, match="line 3: " + message):
+        spectral_field_from_csv(p, TorusLaplacian(Torus(2)))
+
+
 def test_spectral_cell_count_is_checked_before_the_cells(tmp_path):
     # a short row later in the file is named before a bad cell earlier on
     p = tmp_path / "bad.csv"
