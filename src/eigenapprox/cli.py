@@ -25,9 +25,9 @@ import sys
 import numpy as np
 
 from . import approx, cbf, interpolation, normlab, reports, serialize
-from .domains import Box, DirichletLaplacian, Interval, ModeIndex, Torus, TorusLaplacian, TorusStokes
+from .domains import Box, DirichletLaplacian, Interval, ModeIndex, Torus, TorusLaplacian, TorusStokes, _mode_table
 from .errors import AccuracyError, ConfigError, ResourceLimitError, ToolkitError
-from .fields import SpectralField, enumerate_modes_cached, random_field
+from .fields import SpectralField, random_field
 
 OUT_DIR_ENV = "EIGENAPPROX_OUT"
 
@@ -70,10 +70,8 @@ def _load_or_sample_field(cfg: dict, op):
 
 def _run_modes(cfg: dict, out_dir: str) -> list:
     op = _make_operator(cfg)
-    pairs = enumerate_modes_cached(op, cfg["lambda_max"])
-    rows = []
-    for p in pairs:
-        rows.append([" ".join(str(k) for k in p.index.k), p.index.polarization, p.eigenvalue])
+    k, pol, lam = _mode_table(op, cfg["lambda_max"])
+    rows = zip([" ".join(map(str, ks)) for ks in k.tolist()], pol.tolist(), lam.tolist())
     reports.write_table_csv(os.path.join(out_dir, "modes.csv"), ("k", "polarization", "eigenvalue"), rows)
     return ["modes.csv"]
 

@@ -11,7 +11,6 @@ which is what the rest of the toolkit leans on.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -137,11 +136,11 @@ class ModeIndex:
     @classmethod
     def _from_rows(cls, k: np.ndarray, pol: np.ndarray) -> list:
         """ModeIndex(k[i], pol[i]) for every row of an (M, d) int64 array, set
-        without running __post_init__: the tuples of plain ints that tolist
-        gives are what it would make of them."""
+        without running __post_init__: the tuples of plain ints that zipping
+        the columns gives are what it would make of them."""
         new, put = object.__new__, object.__setattr__
         out = []
-        for kk, p in zip(map(tuple, k.tolist()), pol.tolist()):
+        for kk, p in zip(zip(*k.T.tolist()), pol.tolist()):
             idx = new(cls)
             put(idx, "k", kk)
             put(idx, "polarization", p)
@@ -198,10 +197,6 @@ class DirichletLaplacian:
     def dim(self) -> int:
         return self.domain.dim
 
-    @property
-    def vector_valued(self) -> bool:
-        return False
-
     def eigenvalue(self, k) -> float:
         ks = k.k if isinstance(k, ModeIndex) else k
         return float(sum((ki * math.pi / L) ** 2 for ki, L in zip(ks, self.domain.lengths)))
@@ -230,10 +225,6 @@ class TorusLaplacian:
     @property
     def dim(self) -> int:
         return self.domain.dim
-
-    @property
-    def vector_valued(self) -> bool:
-        return False
 
     def eigenvalue(self, k) -> float:
         ks = k.k if isinstance(k, ModeIndex) else k
@@ -266,10 +257,6 @@ class TorusStokes:
     @property
     def dim(self) -> int:
         return self.domain.dim
-
-    @property
-    def vector_valued(self) -> bool:
-        return True
 
     def eigenvalue(self, k) -> float:
         ks = k.k if isinstance(k, ModeIndex) else k
@@ -396,6 +383,54 @@ def _check_cap(count: int, cap: int):
         raise ResourceLimitError(f"mode enumeration would produce {count} modes, over the cap of {cap}")
 
 
+def _eigenvalues(operator: OperatorSpec, k: np.ndarray) -> np.ndarray:
+    """operator.eigenvalue of every row of k, bit for bit: each axis term is
+    the scalar formula evaluated per distinct index, and the terms are summed
+    from the left as the scalar sum does."""
+    if isinstance(operator, DirichletLaplacian):
+        lam = np.zeros(k.shape[0])
+        for a, L in enumerate(operator.domain.lengths):
+            uniq, place = np.unique(k[:, a], return_inverse=True)
+            lam += np.array([(ki * math.pi / L) ** 2 for ki in uniq.tolist()])[place.reshape(-1)]
+        return lam
+    return np.sum(k * k, axis=1).astype(float)  # integer sums are exact
+
+
+def _mode_table(operator: OperatorSpec, lambda_max: float, cap: int = DEFAULT_MODE_CAP) -> tuple:
+    """The eigenpairs of `enumerate_modes` as arrays in its order: k (M, d)
+    int64, pol (M,) int64 and lam (M,) float, lam[i] bit for bit
+    operator.eigenvalue(k[i]); the candidate box meets `cap` before it exists."""
+    if not (math.isfinite(lambda_max) and lambda_max > 0):
+        raise ConfigError(f"lambda_max must be positive and finite, got {lambda_max!r}")
+    stokes = isinstance(operator, TorusStokes)
+    if isinstance(operator, DirichletLaplacian):
+        # one past the floor: L sqrt(lambda)/pi can round to just below an
+        # index whose eigenvalue is exactly lambda_max; the mask decides
+        shape = tuple(int(math.floor(L * math.sqrt(lambda_max) / math.pi)) + 1 for L in operator.domain.lengths)
+        if operator.lambda_min() > lambda_max:  # no mode: allocate no box, however long one axis
+            shape = (0,) * operator.dim
+        low = 1
+    elif isinstance(operator, (TorusLaplacian, TorusStokes)):
+        bound = int(math.floor(math.sqrt(lambda_max)))
+        shape = (2 * bound + 1,) * operator.dim
+        low = -bound
+    else:
+        raise ConfigError(f"unknown operator {operator!r}")
+    npol = operator.dim - 1 if stokes else 1
+    _check_cap(math.prod(shape) * npol, cap)
+
+    k = np.indices(shape, dtype=np.int64).reshape(len(shape), -1).T + low
+    lam = _eigenvalues(operator, k)
+    keep = lam <= lambda_max
+    if stokes:
+        keep &= np.any(k, axis=1)  # the spectrum excludes k = 0
+    k, lam = np.repeat(k[keep], npol, axis=0), np.repeat(lam[keep], npol)
+    pol = np.tile(np.arange(1, npol + 1), lam.size // npol) if stokes else np.zeros(lam.size, dtype=np.int64)
+    _check_cap(lam.size, cap)
+    order = np.lexsort((pol, *k.T[::-1], lam))
+    return k[order], pol[order], lam[order]
+
+
 def enumerate_modes(operator: OperatorSpec, lambda_max: float, cap: int = DEFAULT_MODE_CAP) -> list:
     """All eigenpairs with eigenvalue <= lambda_max, sorted by (eigenvalue, index).
 
@@ -404,38 +439,5 @@ def enumerate_modes(operator: OperatorSpec, lambda_max: float, cap: int = DEFAUL
     For the torus operators the k=0 mode is included only for TorusLaplacian
     (the Stokes operator lives on the zero-mean subspace).
     """
-    if not (math.isfinite(lambda_max) and lambda_max > 0):
-        raise ConfigError(f"lambda_max must be positive and finite, got {lambda_max!r}")
-
-    indices = []
-    if isinstance(operator, DirichletLaplacian):
-        lengths = operator.domain.lengths
-        kmaxes = [int(math.floor(L * math.sqrt(lambda_max) / math.pi)) for L in lengths]
-        if any(km < 1 for km in kmaxes):
-            return []
-        _check_cap(int(np.prod([km for km in kmaxes])), cap)
-        for ks in itertools.product(*[range(1, km + 1) for km in kmaxes]):
-            if operator.eigenvalue(ks) <= lambda_max:
-                indices.append(ModeIndex(ks))
-    elif isinstance(operator, (TorusLaplacian, TorusStokes)):
-        d = operator.dim
-        bound = int(math.floor(math.sqrt(lambda_max)))
-        npol = (d - 1) if isinstance(operator, TorusStokes) else 1
-        _check_cap((2 * bound + 1) ** d * npol, cap)
-        for ks in itertools.product(range(-bound, bound + 1), repeat=d):
-            if sum(ki * ki for ki in ks) > lambda_max:
-                continue
-            if isinstance(operator, TorusStokes):
-                if all(ki == 0 for ki in ks):
-                    continue
-                for m in range(1, d):
-                    indices.append(ModeIndex(ks, m))
-            else:
-                indices.append(ModeIndex(ks))
-    else:
-        raise ConfigError(f"unknown operator {operator!r}")
-
-    _check_cap(len(indices), cap)
-    pairs = [EigenPair(idx, operator.eigenvalue(idx)) for idx in indices]
-    pairs.sort(key=lambda p: (p.eigenvalue, p.index.sort_key()))
-    return pairs
+    k, pol, lam = _mode_table(operator, lambda_max, cap)
+    return [EigenPair(idx, ev) for idx, ev in zip(ModeIndex._from_rows(k, pol), lam.tolist())]

@@ -28,10 +28,13 @@ from .domains import (
     _as_points,
     _axis_factors,
     _dot_rows,
+    _eigenvalues,
     _mode_product,
+    _mode_table,
     _polarization_rows,
     _representative_rows,
     _torus_scale,
+    enumerate_modes,
     mode_evaluator,
 )
 from .errors import AliasingError, AccuracyError, ConfigError
@@ -216,15 +219,18 @@ def _validate(operator: OperatorSpec, k: np.ndarray, pol: np.ndarray, values: np
         _check_mode(operator, ModeIndex(k[i].tolist(), int(pol[i])), values[i])
     if isinstance(operator, TorusStokes) and len(k):
         kf = k.astype(float)
-        resid = np.abs(np.sum(kf * values, axis=1))
-        # hypot, not a sum of squares: |v| must neither underflow nor overflow
-        bound = np.sqrt(np.sum(kf * kf, axis=1)) * np.maximum(np.hypot.reduce(np.abs(values), axis=1), 1e-300)
+        # each row and the floor times the exact power of two 2^-e that puts the
+        # row's largest part in [1/2, 1): neither k . v nor |v| can overflow
+        _, e = np.frexp(np.max(np.maximum(np.abs(values.real), np.abs(values.imag)), axis=1))
+        v = np.ldexp(values.real, -e[:, None]) + 1j * np.ldexp(values.imag, -e[:, None])
+        resid = np.abs(np.sum(kf * v, axis=1))
+        bound = np.sqrt(np.sum(kf * kf, axis=1)) * np.maximum(np.hypot.reduce(np.abs(v), axis=1), np.ldexp(1e-300, -e))
         off = np.flatnonzero(resid > 1e-9 * bound)
         if off.size:
             i = off[0]
-            raise ConfigError(
-                f"Stokes amplitude at k={tuple(k[i].tolist())} is not orthogonal to k (residual {resid[i]:.3e})"
-            )
+            with np.errstate(over="ignore"):  # a residual beyond the largest double reads inf
+                r = np.ldexp(resid[i], e[i])
+            raise ConfigError(f"Stokes amplitude at k={tuple(k[i].tolist())} is not orthogonal to k (residual {r:.3e})")
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -251,19 +257,6 @@ def _mirror_rows(k: np.ndarray, pol: np.ndarray) -> np.ndarray:
     order = np.argsort(own, kind="stable")
     hit = order[np.minimum(np.searchsorted(own[order], mir), m - 1)]
     return np.where(own[hit] == mir, hit, -1)
-
-
-def _eigenvalues(operator: OperatorSpec, k: np.ndarray) -> np.ndarray:
-    """operator.eigenvalue of every row of k, bit for bit: each axis term is
-    the scalar formula evaluated per distinct index, and the terms are summed
-    from the left as the scalar sum does."""
-    if isinstance(operator, DirichletLaplacian):
-        lam = np.zeros(k.shape[0])
-        for a, L in enumerate(operator.domain.lengths):
-            uniq, place = np.unique(k[:, a], return_inverse=True)
-            lam += np.array([(ki * math.pi / L) ** 2 for ki in uniq.tolist()])[place.reshape(-1)]
-        return lam
-    return np.sum(k * k, axis=1).astype(float)  # integer sums are exact
 
 
 class SpectralField:
@@ -325,9 +318,6 @@ class SpectralField:
 
     def items_sorted(self):
         return sorted(self.coefficients.items(), key=lambda kv: kv[0].sort_key())
-
-    def eigenvalue(self, idx: ModeIndex) -> float:
-        return self.operator.eigenvalue(idx)
 
     def _eigenvalue_array(self) -> np.ndarray:
         if self._lams is None:
@@ -714,8 +704,6 @@ def leray_project(f: SpectralField) -> SpectralField:
 def enumerate_modes_cached(operator: OperatorSpec, lambda_max: float):
     """enumerate_modes, memoized per (operator, lambda_max); the returned list
     is shared, so callers must not mutate it."""
-    from .domains import enumerate_modes
-
     return enumerate_modes(operator, lambda_max)
 
 
@@ -737,19 +725,19 @@ def random_field(
     d = operator.dim
     torus = isinstance(operator, (TorusLaplacian, TorusStokes))
     stokes = isinstance(operator, TorusStokes)
-    pairs = enumerate_modes_cached(operator, lambda_max)
-    rows = np.array([(*p.index.k, p.index.polarization) for p in pairs], dtype=np.int64).reshape(-1, d + 1)
-    k, pol = rows[:, :d], rows[:, d]
+    k, pol, lam = _mode_table(operator, lambda_max)
+    if n_modes is not None and n_modes < 0:
+        raise ConfigError(f"n_modes must be >= 0, got {n_modes}")
     if torus:
         keep = np.any(k != 0, axis=1)
         if real:
             keep &= _representative_rows(k)
-        k, pol = k[keep], pol[keep]
+        k, pol, lam = k[keep], pol[keep], lam[keep]
     if n_modes is not None and n_modes < k.shape[0]:
         sel = np.sort(rng.choice(k.shape[0], size=n_modes, replace=False))
-        k, pol = k[sel], pol[sel]
+        k, pol, lam = k[sel], pol[sel], lam[sel]
 
-    damp = (1.0 + _eigenvalues(operator, k)) ** -decay
+    damp = (1.0 + lam) ** -decay
     # one (re, im) pair of draws per mode, in mode order
     out = _Packed(k, pol, damp * rng.standard_normal(2 * k.shape[0]).view(complex))
     if stokes:

@@ -27,11 +27,13 @@ from .approx import (
 )
 from .domains import (
     DirichletLaplacian,
+    ModeIndex,
     OperatorSpec,
     Torus,
     TorusLaplacian,
     TorusStokes,
     _mode_product,
+    _mode_table,
     _representative_rows,
 )
 from .errors import AccuracyError, ConfigError
@@ -40,6 +42,7 @@ from .fields import (
     SpectralField,
     _mirror_rows,
     _Packed,
+    analyze,
     divergence_residual,
     lp_norm,
     quadrature_weights,
@@ -118,22 +121,24 @@ def sample_fields(config: ExperimentConfig) -> list:
     elif config.family == "boundary-bump":
         if not isinstance(op, DirichletLaplacian):
             raise ConfigError("the boundary-bump family lives on Dirichlet domains")
-        from .domains import enumerate_modes
-        from .fields import analyze
-
-        pairs = enumerate_modes(op, config.lambda_max)
-        kmax = max(max(p.index.k) for p in pairs)
+        k, pol, _ = _mode_table(op, config.lambda_max)
+        if not k.size:
+            raise ConfigError(f"the boundary-bump family has no eigenvalue <= lambda_max {config.lambda_max!r}")
+        kmax = int(k.max())
+        modes = ModeIndex._from_rows(k, pol)
         axes = uniform_axes(op.domain, 4 * kmax)
         for _ in range(config.n_samples):
             centers = [L * (0.12 + 0.1 * rng.random()) for L in op.domain.lengths]
             widths = [L * (0.05 + 0.05 * rng.random()) for L in op.domain.lengths]
             bumps = [np.exp(-((x - c) ** 2) / wdt**2) for x, c, wdt in zip(axes, centers, widths)]
             g = GridField(op.domain, axes, functools.reduce(np.multiply.outer, bumps))
-            fields.append(analyze(g, pairs, op, check=False))
+            fields.append(analyze(g, modes, op, check=False))
     else:  # near-extremal
         if not (isinstance(op, TorusLaplacian) and op.dim == 2):
             raise ConfigError("the near-extremal family lives on the 2-torus")
         kmax = int(math.floor(math.sqrt(config.lambda_max)))
+        if kmax < 1:
+            raise ConfigError(f"the near-extremal family has no eigenvalue <= lambda_max {config.lambda_max!r}")
         for _ in range(config.n_samples):
             fields.append(SpectralField(op, _near_extremal_coeffs(kmax, rng)))
     if all(f.l2() == 0.0 for f in fields):

@@ -122,6 +122,11 @@ def test_blow_up_is_exit_3(tmp_path, capsys):
     assert "\n" not in err.rstrip("\n")
 
 
+def test_negative_mode_count_is_exit_2(tmp_path, capsys):
+    assert _run(["approx", "--op", "torus", "--d", "2", "--n-modes", "-1"], tmp_path) == 2
+    assert capsys.readouterr().err == "error: config: n_modes must be >= 0, got -1\n"
+
+
 def test_missing_subcommand_is_exit_2(capsys):
     assert run([]) == 2
     assert capsys.readouterr().err.startswith("error: config:")

@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eigenapprox import (
     Box,
     ConfigError,
     DirichletLaplacian,
+    EigenPair,
     Interval,
     ModeIndex,
     ResourceLimitError,
@@ -116,6 +119,12 @@ def test_enumerate_mode_cap():
         enumerate_modes(op, 1e9)
 
 
+def test_enumerate_empty_dirichlet_spectrum_on_a_long_box():
+    # one axis alone would span millions of indices, but lambda_min > lambda_max
+    assert enumerate_modes(DirichletLaplacian(Box((1e7, 1.0))), 5.0) == []
+    assert enumerate_modes(DirichletLaplacian(Box((1e7, 1e-7))), 10.0) == []
+
+
 def test_stokes_polarization_count_and_orthogonality():
     op2 = TorusStokes(Torus(2))
     ms = enumerate_modes(op2, 1.0)
@@ -194,3 +203,58 @@ def test_stokes_pair_evaluator_is_divergence_free_pointwise():
         dux = (ev(np.array([x + [h, 0]]))[0, 0] - ev(np.array([x - [h, 0]]))[0, 0]) / (2 * h)
         duy = (ev(np.array([x + [0, h]]))[0, 1] - ev(np.array([x - [0, h]]))[0, 1]) / (2 * h)
         assert abs(dux + duy) < 1e-8
+
+
+# -- enumeration against the per-mode walk --------------------------------------
+
+
+def _walk_oracle(op, lambda_max):
+    """Every index of a box wider than the spectrum, run through
+    op.eigenvalue one mode at a time, kept where it is <= lambda_max and
+    sorted by (eigenvalue, k, polarization)."""
+    if isinstance(op, DirichletLaplacian):
+        axes = [range(1, int(L * math.sqrt(lambda_max) / math.pi) + 3) for L in op.domain.lengths]
+    else:
+        b = int(math.sqrt(lambda_max)) + 2
+        axes = [range(-b, b + 1)] * op.dim
+    pols = range(1, op.dim) if isinstance(op, TorusStokes) else (0,)
+    pairs = []
+    for ks in itertools.product(*axes):
+        lam = op.eigenvalue(ks)
+        if lam <= lambda_max and not (isinstance(op, TorusStokes) and not any(ks)):
+            pairs += [EigenPair(ModeIndex(ks, m), lam) for m in pols]
+    return sorted(pairs, key=lambda p: (p.eigenvalue, p.index.k, p.index.polarization))
+
+
+_LENGTHS = st.floats(0.1, 3.0)
+
+
+@st.composite
+def _operators(draw):
+    kind = draw(st.sampled_from(["interval", "box2", "box3", "torus", "stokes"]))
+    if kind == "interval":
+        return DirichletLaplacian(Interval(draw(_LENGTHS)))
+    if kind in ("box2", "box3"):
+        return DirichletLaplacian(Box(tuple(draw(_LENGTHS) for _ in range(int(kind[-1])))))
+    if kind == "torus":
+        return TorusLaplacian(Torus(draw(st.integers(1, 3))))
+    return TorusStokes(Torus(draw(st.integers(2, 3))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(op=_operators(), data=st.data())
+@example(op=DirichletLaplacian(Interval(0.2)), data=None)  # lambda_max = eigenvalue of k = 5
+def test_enumeration_is_the_per_mode_walk(op, data):
+    if data is None:
+        lambda_max = op.eigenvalue((5,))
+    elif data.draw(st.booleans(), label="on an eigenvalue"):
+        lo = 1 if isinstance(op, DirichletLaplacian) else -6
+        ks = data.draw(st.tuples(*[st.integers(lo, 6)] * op.dim).filter(any), label="k")
+        lambda_max = op.eigenvalue(ks)
+    else:
+        lambda_max = data.draw(st.floats(0.5, 60.0), label="lambda_max")
+    got = enumerate_modes(op, lambda_max)
+    want = _walk_oracle(op, lambda_max)
+    assert got == want
+    assert [p.eigenvalue.hex() for p in got] == [p.eigenvalue.hex() for p in want]
+    assert all(type(p.eigenvalue) is float for p in got)

@@ -272,6 +272,11 @@ def test_random_field_is_real_and_seeded():
     assert np.isrealobj(np.asarray(g.values))
 
 
+def test_random_field_rejects_a_negative_mode_count():
+    with pytest.raises(ConfigError, match="n_modes must be >= 0, got -1"):
+        random_field(TorusLaplacian(Torus(2)), 10.0, np.random.default_rng(0), n_modes=-1)
+
+
 def test_mode_cache_is_bounded():
     op = DirichletLaplacian(Interval(1.0))
     first = enumerate_modes_cached(op, 10.0)

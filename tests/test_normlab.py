@@ -86,6 +86,17 @@ def test_family_domain_requirements():
         sample_fields(_config(operator=TorusLaplacian(Torus(1)), family="near-extremal"))
 
 
+def test_boundary_bump_below_the_first_eigenvalue_names_lambda_max():
+    # the first Dirichlet eigenvalue on (0, 1) is pi^2
+    with pytest.raises(ConfigError, match="boundary-bump family has no eigenvalue <= lambda_max 9.0"):
+        sample_fields(_config(operator=DirichletLaplacian(Interval(1.0)), lambda_max=9.0, family="boundary-bump"))
+
+
+def test_near_extremal_below_one_names_lambda_max():
+    with pytest.raises(ConfigError, match="near-extremal family has no eigenvalue <= lambda_max 0.5"):
+        sample_fields(_config(lambda_max=0.5, family="near-extremal"))
+
+
 def test_named_transforms_mode_retention():
     op = TorusLaplacian(Torus(2))
     f = SpectralField(op, {(1, 0): 1.0 + 0j, (2, 2): 1.0 + 0j, (3, 0): 1.0 + 0j})

@@ -371,6 +371,17 @@ def test_orthogonality_check_scales_with_tiny_and_huge_amplitudes():
         SpectralField(TorusStokes(Torus(2)), {(1, 0): np.array([1e-200, 1e-200])})
 
 
+def test_orthogonality_check_does_not_overflow_near_the_largest_double():
+    # k . v and |k| |v| overflow unscaled; the tests run with warnings as errors
+    big = 1.7976931348623157e308
+    SpectralField(TorusStokes(Torus(3)), {(0, 2, 0): [big, 0, 0]})
+    SpectralField(TorusStokes(Torus(2)), {(3, 3): [big * (1 + 1j), -big * (1 + 1j)]})
+    with pytest.raises(ConfigError, match=r"not orthogonal to k \(residual inf\)"):
+        SpectralField(TorusStokes(Torus(2)), {(2, 0): [1.7e308, 1e300]})
+    with pytest.raises(ConfigError, match=r"not orthogonal to k \(residual 1\.000e\+308\)"):
+        SpectralField(TorusStokes(Torus(3)), {(1, 0, 0): [1e308, big, big]})
+
+
 # -- per-mode oracles of the field operations ----------------------------------
 #
 # Each is the per-mode loop the packed code replaced; the library must match it

@@ -24,6 +24,7 @@ from eigenapprox.cli import run
 JOBS = (
     ("modes-stokes3", ["modes", "--op", "torus-stokes", "--d", "3", "--lambda-max", "20"]),
     ("modes-box", ["modes", "--op", "dirichlet-box", "--lambda-max", "40"]),
+    ("modes-torus2", ["modes", "--op", "torus", "--d", "2", "--lambda-max", "50"]),
     ("approx-torus2", ["approx", "--emit-field", "--op", "torus", "--d", "2", "--plot"]),
     ("approx-stokes3", ["approx", "--emit-field", "--op", "torus-stokes", "--d", "3", "--transform", "semigroup"]),
     ("approx-box", ["approx", "--emit-field", "--op", "dirichlet-box"]),
