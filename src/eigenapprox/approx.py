@@ -10,37 +10,12 @@ diagonal operators carry it through untouched.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .domains import TorusLaplacian, TorusStokes
 from .errors import ConfigError
 from .fields import SpectralField, _Packed
-
-
-@dataclass(frozen=True)
-class SmoothingParams:
-    """Parameter bundle for the smoothing/truncation estimates.
-
-    theta: semigroup time / truncation parameter (> 0 where applied);
-    alpha, beta: fractional exponents; kappa: Phi argument; gamma: embedding
-    exponent (>= 0).
-    """
-
-    theta: float
-    alpha: float = 0.0
-    beta: float = 0.0
-    kappa: float = 0.0
-    gamma: float = 0.0
-
-    def __post_init__(self):
-        for name in ("theta", "alpha", "beta", "kappa", "gamma"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise ConfigError(f"{name} must be finite, got {v!r}")
-        if self.gamma < 0:
-            raise ConfigError(f"gamma must be nonnegative, got {self.gamma}")
 
 
 MULTIPLIERS = ("identity", "semigroup", "pi_theta", "fractional_power", "spherical", "cubic")

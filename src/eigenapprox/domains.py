@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -183,8 +184,22 @@ class EigenPair:
 # operators
 
 
+class _Operator:
+    """What the operators share: the dimension of their domain and the check
+    of one mode index."""
+
+    @property
+    def dim(self) -> int:
+        return self.domain.dim
+
+    def validate_index(self, idx: ModeIndex):
+        """Raise ConfigError unless a field of this operator may carry idx
+        (a Stokes field also carries its k = 0 mean, polarization 0)."""
+        _check_modes(self, [idx])
+
+
 @dataclass(frozen=True)
-class DirichletLaplacian:
+class DirichletLaplacian(_Operator):
     """-Laplace with zero boundary values on an interval or box."""
 
     domain: Union[Interval, Box]
@@ -192,10 +207,6 @@ class DirichletLaplacian:
     def __post_init__(self):
         if not isinstance(self.domain, (Interval, Box)):
             raise ConfigError("DirichletLaplacian needs an Interval or Box domain")
-
-    @property
-    def dim(self) -> int:
-        return self.domain.dim
 
     def eigenvalue(self, k) -> float:
         ks = k.k if isinstance(k, ModeIndex) else k
@@ -205,15 +216,9 @@ class DirichletLaplacian:
         """Smallest eigenvalue (all-ones multi-index)."""
         return self.eigenvalue(tuple(1 for _ in self.domain.lengths))
 
-    def validate_index(self, idx: ModeIndex):
-        if idx.dim != self.dim or any(ki < 1 for ki in idx.k):
-            raise ConfigError(f"Dirichlet mode indices must be >= 1 per axis, got {idx.k}")
-        if idx.polarization != 0:
-            raise ConfigError("scalar operator modes carry no polarization")
-
 
 @dataclass(frozen=True)
-class TorusLaplacian:
+class TorusLaplacian(_Operator):
     """-Laplace on the torus (scalar fields, or vectors componentwise)."""
 
     domain: Torus
@@ -221,10 +226,6 @@ class TorusLaplacian:
     def __post_init__(self):
         if not isinstance(self.domain, Torus):
             raise ConfigError("TorusLaplacian needs a Torus domain")
-
-    @property
-    def dim(self) -> int:
-        return self.domain.dim
 
     def eigenvalue(self, k) -> float:
         ks = k.k if isinstance(k, ModeIndex) else k
@@ -234,15 +235,9 @@ class TorusLaplacian:
         """Smallest positive eigenvalue (the k=0 mode sits outside the scale)."""
         return 1.0
 
-    def validate_index(self, idx: ModeIndex):
-        if idx.dim != self.dim:
-            raise ConfigError(f"mode index dimension {idx.dim} != operator dimension {self.dim}")
-        if idx.polarization != 0:
-            raise ConfigError("scalar operator modes carry no polarization")
-
 
 @dataclass(frozen=True)
-class TorusStokes:
+class TorusStokes(_Operator):
     """Stokes operator on the torus: -Laplace restricted to divergence-free
     vector fields with zero mean.  Requires d >= 2."""
 
@@ -254,10 +249,6 @@ class TorusStokes:
         if self.domain.dim < 2:
             raise ConfigError("TorusStokes requires dimension >= 2")
 
-    @property
-    def dim(self) -> int:
-        return self.domain.dim
-
     def eigenvalue(self, k) -> float:
         ks = k.k if isinstance(k, ModeIndex) else k
         return float(sum(ki * ki for ki in ks))
@@ -265,20 +256,86 @@ class TorusStokes:
     def lambda_min(self) -> float:
         return 1.0
 
-    def validate_index(self, idx: ModeIndex):
-        if idx.dim != self.dim:
-            raise ConfigError(f"mode index dimension {idx.dim} != operator dimension {self.dim}")
-        if not 0 <= idx.polarization <= self.dim - 1:
-            raise ConfigError(
-                f"polarization must lie in 0..{self.dim - 1} (0 = vector amplitude), got {idx.polarization}"
-            )
-        if all(ki == 0 for ki in idx.k):
-            # the spectrum excludes k=0; fields may still carry the mean there
-            if idx.polarization != 0:
-                raise ConfigError("the Stokes operator has no k=0 eigenmode")
-
 
 OperatorSpec = Union[DirichletLaplacian, TorusLaplacian, TorusStokes]
+
+
+# ---------------------------------------------------------------------------
+# the mode-index rules, on (k, pol) rows
+
+# largest |k| per axis: sums of d <= 3 squares stay exact in int64
+_MAX_AXIS_INDEX = 2**30
+
+
+def _index_rules(operator: OperatorSpec, k: np.ndarray, pol: np.ndarray, eigenmode: bool = False) -> list:
+    """The rules every mode index (k, pol) of `operator` obeys, as (row mask,
+    message) pairs over the rows of k (M, d') and pol (M,), in the order they
+    are reported; {k} and {pol} in a message name the row.  A Stokes field
+    carries vector amplitudes (pol 0) at any k, its k = 0 mean included;
+    eigenmode=True asks for an eigenfunction, whose Stokes pol is 1..d-1."""
+    d, bound = operator.dim, _MAX_AXIS_INDEX
+    rules = [
+        (np.full(pol.shape, k.shape[1] != d), f"mode index {{k}} has dimension {k.shape[1]}, operator has {d}"),
+        (((k < -bound) | (k > bound)).any(axis=1), f"mode index {{k}} exceeds {bound} on some axis"),
+    ]
+    if isinstance(operator, DirichletLaplacian):
+        rules.append(((k < 1).any(axis=1), "Dirichlet mode indices must be >= 1 per axis, got {k}"))
+    if not isinstance(operator, TorusStokes):
+        return rules + [(pol != 0, "scalar operator modes carry no polarization")]
+    rules += [
+        ((pol < 0) | (pol > d - 1), f"polarization must lie in 0..{d - 1} (0 = vector amplitude), got {{pol}}"),
+        ((k == 0).all(axis=1) & (pol != 0), "the Stokes operator has no k=0 eigenmode"),
+    ]
+    if eigenmode:
+        rules.append((pol < 1, f"Stokes polarization must be in 1..{d - 1}, got {{pol}}"))
+    return rules
+
+
+def _raise_first(checks: list, k: np.ndarray, pol: np.ndarray, first_line=None) -> None:
+    """Raise ConfigError for the first row that any (row mask, message) check
+    flags, with the message of that row's first failing check.  Rows read
+    from a file whose first row is line `first_line` are named 'line N: '."""
+    bad = np.zeros(pol.shape, dtype=bool)
+    for mask, _ in checks:
+        bad |= mask
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    msg = next(msg for mask, msg in checks if mask[i]).format(k=tuple(k[i].tolist()), pol=int(pol[i]))
+    raise ConfigError(msg if first_line is None else f"line {first_line + i}: {msg}")
+
+
+def _fits(idx: ModeIndex, d: int) -> bool:
+    """Whether int64 rows of dimension d hold idx."""
+    k = idx.k
+    return len(k) == d and -(2**63) <= min(k) and max(k) < 2**63 and -(2**63) <= idx.polarization < 2**63
+
+
+def _index_arrays(modes: list, d: int) -> tuple:
+    """k (M, d) and pol (M,) int64 arrays of modes (ModeIndex) that `_fits`."""
+    k = np.array([idx.k for idx in modes], dtype=np.int64).reshape(len(modes), d)
+    return k, np.array([idx.polarization for idx in modes], dtype=np.int64)
+
+
+def _lone_row(idx: ModeIndex) -> tuple:
+    """idx as k (1, idx.dim) and pol (1,) object arrays of Python ints, for a
+    mode that does not `_fits`."""
+    return np.array([idx.k], dtype=object), np.array([idx.polarization], dtype=object)
+
+
+def _check_modes(operator: OperatorSpec, modes: list, eigenmode: bool = False) -> tuple:
+    """k (M, d) and pol (M,) int64 arrays of `modes` (ModeIndex) that obey the
+    index rules of `operator`; else the ConfigError of the first that breaks
+    one.  The rows end at the first mode no int64 row holds, which breaks the
+    dimension, the bound or the polarization rule on its own."""
+    d = operator.dim
+    n = next((i for i, idx in enumerate(modes) if not _fits(idx, d)), len(modes))
+    rows = [_index_arrays(modes[:n], d)]
+    if n < len(modes):
+        rows.append(_lone_row(modes[n]))
+    for k, pol in rows:
+        _raise_first(_index_rules(operator, k, pol, eigenmode), k, pol)
+    return rows[0]
 
 
 def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -360,11 +417,9 @@ def mode_evaluator(operator: OperatorSpec, index: ModeIndex) -> Callable:
     """Point evaluator for one eigenfunction of `operator`."""
     if not isinstance(operator, (DirichletLaplacian, TorusLaplacian, TorusStokes)):
         raise ConfigError(f"unknown operator {operator!r}")
-    operator.validate_index(index)
+    _check_modes(operator, [index], eigenmode=True)
     d = operator.dim
     stokes = isinstance(operator, TorusStokes)
-    if stokes and not 1 <= index.polarization <= d - 1:
-        raise ConfigError(f"Stokes polarization must be in 1..{d - 1}, got {index.polarization}")
     e = polarization_basis(index.k)[index.polarization - 1] if stokes else None
 
     def ev(points):
@@ -406,9 +461,15 @@ def _mode_table(operator: OperatorSpec, lambda_max: float, cap: int = DEFAULT_MO
     if isinstance(operator, DirichletLaplacian):
         # one past the floor: L sqrt(lambda)/pi can round to just below an
         # index whose eigenvalue is exactly lambda_max; the mask decides
-        shape = tuple(int(math.floor(L * math.sqrt(lambda_max) / math.pi)) + 1 for L in operator.domain.lengths)
+        reach = [L * math.sqrt(lambda_max) / math.pi for L in operator.domain.lengths]
         if operator.lambda_min() > lambda_max:  # no mode: allocate no box, however long one axis
             shape = (0,) * operator.dim
+        elif all(map(math.isfinite, reach)):
+            shape = tuple(math.floor(r) + 1 for r in reach)
+        else:  # an axis reaches past every double, so the box is past any cap
+            raise ResourceLimitError(
+                f"mode enumeration would produce more than {sys.float_info.max:.3g} modes, over the cap of {cap}"
+            )
         low = 1
     elif isinstance(operator, (TorusLaplacian, TorusStokes)):
         bound = int(math.floor(math.sqrt(lambda_max)))

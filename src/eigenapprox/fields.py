@@ -27,24 +27,22 @@ from .domains import (
     TorusStokes,
     _as_points,
     _axis_factors,
+    _check_modes,
     _dot_rows,
     _eigenvalues,
+    _fits,
+    _index_arrays,
+    _index_rules,
+    _lone_row,
     _mode_product,
     _mode_table,
     _polarization_rows,
+    _raise_first,
     _representative_rows,
     _torus_scale,
     enumerate_modes,
-    mode_evaluator,
 )
 from .errors import AliasingError, AccuracyError, ConfigError
-
-
-def _as_mode_index(key, dim: int) -> ModeIndex:
-    idx = key if isinstance(key, ModeIndex) else ModeIndex(key)
-    if idx.dim != dim:
-        raise ConfigError(f"mode index {idx.k} has dimension {idx.dim}, operator has {dim}")
-    return idx
 
 
 def _tangential(k: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -78,85 +76,32 @@ class _Packed(NamedTuple):
     values: np.ndarray
 
 
-# largest |k| per axis: sums of d <= 3 squares stay exact in int64
-_MAX_AXIS_INDEX = 2**30
-
-
-def _check_mode(operator: OperatorSpec, idx: ModeIndex, val, first_is_vector=None):
-    """The checks of one mode and its value, in the order they are reported;
-    returns the value as a complex scalar or a length-d complex vector."""
-    d = operator.dim
-    if max(abs(ki) for ki in idx.k) > _MAX_AXIS_INDEX:
-        raise ConfigError(f"mode index {idx.k} exceeds {_MAX_AXIS_INDEX} on some axis")
-    operator.validate_index(idx)
-    arr = np.asarray(val)
-    if arr.ndim == 0:
-        if isinstance(operator, TorusStokes):
-            raise ConfigError("Stokes coefficients must be length-d vectors")
-        v = complex(arr)
-        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-            raise ConfigError(f"non-finite coefficient at {idx.k}")
-    else:
-        v = np.asarray(arr, dtype=complex).reshape(-1)
-        if v.size != d:
-            raise ConfigError(f"vector amplitude at {idx.k} has length {v.size}, expected {d}")
-        if not _finite(v):
-            raise ConfigError(f"non-finite coefficient at {idx.k}")
-    if first_is_vector is not None and (arr.ndim > 0) != first_is_vector:
-        kinds = ("a vector", "a scalar") if first_is_vector else ("a scalar", "a vector")
-        raise ConfigError(
-            f"coefficient at {idx.k} is {kinds[0]} but the first one is {kinds[1]}; "
-            "a field's values are all scalars or all length-d vectors"
-        )
-    return v
-
-
-def _pack_entries(operator: OperatorSpec, coefficients) -> _Packed:
-    """Mapping -> packed modes through the checks of each entry in turn, so
-    the first offending entry is the one reported."""
-    d = operator.dim
-    ks, pols, vals = [], [], []
-    first_is_vector = None
-    for key, val in coefficients.items():
-        idx = _as_mode_index(key, d)
-        v = _check_mode(operator, idx, val, first_is_vector)
-        first_is_vector = isinstance(v, np.ndarray)
-        ks.append(idx.k)
-        pols.append(idx.polarization)
-        vals.append(v)
-    m = len(ks)
-    return _Packed(np.array(ks, dtype=np.int64).reshape(m, d), np.array(pols, dtype=np.int64), np.array(vals, dtype=complex))
-
-
 def _pack(operator: OperatorSpec, coefficients) -> _Packed:
-    """Mapping with ModeIndex or plain (int or tuple) keys -> validated
-    packed modes.  Keys that name the same mode keep the first one's place
-    and the last one's value, as dict insertion would."""
+    """Mapping with ModeIndex or plain (int or tuple) keys, ModeIndex(key)
+    semantics, -> validated packed modes.  Keys that name the same mode keep
+    the first one's place and the last one's value, as dict insertion would."""
     d = operator.dim
-    keys = list(coefficients)
-    m = len(keys)
-    if m == 0:
-        return _Packed(np.zeros((0, d), dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex))
-    plain = not all(type(key) is ModeIndex for key in keys)
-    try:
-        if plain:  # ModeIndex(key) semantics: ints per axis, polarization 0
-            k = np.array(keys, dtype=np.int64).reshape(m, -1)
-            pol = np.zeros(m, dtype=np.int64)
-        else:
-            k = np.array([key.k for key in keys], dtype=np.int64).reshape(m, -1)
-            pol = np.array([key.polarization for key in keys], dtype=np.int64)
-        if k.shape[1] != d:
-            raise ValueError("mode dimension")
-        values = np.array(list(coefficients.values()), dtype=complex)
-        packed = _Packed(k, pol, values.reshape(m, -1) if values.ndim > 1 else values)
-    except (TypeError, ValueError, OverflowError):
-        # ragged, huge or wrong-dimension keys, or ragged values: the
-        # per-entry checks name the first offender
-        packed = _pack_entries(operator, coefficients)
-    _validate(operator, *packed)
-    if plain:
-        packed = _merge_rows(*packed, "last")
-    return packed
+    keys = [key if isinstance(key, ModeIndex) else ModeIndex(key) for key in coefficients]
+    vals = [v if v.ndim == 0 else v.reshape(-1) for v in map(np.asarray, coefficients.values())]
+    shape = vals[0].shape if vals else ()
+    # the rows share the arrays up to the first one they cannot hold: an index
+    # no int64 row of dimension d holds, or a value not of the first's shape
+    n = next((i for i, (idx, v) in enumerate(zip(keys, vals)) if not _fits(idx, d) or v.shape != shape), len(keys))
+    k, pol = _index_arrays(keys[:n], d)
+    values = np.array(vals[:n], dtype=complex).reshape((n,) + shape)
+    if n == len(keys):
+        _validate(operator, k, pol, values)
+        return _merge_rows(k, pol, values, "last")
+    _check_rows(operator, k, pol, values)
+    # the row that does not share them, on its own, then the rule that one
+    # field's values are all scalars or all vectors
+    idx, v = keys[n], vals[n]
+    _check_rows(operator, *_lone_row(idx), v.astype(complex)[None])
+    kinds = ("a vector", "a scalar") if v.ndim else ("a scalar", "a vector")
+    raise ConfigError(
+        f"coefficient at {idx.k} is {kinds[0]} but the first one is {kinds[1]}; "
+        "a field's values are all scalars or all length-d vectors"
+    )
 
 
 def _merge_rows(k: np.ndarray, pol: np.ndarray, values: np.ndarray, how: str) -> _Packed:
@@ -196,27 +141,29 @@ def _with_mirrors(p: _Packed, where: np.ndarray) -> _Packed:
     return _Packed(k, p.pol[row], values)
 
 
-def _invalid_index(operator: OperatorSpec, k: np.ndarray, pol: np.ndarray) -> np.ndarray:
-    """Rows that operator.validate_index rejects (dimension already checked)."""
-    if isinstance(operator, DirichletLaplacian):
-        return np.any(k < 1, axis=1) | (pol != 0)
-    if isinstance(operator, TorusStokes):
-        return (pol < 0) | (pol > operator.dim - 1) | (~np.any(k, axis=1) & (pol != 0))
-    return pol != 0
+def _check_rows(operator: OperatorSpec, k: np.ndarray, pol: np.ndarray, values: np.ndarray) -> None:
+    """The index rules of `operator`, then the value rules, on every row; the
+    first row that breaks one raises its ConfigError."""
+    d = operator.dim
+    finite = np.isfinite(values)  # a complex value is finite when both its parts are
+    if values.ndim == 1:
+        value_rules = [
+            (np.full(pol.shape, isinstance(operator, TorusStokes)), "Stokes coefficients must be length-d vectors"),
+            (~finite, "non-finite coefficient at {k}"),
+        ]
+    else:
+        n = values.shape[1]
+        value_rules = [
+            (np.full(pol.shape, n != d), f"vector amplitude at {{k}} has length {n}, expected {d}"),
+            (~finite.all(axis=1), "non-finite coefficient at {k}"),
+        ]
+    _raise_first(_index_rules(operator, k, pol) + value_rules, k, pol)
 
 
 def _validate(operator: OperatorSpec, k: np.ndarray, pol: np.ndarray, values: np.ndarray) -> None:
-    """The checks of `_check_mode` on every row at once, then Stokes
-    orthogonality; the first offending row is reported."""
-    d = operator.dim
-    bad = np.any(np.abs(k) > _MAX_AXIS_INDEX, axis=1) | _invalid_index(operator, k, pol)
-    if values.ndim == 1:
-        bad = bad | isinstance(operator, TorusStokes) | ~(np.isfinite(values.real) & np.isfinite(values.imag))
-    else:
-        finite = np.all(np.isfinite(values.real) & np.isfinite(values.imag), axis=1)
-        bad = bad | (values.shape[1] != d) | ~finite
-    for i in np.flatnonzero(bad):
-        _check_mode(operator, ModeIndex(k[i].tolist(), int(pol[i])), values[i])
+    """The checks of every row, then Stokes orthogonality; the first
+    offending row is reported."""
+    _check_rows(operator, k, pol, values)
     if isinstance(operator, TorusStokes) and len(k):
         kf = k.astype(float)
         # each row and the floor times the exact power of two 2^-e that puts the
@@ -582,30 +529,6 @@ def _synthesize_torus_fft(f: SpectralField, axes, shape) -> GridField:
     return GridField(f.operator.domain, axes, vals)
 
 
-def _mode_rows(operator: OperatorSpec, modes: list) -> tuple:
-    """(k, pol) arrays of ModeIndex rows, checked as `mode_evaluator` checks
-    each one and against `_MAX_AXIS_INDEX` as `SpectralField` checks them;
-    the first mode it rejects raises its error."""
-    d = operator.dim
-    n = next((i for i, m in enumerate(modes) if m.dim != d), len(modes))
-    rows = [(*m.k, m.polarization) for m in modes[:n]]
-    try:
-        kp = np.array(rows, dtype=np.int64).reshape(n, d + 1)
-    except OverflowError:  # beyond int64 is beyond _MAX_AXIS_INDEX: stop the rows at the first such mode
-        n = next(i for i, row in enumerate(rows) if max(map(abs, row)) > _MAX_AXIS_INDEX)
-        kp = np.array(rows[:n], dtype=np.int64).reshape(n, d + 1)
-    k, pol = kp[:, :d], kp[:, d]
-    bad = np.any(np.abs(k) > _MAX_AXIS_INDEX, axis=1) | _invalid_index(operator, k, pol)
-    bad |= isinstance(operator, TorusStokes) & (pol < 1)
-    first = np.append(np.flatnonzero(bad), n)[0]
-    if first < len(modes):
-        idx = modes[first]
-        if idx.dim == d and max(map(abs, idx.k), default=0) > _MAX_AXIS_INDEX:
-            raise ConfigError(f"mode index {idx.k} exceeds {_MAX_AXIS_INDEX} on some axis")
-        mode_evaluator(operator, idx)  # raises
-    return k, pol
-
-
 def analyze(g: GridField, modes, operator: OperatorSpec, check: bool = True, tol: float = 1e-8) -> SpectralField:
     """Quadrature inner products of g against the given modes (ModeIndex or
     EigenPair).  Modes and weights are tensor products, so g is contracted
@@ -619,7 +542,7 @@ def analyze(g: GridField, modes, operator: OperatorSpec, check: bool = True, tol
     """
     if operator.domain != g.domain:
         raise ConfigError("grid domain does not match operator domain")
-    k, pol = _mode_rows(operator, [m.index if isinstance(m, EigenPair) else m for m in modes])
+    k, pol = _check_modes(operator, [m.index if isinstance(m, EigenPair) else m for m in modes], eigenmode=True)
     m = k.shape[0]
     if not m:
         return SpectralField(operator)

@@ -64,8 +64,6 @@ class ExperimentConfig:
     operator: OperatorSpec
     lambda_max: float = 64.0
     family: str = "random-smooth"
-    theta_grid: tuple = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
-    p_list: tuple = (4.0,)
     n_samples: int = 8
     seed: int = 0
     ascent_iters: int = 200
@@ -328,7 +326,6 @@ def truncation_experiment(
         operator=TorusLaplacian(Torus(2)),
         lambda_max=float(kmax * kmax),
         family="near-extremal",
-        p_list=(p,),
         n_samples=n_samples,
         seed=seed,
         ascent_iters=ascent_iters,

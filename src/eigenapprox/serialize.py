@@ -20,7 +20,7 @@ import warnings
 
 import numpy as np
 
-from .domains import OperatorSpec, TorusStokes, _dot_rows, _polarization_rows
+from .domains import OperatorSpec, TorusStokes, _dot_rows, _polarization_rows, _raise_first
 from .errors import ConfigError
 from .fields import GridField, SpectralField, _merge_rows, _polarized
 from .reports import format_number
@@ -127,11 +127,7 @@ def spectral_field_from_csv(path, operator: OperatorSpec) -> SpectralField:
         ((pol > 0) & ~np.any(k, axis=1), "polarization basis undefined for k = 0"),
         (pol < -d, f"component tag {{pol}} out of range for dimension {d}"),
     )
-    bad = np.logical_or.reduce([mask for mask, _ in checks])
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        msg = next(msg for mask, msg in checks if mask[i])
-        raise ConfigError(f"line {i + 2}: " + msg.format(pol=pol[i]))
+    _raise_first(checks, k, pol, first_line=2)
 
     scalar = len(pol) and pol[0] == 0
     return SpectralField(operator, _merge_rows(k, pol, vals, "sum") if scalar else _polarized(k, pol, vals))

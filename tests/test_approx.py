@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eigenapprox import (
     ConfigError,
@@ -12,7 +14,11 @@ from eigenapprox import (
     Torus,
     TorusLaplacian,
     TorusStokes,
+    apply_fractional_power,
     c_gamma,
+    conjugate_symmetry_violation,
+    cubic_truncate,
+    divergence_residual,
     enumerate_modes,
     fractional_norm,
     phi,
@@ -22,8 +28,10 @@ from eigenapprox import (
     random_field,
     semigroup_apply,
     smoothing_bound,
+    spherical_truncate,
     subtract,
 )
+from eigenapprox.approx import multiplier
 
 
 def test_pi_theta_strict_cutoff():
@@ -176,3 +184,42 @@ def test_invalid_arguments():
         c_gamma(-0.5)
     with pytest.raises(ConfigError):
         pi_theta_gap_norm(f, 0.0, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.sampled_from([2, 3]),
+    lambda_max=st.floats(1.0, 40.0),
+    seed=st.integers(0, 2**32 - 1),
+    decay=st.floats(0.0, 2.0),
+    include_mean=st.booleans(),
+    theta=st.floats(0.05, 1.5),
+    alpha=st.floats(-1.0, 1.5),
+    n=st.integers(0, 6),
+)
+def test_transforms_keep_real_stokes_fields_real_and_divergence_free(
+    d, lambda_max, seed, decay, include_mean, theta, alpha, n
+):
+    rng = np.random.default_rng(seed)
+    f = random_field(TorusStokes(Torus(d)), lambda_max, rng, decay=decay, include_mean=include_mean)
+    assert conjugate_symmetry_violation(f) == 0.0
+    lams = f._eigenvalue_array()
+    residual = divergence_residual(f)
+    # fl(c v) rounds each component of v by up to eps/2 of it, so k . (c v)
+    # may exceed c (k . v) by eps c sum_i |k_i| |v_i| even where k . v = 0
+    rounding = 2.0 * np.finfo(float).eps * float(np.max(np.sum(np.abs(f.k) * np.abs(f.values), axis=1), initial=0.0))
+    for name, transform, param in (
+        ("pi_theta", pi_theta, theta),
+        ("semigroup", semigroup_apply, theta),
+        ("fractional_power", apply_fractional_power, alpha),
+        ("spherical", spherical_truncate, n),
+        ("cubic", cubic_truncate, n),
+    ):
+        g = transform(f, param)
+        assert conjugate_symmetry_violation(g) == 0.0, name
+        factors = multiplier(name, param)(f.k[lams > 0], lams[lams > 0])
+        largest = float(np.nanmax(factors, initial=1.0))  # the carried mean keeps factor 1
+        if name in ("spherical", "cubic"):  # kept values are stored as they are
+            assert divergence_residual(g) <= residual, name
+        else:
+            assert divergence_residual(g) <= largest * (residual + rounding), name

@@ -127,6 +127,14 @@ def test_negative_mode_count_is_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err == "error: config: n_modes must be >= 0, got -1\n"
 
 
+def test_dirichlet_reach_past_every_double_is_exit_3(tmp_path, capsys):
+    rc = _run(["modes", "--op", "dirichlet-interval", "--L", "1e300", "--lambda-max", "1e300"], tmp_path)
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: accuracy: mode enumeration would produce more than")
+    assert "\n" not in err.rstrip("\n")
+
+
 def test_missing_subcommand_is_exit_2(capsys):
     assert run([]) == 2
     assert capsys.readouterr().err.startswith("error: config:")

@@ -119,6 +119,13 @@ def test_enumerate_mode_cap():
         enumerate_modes(op, 1e9)
 
 
+def test_enumerate_refuses_a_dirichlet_reach_past_every_double():
+    # L sqrt(lambda_max) / pi overflows: the cap refuses the box, no OverflowError
+    for op in (DirichletLaplacian(Interval(1e300)), DirichletLaplacian(Box((1e300, 1.0)))):
+        with pytest.raises(ResourceLimitError, match="over the cap of 1000000"):
+            enumerate_modes(op, 1e300)
+
+
 def test_enumerate_empty_dirichlet_spectrum_on_a_long_box():
     # one axis alone would span millions of indices, but lambda_min > lambda_max
     assert enumerate_modes(DirichletLaplacian(Box((1e7, 1.0))), 5.0) == []
