@@ -54,14 +54,20 @@ def multiplier(name: str, param=None):
     raise ConfigError(f"unknown multiplier {name!r}; choose from {MULTIPLIERS}")
 
 
-def _apply_multiplier(f: SpectralField, name: str, param) -> SpectralField:
+def _factors(f: SpectralField, name: str, param) -> np.ndarray:
+    """The named operator's factor for every row of f (see `multiplier`)."""
     rule = multiplier(name, param)
-    if name in _FOURIER_TRUNCATIONS and not isinstance(f.operator, (TorusLaplacian, TorusStokes)):
-        raise ConfigError("Fourier truncations are defined for torus fields")
     lams = f._eigenvalue_array()
     factor = np.ones(lams.shape)
     pos = lams > 0.0  # the carried mean keeps factor 1
     factor[pos] = rule(f.k[pos], lams[pos])
+    return factor
+
+
+def _apply_multiplier(f: SpectralField, name: str, param) -> SpectralField:
+    factor = _factors(f, name, param)
+    if name in _FOURIER_TRUNCATIONS and not isinstance(f.operator, (TorusLaplacian, TorusStokes)):
+        raise ConfigError("Fourier truncations are defined for torus fields")
     keep = ~np.isnan(factor)
     scaled = keep & (factor != 1.0)
     values = f.values.copy()

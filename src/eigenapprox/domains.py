@@ -10,7 +10,6 @@ which is what the rest of the toolkit leans on.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -126,12 +125,10 @@ class ModeIndex:
     polarization: int = 0
 
     def __post_init__(self):
-        k = self.k
-        if isinstance(k, (int, np.integer)):
-            k = (int(k),)
-        else:
-            k = tuple(int(v) for v in k)
-        object.__setattr__(self, "k", k)
+        k = tuple(self.k) if np.iterable(self.k) else (self.k,)
+        if not all(isinstance(v, (int, np.integer)) for v in (*k, self.polarization)):
+            raise ConfigError(f"mode index {self.k!r} (polarization {self.polarization!r}) must hold integers")
+        object.__setattr__(self, "k", tuple(int(v) for v in k))
         object.__setattr__(self, "polarization", int(self.polarization))
 
     @classmethod
@@ -407,10 +404,10 @@ def _as_points(points, d: int) -> np.ndarray:
     return pts
 
 
-def _mode_product(operator: OperatorSpec, k, coords, combine=np.multiply) -> np.ndarray:
-    """The product of the axis factors of index k at coords[a] on each axis a:
-    pointwise, or on the grid they span with combine=np.multiply.outer."""
-    return functools.reduce(combine, [_axis_factors(operator, a, ki, x) for a, (ki, x) in enumerate(zip(k, coords))])
+def _mode_product(operator: OperatorSpec, k, coords) -> np.ndarray:
+    """The product of the axis factors of index k at the points whose
+    coordinate on each axis a is coords[a]."""
+    return math.prod(_axis_factors(operator, a, ki, x) for a, (ki, x) in enumerate(zip(k, coords)))
 
 
 def mode_evaluator(operator: OperatorSpec, index: ModeIndex) -> Callable:

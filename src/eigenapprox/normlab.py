@@ -16,9 +16,9 @@ import numpy as np
 from scipy.special import j1
 
 from .approx import (
+    _factors,
     cubic_truncate,
     fractional_norm,
-    multiplier,
     pi_theta,
     pi_theta_error_norm,
     semigroup_apply,
@@ -32,7 +32,6 @@ from .domains import (
     Torus,
     TorusLaplacian,
     TorusStokes,
-    _mode_product,
     _mode_table,
     _representative_rows,
 )
@@ -40,6 +39,7 @@ from .errors import AccuracyError, ConfigError
 from .fields import (
     GridField,
     SpectralField,
+    _axis_tables,
     _mirror_rows,
     _Packed,
     analyze,
@@ -187,17 +187,15 @@ class _AscentState:
     """Incrementally maintained real grids of f and Tf for coordinate ascent.
 
     Perturbing a representative mode moves its conjugate partner too, so the
-    field stays real and each move is a rank-one grid update rather than a
-    full resynthesis.  Scalar fields only.
+    field stays real and each move adds a rank-two real update to both grids
+    in place rather than a full resynthesis.  Scalar fields only.
     """
 
     def __init__(self, f: SpectralField, name: str, param, p: float):
         if f.is_vector:
             raise ConfigError("coordinate ascent operates on scalar fields")
         self.operator = f.operator
-        self.dirichlet = isinstance(f.operator, DirichletLaplacian)
         self.p = float(p)
-        self.factor = multiplier(name, param)
         self.res = _lp_grid_resolution(f, p)
         self.domain = f.operator.domain
         self.axes = uniform_axes(self.domain, self.res)
@@ -205,17 +203,20 @@ class _AscentState:
         self.weights = quadrature_weights(GridField(self.domain, self.axes, np.zeros(shape)))
         self.k, self.pol = f.k, f.pol
         self.values = f.values.copy()
-        self.lams = f._eigenvalue_array()
+        self.factors = _factors(f, name, param)  # NaN drops the mode
+        self.tables = _axis_tables(self.operator, f.k, self.axes)
         # representatives in (k, polarization) order
         reps = np.flatnonzero(_representative_rows(f.k))
         self.reps = reps[np.lexsort((f.pol[reps],) + tuple(f.k[reps, a] for a in reversed(range(f.dim))))]
         if not self.reps.size:
             raise ConfigError("ascent needs at least one representative mode")
-        self.mirror = None if self.dirichlet else _mirror_rows(f.k, f.pol)
+        self.mirror = None if isinstance(f.operator, DirichletLaplacian) else _mirror_rows(f.k, f.pol)
         if self.mirror is not None and np.any(self.mirror[self.reps] < 0):
             raise ConfigError("ascent needs a conjugate-symmetric (real) torus field")
         self.g = synthesize(f, self.res).values.real.copy()
         self.gT = synthesize(apply_named_transform(f, name, param), self.res).values.real.copy()
+        self._buf = np.empty(shape)
+        self._normT = None  # || gT ||_p while gT is unchanged
 
     def field(self) -> SpectralField:
         """The current coefficients as a field."""
@@ -227,42 +228,51 @@ class _AscentState:
         return _Packed(self.k, self.pol, self.values.copy())
 
     def norm(self, grid: np.ndarray) -> float:
-        return float(np.sum(self.weights * np.abs(grid) ** self.p) ** (1.0 / self.p))
+        # (g g)^(p/2): numpy squares for p = 4 rather than calling pow
+        np.multiply(grid, grid, out=self._buf)
+        np.power(self._buf, self.p / 2.0, out=self._buf)
+        self._buf *= self.weights
+        return float(self._buf.sum() ** (1.0 / self.p))
 
     def ratio(self) -> float:
         d = self.norm(self.g)
         if d == 0.0:
             return -math.inf
-        return self.norm(self.gT) / d
+        if self._normT is None:
+            self._normT = self.norm(self.gT)
+        return self._normT / d
 
     def perturb(self, j: int, rel: float):
         """Scale mode j (and its conjugate partner) by (1+rel); returns undo()."""
         i = self.reps[j]
-        k = self.k[i]
         old = complex(self.values[i])
         delta = old * rel
-        mode = _mode_product(self.operator, k.tolist(), self.axes, np.multiply.outer)
         # a torus mode k != 0 moves its conjugate partner -k as well
-        mirror = None if self.dirichlet or not k.any() else self.mirror[i]
+        mirror = None if self.mirror is None or not self.k[i].any() else self.mirror[i]
         two = 1.0 if mirror is None else 2.0
-        dg = two * (delta * mode).real
+        # two Re(delta f_1 x ... x f_d) as Re(head) x Re(last) - Im(head) x Im(last)
+        *rest, last = [t[place[i]] for t, place in self.tables]
+        head = functools.reduce(np.multiply.outer, rest, two * delta)
+        dg = np.multiply.outer(head.real, last.real)
+        dg -= np.multiply.outer(head.imag, last.imag)
         self.values[i] = old + delta
         if mirror is not None:
             self.values[mirror] = complex(self.values[i]).conjugate()
-        lam = self.lams[i]
-        fac = float(self.factor(k[None], np.array([lam]))[0]) if lam > 0.0 else 1.0
-        dgT = None if math.isnan(fac) or fac == 0.0 else two * (fac * delta * mode).real
-        self.g = self.g + dg
+        fac = self.factors[i]
+        dgT = None if math.isnan(fac) or fac == 0.0 else dg if fac == 1.0 else fac * dg
+        self.g += dg
         if dgT is not None:
-            self.gT = self.gT + dgT
+            self.gT += dgT
+            self._normT = None
 
         def undo():
             self.values[i] = old
             if mirror is not None:
                 self.values[mirror] = old.conjugate()
-            self.g = self.g - dg
+            self.g -= dg
             if dgT is not None:
-                self.gT = self.gT - dgT
+                self.gT -= dgT
+                self._normT = None
 
         return undo
 

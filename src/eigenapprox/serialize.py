@@ -20,7 +20,7 @@ import warnings
 
 import numpy as np
 
-from .domains import OperatorSpec, TorusStokes, _dot_rows, _polarization_rows, _raise_first
+from .domains import OperatorSpec, TorusStokes, _dot_rows, _index_rules, _polarization_rows, _raise_first
 from .errors import ConfigError
 from .fields import GridField, SpectralField, _merge_rows, _polarized
 from .reports import format_number
@@ -126,6 +126,7 @@ def spectral_field_from_csv(path, operator: OperatorSpec) -> SpectralField:
         (pol > d - 1, f"polarization {{pol}} out of range 1..{d - 1}"),
         ((pol > 0) & ~np.any(k, axis=1), "polarization basis undefined for k = 0"),
         (pol < -d, f"component tag {{pol}} out of range for dimension {d}"),
+        *_index_rules(operator, k, np.zeros_like(pol)),  # the operator's rules on k: none on pol fires at 0
     )
     _raise_first(checks, k, pol, first_line=2)
 

@@ -141,6 +141,8 @@ _HUGE = [2**30, 2**30 + 1, 2**40, 2**62, 2**63 - 1, 2**63, 2**64, 2**70]
 _BAD_AXIS = [0, -1, -5, -(2**63), *_HUGE, *[-b for b in _HUGE]]
 _FINITE = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 _PART = st.one_of(_FINITE, st.sampled_from([math.nan, math.inf, -math.inf]))
+# a nonfinite vector row, and a repeat of its key with the value doubled
+_INF_ROW = np.array([complex(math.inf, math.nan), 1.0])
 _FAULTS = ["none"] * 10 + ["index", "zero", "dim", "pol", "nonfinite", "length", "kind", "skew", "repeat"]
 
 
@@ -158,7 +160,8 @@ def _entries(draw):
             key, value = entries[draw(st.integers(0, len(entries) - 1))]
             if not isinstance(key, ModeIndex) and draw(st.booleans()):
                 key = ModeIndex(key)  # another key that names the same mode
-            entries.append((key, 2 * value))
+            # value + value: 2 * value would multiply an inf part by 0 and warn
+            entries.append((key, value + value))
             continue
         k = [draw(st.integers(lo, 3)) for _ in range(d)]
         if fault == "index":
@@ -219,6 +222,7 @@ def _packed(op, entries):
 @example((TorusStokes(Torus(2)), [((1, 0), np.array([1.0, 1.0])), ((2, 0), 1.0)]))
 @example((TorusLaplacian(Torus(2)), [((1, 0), 1.0), ((0, 1), np.array([math.nan, 0.0]))]))
 @example((TorusLaplacian(Torus(2)), [((1, 0), np.array([1.0, 2.0])), (ModeIndex((0, 1), 2**70), 1.0)]))
+@example((TorusLaplacian(Torus(2)), [((1, 0), _INF_ROW), (ModeIndex((1, 0)), _INF_ROW + _INF_ROW)]))
 def test_field_checks_match_the_per_mode_oracle(case):
     op, entries = case
     want = _outcome(lambda: _oracle_rows(op, entries))
@@ -280,3 +284,19 @@ def test_a_wrong_dimension_is_named_alike_on_every_path(op, idx, message):
 def test_the_axis_bound_holds_on_every_path(op, idx):
     message = f"mode index {idx.k} exceeds 1073741824 on some axis"
     assert _four_paths(op, idx) == [message] * 4
+
+
+@pytest.mark.parametrize(
+    "coefficients, message",
+    [
+        (lambda: {(1.5,): 1.0}, "mode index (1.5,) (polarization 0) must hold integers"),
+        (lambda: {1.5: 1.0}, "mode index 1.5 (polarization 0) must hold integers"),
+        (lambda: {(1.0,): 1.0}, "mode index (1.0,) (polarization 0) must hold integers"),
+        (lambda: {ModeIndex((1,), 1.0): 1.0}, "mode index (1,) (polarization 1.0) must hold integers"),
+    ],
+)
+def test_a_non_integer_key_is_named_not_truncated(coefficients, message):
+    # int() would read (1.5,) as mode (1,); a float entry is refused, 1.0 too
+    with pytest.raises(ConfigError) as info:
+        SpectralField(TorusLaplacian(Torus(1)), coefficients())
+    assert str(info.value) == message

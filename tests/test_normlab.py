@@ -248,7 +248,16 @@ def test_truncation_experiment_small_run_deterministic():
     assert all(r.value > 0 for r in a)
 
 
-_ASCENT_OPS = {"torus2": TorusLaplacian(Torus(2)), "box2": DirichletLaplacian(Box((math.pi, 2.0)))}
+# name -> (operator, p): the head/last split of a move at d = 1, 2, 3, and
+# the norm at an even and a non-even power
+_ASCENT_OPS = {
+    "torus2": (TorusLaplacian(Torus(2)), 4.0),
+    "box2": (DirichletLaplacian(Box((math.pi, 2.0))), 4.0),
+    "torus1": (TorusLaplacian(Torus(1)), 4.0),
+    "box3": (DirichletLaplacian(Box((math.pi, 2.0, 1.5))), 4.0),
+    "torus2_p3": (TorusLaplacian(Torus(2)), 3.0),
+    "box3_p3": (DirichletLaplacian(Box((math.pi, 2.0, 1.5))), 3.0),
+}
 
 
 @pytest.mark.parametrize(
@@ -262,17 +271,26 @@ _ASCENT_OPS = {"torus2": TorusLaplacian(Torus(2)), "box2": DirichletLaplacian(Bo
         ("box2", 30.0, "identity", None),
         ("box2", 30.0, "semigroup", 0.05),
         ("box2", 30.0, "pi_theta", 0.25),
+        ("torus1", 30.0, "semigroup", 0.1),
+        ("torus1", 30.0, "spherical", 3),
+        ("box3", 40.0, "identity", None),
+        ("box3", 40.0, "pi_theta", 0.2),
+        ("torus2_p3", 16.0, "spherical", 2),
+        ("torus2_p3", 16.0, "semigroup", 0.1),
+        ("box3_p3", 40.0, "semigroup", 0.05),
     ],
 )
 def test_ascent_grids_match_fresh_synthesis(op_name, lambda_max, name, param):
-    # the rank-one updates of the ascent must track a full resynthesis of the
-    # current coefficients and of their transform
-    op = _ASCENT_OPS[op_name]
+    # the rank-two updates of the ascent must track a full resynthesis of the
+    # current coefficients and of their transform, and its ratio (with the
+    # norm of Tf kept while Tf is unchanged) the ratio of that resynthesis
+    op, p = _ASCENT_OPS[op_name]
     f = random_field(op, lambda_max, np.random.default_rng(11), decay=1.0)
-    st = _AscentState(f, name, param, 4.0)
+    st = _AscentState(f, name, param, p)
     rng = np.random.default_rng(12)
     for _ in range(40):
         undo = st.perturb(int(rng.integers(len(st.reps))), float(rng.uniform(-0.3, 0.3)))
+        st.ratio()
         if rng.random() < 0.4:
             undo()
     current = SpectralField(op, st.coeffs)
@@ -280,3 +298,4 @@ def test_ascent_grids_match_fresh_synthesis(op_name, lambda_max, name, param):
     gT = synthesize(apply_named_transform(current, name, param), st.res).values.real
     assert np.max(np.abs(st.g - g)) <= 1e-12 * np.max(np.abs(g))
     assert np.max(np.abs(st.gT - gT)) <= 1e-12 * np.max(np.abs(gT))
+    assert st.ratio() == pytest.approx(lp_ratio(current, name, param, p), rel=1e-12, abs=0.0)

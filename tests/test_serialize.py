@@ -221,6 +221,28 @@ def test_index_cells_read_through_a_float_are_named_with_deprecations_hidden(tmp
         spectral_field_from_csv(p, TorusLaplacian(Torus(2)))
 
 
+@pytest.mark.parametrize(
+    "op, body, message",
+    [
+        (
+            DirichletLaplacian(Interval(1.0)),
+            "1,0,1.0,0.0\n0,0,1.0,0.0\n",
+            r"line 3: Dirichlet mode indices must be >= 1 per axis, got \(0,\)",
+        ),
+        (
+            TorusLaplacian(Torus(1)),
+            "1,0,1.0,0.0\n2,0,1.0,0.0\n-2147483648,0,1.0,0.0\n",
+            r"line 4: mode index \(-2147483648,\) exceeds",
+        ),
+    ],
+)
+def test_index_rule_failures_name_their_line(tmp_path, op, body, message):
+    p = tmp_path / "bad.csv"
+    p.write_text("k1,polarization,re,im\n" + body)
+    with pytest.raises(ConfigError, match=message):
+        spectral_field_from_csv(p, op)
+
+
 def test_spectral_cell_count_is_checked_before_the_cells(tmp_path):
     # a short row later in the file is named before a bad cell earlier on
     p = tmp_path / "bad.csv"

@@ -35,6 +35,7 @@ JOBS = (
     ("interp-box", ["interp", "--op", "dirichlet-box", "--check-itheta"]),
     ("h00", ["h00", "--profile", "bump", "--levels", "6"]),
     ("truncate", ["truncate", "--n-list", "4,16", "--plot"]),
+    ("truncate-p3", ["truncate", "--n-list", "4", "--p", "3", "--kmax", "12", "--iters", "100"]),
     ("cbf-2d", ["cbf", "--d", "2", "--N", "32", "--T", "0.05", "--save-traj", "--plot"]),
     ("cbf-3d", ["cbf", "--d", "3", "--N", "16", "--beta", "1", "--T", "0.02", "--save-traj"]),
     ("cbf-3d-r3", ["cbf", "--d", "3", "--N", "16", "--beta", "1", "--r", "3", "--T", "0.02", "--save-traj"]),
