@@ -19,10 +19,16 @@ wavenumbers |k_a| <= K form the block (d, 2K+1, ..., 2K+1, K+1), which is
 itself the rfftn layout of a (2K+1)-point grid; for N = 32 and the 1/2 rule
 it holds 1,800 of the 17,408 slots per component.  `step` gathers it from
 the state once, runs the RK4 combinations, integrating factors, projections
-and wavenumber products on it, and scatters the result back once; the
-transforms still run on the N-point grid, the block zero-padded into it
-(Orszag, J. Atmos. Sci. 28, 1971; Canuto, Hussaini, Quarteroni & Zang,
-Spectral Methods: Fundamentals in Single Domains, 2006, sections 3.2-3.3).
+and wavenumber products on it, and scatters the result back once (Orszag,
+J. Atmos. Sci. 28, 1971; Canuto, Hussaini, Quarteroni & Zang, Spectral
+Methods: Fundamentals in Single Domains, 2006, sections 3.2-3.3).  The
+transforms between the block and the N-point grid are pruned one axis at a
+time: an axis transforms only the lines that hold block data on input or
+are read back into the block on output, and every other line is known to be
+zero or is never read (Markel, "FFT pruning", IEEE Trans. Audio
+Electroacoust. 19, 1971).  On the N = 32, K = 7 grid that is 15 of 32 lines
+per full axis and 8 of 17 on the halved one.  The zero-padded N-point layout
+is never built.
 
 The convective term is evaluated in divergence form, (u.grad)u_i =
 d_j(u_i u_j), from the d(d+1)/2 symmetric products u_i u_j, with the
@@ -34,7 +40,9 @@ dealias cutoff.
 The ledger's absorption integrand |u|^q, q = r + 2, is quadratured on the
 smallest multiple of the solver grid that makes it exact when q is an even
 integer (the N-point grid itself for r = 2), and on the doubled grid
-otherwise.
+otherwise, through the same pruned inverse transform of the kept block.  So
+the ledger, like `step`, raises AliasingError for a snapshot with a nonzero
+coefficient outside the dealias mask instead of dropping it.
 """
 
 from __future__ import annotations
@@ -216,9 +224,10 @@ def _low_modes(a: np.ndarray, n: int, m: int) -> np.ndarray:
 
     A full axis of an rfftn layout holds k >= 0 at its start and k < 0 at
     its end; the halved last axis holds k >= 0 only.  The kept block of
-    cutoff K is the layout of 2K+1 points, so gathering it (n = 2K+1,
-    m = K), scattering it back or zero-padding it for a transform (m = K)
-    and refining a state for the ledger (m = N/2 - 1) are all this one copy.
+    cutoff K is the layout of 2K+1 points, so gathering it from a state
+    (n = 2K+1, m = K) and scattering it back (m = K) are both this one copy.
+    The transforms never see the zero-padded layout: `_block_to_grid` and
+    `_grid_to_block` pad and cut one axis at a time.
     """
     out = np.zeros(a.shape[:1] + (n,) * (a.ndim - 2) + (n // 2 + 1,), dtype=complex)
     low = slice(0, m + 1)
@@ -231,26 +240,71 @@ def _low_modes(a: np.ndarray, n: int, m: int) -> np.ndarray:
     return out
 
 
+def _block_to_grid(c: np.ndarray, n: int) -> np.ndarray:
+    """Real values on the n-point grid of the kept block c (component axis
+    first, cutoff K = c.shape[-1] - 1): `irfftn` of c zero-padded into the
+    n-point layout, with the transforms pruned to the lines that hold data.
+
+    Each full axis in turn is zero-padded to n and inverse-transformed, so
+    an axis runs `ifft` only on the lines whose not yet transformed axes are
+    inside the block; the halved last axis is then padded by hand to
+    n//2 + 1 (irfft's own `n=` padding is about 3x slower) for one `irfft`.
+    This is FFT pruning (Markel, IEEE Trans. Audio Electroacoust. 19, 1971):
+    every line it transforms is a line `irfftn` transforms, and every line it
+    skips is all zero, so the two agree to roundoff.
+    """
+    kmax = c.shape[-1] - 1
+    x = c
+    for ax in range(1, c.ndim - 1):
+        full = np.zeros(x.shape[:ax] + (n,) + x.shape[ax + 1 :], dtype=complex)
+        head = (slice(None),) * ax
+        full[head + (slice(0, kmax + 1),)] = x[head + (slice(0, kmax + 1),)]
+        full[head + (slice(n - kmax, None),)] = x[head + (slice(kmax + 1, None),)]
+        x = scipy.fft.ifft(full, axis=ax, overwrite_x=True)
+    half = np.zeros(x.shape[:-1] + (n // 2 + 1,), dtype=complex)
+    half[..., : kmax + 1] = x
+    del x, full  # free before irfft allocates the grid: fewer fresh pages per call
+    return scipy.fft.irfft(half, n=n, axis=-1, overwrite_x=True)
+
+
+def _grid_to_block(u: np.ndarray, kmax: int) -> np.ndarray:
+    """The kept block of cutoff kmax of `rfftn(u)` over every axis but the
+    first (the component axis), with the transforms pruned to the lines that
+    are read: one `rfft` on the last axis, cut to kmax + 1, then on each
+    full axis in turn an `fft` of the lines still inside the block, read
+    back at wavenumbers 0..kmax and -kmax..-1 (Markel 1971).  Every line it
+    transforms is a line `rfftn` transforms, and every line it skips is never
+    read, so the two agree to roundoff.
+    """
+    n = u.shape[-1]
+    x = scipy.fft.rfft(u, axis=-1)[..., : kmax + 1]
+    for ax in range(1, u.ndim - 1):
+        x = scipy.fft.fft(x, axis=ax, overwrite_x=True)
+        head = (slice(None),) * ax
+        x = np.concatenate((x[head + (slice(0, kmax + 1),)], x[head + (slice(n - kmax, None),)]), axis=ax)
+    return x
+
+
 def _nonlinear(c: np.ndarray, params: CBFParams) -> np.ndarray:
     """-P[ (u.grad)u + beta |u|^r u ] on the kept block c, with the k=0 entry
     forced to zero (mean momentum untouched).
 
-    The block is zero-padded into the N-point rfftn layout for one batched
-    inverse transform that gives u.  The convective term is taken in
-    divergence form, component i being sum_j i k_j FFT(u_i u_j), so only the
-    d(d+1)/2 symmetric products are transformed: one batched forward
-    transform per product row u_i u[i:] (accumulated into both components it
-    feeds at once) and one for beta |u|^r u, each read back on the block
-    only.  This equals the advective form u_j d_j u_i on every kept mode:
-    div u = 0 to roundoff, and the products of modes under the dealias cutoff
-    alias only onto modes outside the block.
+    One batched, pruned inverse transform of the block (`_block_to_grid`)
+    gives u on the N-point grid.  The convective term is taken in divergence
+    form, component i being sum_j i k_j FFT(u_i u_j), so only the d(d+1)/2
+    symmetric products are transformed: one batched, pruned forward
+    transform (`_grid_to_block`) per product row u_i u[i:], accumulated into
+    both components it feeds at once, and one for beta |u|^r u.  Each
+    computes only the lines the block reads.  This equals the advective form
+    u_j d_j u_i on every kept mode: div u = 0 to roundoff, and the products
+    of modes under the dealias cutoff alias only onto modes outside the
+    block.
     """
     dim = c.shape[0]
     n, kmax = params.resolution, params.dealias_kmax
     nb = 2 * kmax + 1  # the kept block is the rfftn layout of nb points
     karrs, _, k2safe, _, _ = _tables(dim, nb, kmax)
-    axes = tuple(range(1, dim + 1))
-    u = scipy.fft.irfftn(_low_modes(c, n, kmax), s=(n,) * dim, axes=axes)
+    u = _block_to_grid(c, n)
     prod = np.empty_like(u)  # one buffer for every real-space product
     w2 = np.zeros(u.shape[1:])  # |u|^2, summed from the diagonal products
     ik = [1j * k for k in karrs]
@@ -258,14 +312,14 @@ def _nonlinear(c: np.ndarray, params: CBFParams) -> np.ndarray:
     for i in range(dim):
         row = np.multiply(u[i], u[i:], out=prod[: dim - i])
         w2 += row[0]
-        row = _low_modes(scipy.fft.rfftn(row, axes=axes), nb, kmax)  # FFT(u_i u_j), j >= i
+        row = _grid_to_block(row, kmax)  # FFT(u_i u_j), j >= i
         for j in range(i, dim):
             neg[i] -= ik[j] * row[j - i]
             if j != i:
                 neg[j] -= ik[i] * row[j - i]
     if params.beta != 0.0:
         u *= w2 if params.r == 2.0 else w2 ** (params.r / 2.0)  # exact under the 1/2 cutoff for r = 2
-        neg -= params.beta * _low_modes(scipy.fft.rfftn(u, axes=axes), nb, kmax)
+        neg -= params.beta * _grid_to_block(u, kmax)
     out = _leray_arrays(neg, karrs, k2safe)
     out[(slice(None),) + (0,) * dim] = 0.0
     return out
@@ -301,11 +355,12 @@ def step(s: CBFState, params: CBFParams) -> CBFState:
     """One RK4 step with exact integrating factor for the viscous term.
 
     The step gathers the kept block of the state once, computes every stage
-    on it (the transforms zero-pad it into the N-point grid) and scatters the
-    result back once; a state with a nonzero coefficient outside the dealias
-    mask raises AliasingError instead of losing it.  The step preserves the
-    divergence-free constraint and conjugate symmetry exactly (the
-    coefficients never leave the rfft layout and every multiplier is real).
+    on it (the transforms run only on the grid lines the block touches) and
+    scatters the result back once; a state with a nonzero coefficient outside
+    the dealias mask raises AliasingError instead of losing it.  The step
+    preserves the divergence-free constraint and conjugate symmetry exactly
+    (the coefficients never leave the rfft layout and every multiplier is
+    real).
     Raises AccuracyError if the velocity norm grows more than 10x in a
     single step.
     """
@@ -386,13 +441,13 @@ class EnergyLedger:
     CSV_HEADER = ("t0", "t1", "kinetic0", "kinetic1", "dissipation", "absorption", "residual")
 
 
-def _padded_velocity_grid(s: CBFState, pad: int) -> GridField:
-    """Real-space velocity on a pad-times-finer grid."""
+def _padded_velocity_grid(s: CBFState, pad: int, kmax: int) -> GridField:
+    """Real-space velocity on a pad-times-finer grid, from the kept block of
+    cutoff kmax (the state must have no coefficient outside it)."""
     n = s.resolution
     dim = s.dim
     np_ = pad * n
-    big = _low_modes(s.coeffs, np_, n // 2 - 1)
-    vals = scipy.fft.irfftn(big, s=(np_,) * dim, axes=tuple(range(1, dim + 1)))
+    vals = _block_to_grid(_low_modes(s.coeffs, 2 * kmax + 1, kmax), np_)
     vals *= (np_ / n) ** dim
     torus = Torus(dim)
     axes = uniform_axes(torus, np_)
@@ -418,7 +473,10 @@ def energy_ledger(traj: Trajectory, t0: float, t1: float, params: CBFParams = No
     || u ||_{L^{r+2}}^{r+2} is quadratured on the grid `_absorption_pad`
     picks (the solver's own for r = 2, exact there; doubled for a q = r + 2
     that is not an even integer); time integrals use Simpson over the stored
-    snapshots.
+    snapshots.  Every snapshot in the window is checked as `step` checks its
+    input: one with a nonzero coefficient outside the dealias mask raises
+    AliasingError naming the mode, since the quadrature reads the kept block
+    only.
     """
     p = params if params is not None else traj.params
     if not t0 < t1:
@@ -433,6 +491,8 @@ def energy_ledger(traj: Trajectory, t0: float, t1: float, params: CBFParams = No
         raise ConfigError("need at least 3 snapshots between t0 and t1 for Simpson")
     sub_t = times[i0 : i1 + 1]
     sub_s = traj.states[i0 : i1 + 1]
+    for s in sub_s:
+        _check_state(s, p)
     kin0 = state_energy(sub_s[0], p)
     kin1 = state_energy(sub_s[-1], p)
     diss_vals = np.array([state_enstrophy(s, p) for s in sub_s])
@@ -442,7 +502,7 @@ def energy_ledger(traj: Trajectory, t0: float, t1: float, params: CBFParams = No
     else:
         q = p.r + 2.0
         pad = _absorption_pad(p)
-        abs_vals = np.array([lp_norm(_padded_velocity_grid(s, pad), q) ** q for s in sub_s])
+        abs_vals = np.array([lp_norm(_padded_velocity_grid(s, pad, p.dealias_kmax), q) ** q for s in sub_s])
         absorption = 2.0 * p.beta * float(simpson(abs_vals, x=sub_t))
     return EnergyLedger(float(sub_t[0]), float(sub_t[-1]), kin0, kin1, dissipation, absorption)
 

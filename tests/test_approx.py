@@ -223,3 +223,57 @@ def test_transforms_keep_real_stokes_fields_real_and_divergence_free(
             assert divergence_residual(g) <= residual, name
         else:
             assert divergence_residual(g) <= largest * (residual + rounding), name
+
+
+# The inequalities of acceptance criteria 4 and 6, over random parameters
+# drawn from the ranges those criteria use, with their 1e-12 slack.  Each is
+# checked per eigenvalue (the bound is a sup of a one-mode ratio, attained
+# where the closed form says) and on a random field of the criterion's
+# operators.
+_CRITERION_4_OPS = (DirichletLaplacian(Interval(1.0)), TorusLaplacian(Torus(2)), TorusStokes(Torus(2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    theta=st.floats(0.05, 1.2),
+    beta=st.floats(0.0, 1.5),
+    kappa=st.floats(0.0, 1.5),
+    spread=st.floats(0.0, 12.0),
+    op=st.sampled_from(_CRITERION_4_OPS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_phi_bounds_the_dropped_tail_and_is_attained(theta, beta, kappa, spread, op, seed):
+    bound = phi(theta, kappa)
+    lam = theta**-2 * math.exp(spread)  # any eigenvalue Pi_theta drops
+    # theta lam >= sqrt(lam) there, so the semigroup damps at least as e^{-sqrt(lam)}
+    assert lam**kappa * math.exp(-theta * lam) <= bound * (1.0 + 1e-12)
+    assert lam**kappa * math.exp(-math.sqrt(lam)) <= bound * (1.0 + 1e-12)
+    peak = max(theta**-2, (2.0 * kappa) ** 2)  # where the sup sits
+    assert peak**kappa * math.exp(-math.sqrt(peak)) == pytest.approx(bound, rel=1e-12, abs=0.0)
+    f = random_field(op, 90.0, np.random.default_rng(seed), n_modes=8)
+    lhs = pi_theta_gap_norm(f, theta, beta + kappa)
+    assert lhs <= bound * fractional_norm(f, beta) * (1.0 + 1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    theta=st.floats(0.01, 2.0),
+    alpha=st.floats(0.0, 1.5),
+    beta=st.floats(0.0, 1.5),
+    lambda_min=st.floats(0.1, 10.0),
+    spread=st.floats(0.0, 12.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_smoothing_bound_holds_on_both_branches_and_is_sharp(theta, alpha, beta, lambda_min, spread, seed):
+    bound = smoothing_bound(theta, alpha, beta, lambda_min)
+    gain = alpha - beta
+    lam = lambda_min * math.exp(spread)  # any eigenvalue of a spectrum above lambda_min
+    assert lam**gain * math.exp(-theta * lam) <= bound * (1.0 + 1e-12)
+    # the sup over lam >= lambda_min sits at gain / theta, or at lambda_min
+    peak = max(lambda_min, gain / theta)
+    if gain < 0.0 or gain / theta >= lambda_min:
+        assert peak**gain * math.exp(-theta * peak) == pytest.approx(bound, rel=1e-12, abs=0.0)
+    # on the 2-torus, whose smallest positive eigenvalue is 1
+    f = random_field(TorusLaplacian(Torus(2)), 80.0, np.random.default_rng(seed), n_modes=8)
+    lhs = fractional_norm(semigroup_apply(f, theta), alpha)
+    assert lhs <= smoothing_bound(theta, alpha, beta, 1.0) * fractional_norm(f, beta) * (1.0 + 1e-12)

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.integrate import simpson
 
 from eigenapprox import (
@@ -170,6 +171,31 @@ def _full(block, n):
 
 
 @pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("beta", [0.0, 1.0])  # the 2/3 and the 1/2 cutoff
+@pytest.mark.parametrize("n", [8, 16, 32])
+@pytest.mark.parametrize("m", [1, 3])
+def test_pruned_transforms_match_the_full_layout_transforms(dim, beta, n, m):
+    # block -> grid is irfftn of the block zero-padded into the n-point
+    # layout, and grid -> block is the kept block of rfftn, for m components
+    kmax = _params(dim=dim, beta=beta, resolution=n).dealias_kmax
+    rng = np.random.default_rng([dim, n, m, kmax])
+    axes, kept = tuple(range(1, dim + 1)), _kept_index(n, kmax, dim)
+    shape = (m,) + (2 * kmax + 1,) * (dim - 1) + (kmax + 1,)
+    block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    padded = np.zeros((m,) + (n,) * (dim - 1) + (n // 2 + 1,), dtype=complex)
+    padded[kept] = block
+    want = scipy.fft.irfftn(padded, s=(n,) * dim, axes=axes)
+    got = cbf._block_to_grid(block, n)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    grid = rng.standard_normal((m,) + (n,) * dim)
+    want = scipy.fft.rfftn(grid, axes=axes)[kept]
+    got = cbf._grid_to_block(grid, kmax)
+    assert got.shape == want.shape == shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("beta", [0.0, 1.0])
 @pytest.mark.parametrize("r", [2.0, 3.0])
 def test_divergence_form_matches_advective_oracle(dim, beta, r):
@@ -304,8 +330,8 @@ def test_ledger_quadratures_r2_on_the_solver_grid(dim):
     assert cbf._absorption_pad(p) == 1
     s = random_divergence_free_state(p, kmax_init=p.dealias_kmax, amplitude=2.0, seed=5)
     for state in (s, step(s, p)):
-        on_grid = lp_norm(cbf._padded_velocity_grid(state, 1), 4.0) ** 4
-        doubled = lp_norm(cbf._padded_velocity_grid(state, 2), 4.0) ** 4
+        on_grid = lp_norm(cbf._padded_velocity_grid(state, 1, p.dealias_kmax), 4.0) ** 4
+        doubled = lp_norm(cbf._padded_velocity_grid(state, 2, p.dealias_kmax), 4.0) ** 4
         assert abs(on_grid - doubled) <= 1e-13 * doubled
 
 
@@ -318,8 +344,22 @@ def test_ledger_grid_choice():
     p = CBFParams(mu=0.05, beta=1.0, r=3.0, dim=2, resolution=16, dt=1e-3, t_final=0.02, snapshot_every=5)
     assert cbf._absorption_pad(p) == 2
     traj = simulate(random_divergence_free_state(p, kmax_init=3, seed=3), p)
-    vals = [lp_norm(cbf._padded_velocity_grid(s, 2), 5.0) ** 5.0 for s in traj.states]
+    vals = [lp_norm(cbf._padded_velocity_grid(s, 2, p.dealias_kmax), 5.0) ** 5.0 for s in traj.states]
     assert energy_ledger(traj, 0.0, 0.02).absorption == 2.0 * p.beta * float(simpson(vals, x=traj.times))
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_ledger_refuses_a_snapshot_outside_the_dealias_mask(beta):
+    # the ledger's quadrature reads the kept block only: a coefficient
+    # outside it would be dropped, so the ledger names it as step does
+    p = CBFParams(mu=0.05, beta=beta, r=2.0, dim=2, resolution=16, dt=1e-3, t_final=0.02, snapshot_every=5)
+    traj = simulate(random_divergence_free_state(p, kmax_init=2, seed=3), p)
+    energy_ledger(traj, 0.0, 0.02)
+    traj.states[1].coeffs[1, 0, 6] = 1e-300
+    msg = re.escape(f"mode (0, 6) lies outside the dealias mask (kmax={p.dealias_kmax})")
+    with pytest.raises(AliasingError, match=msg):
+        energy_ledger(traj, 0.0, 0.02)
+    energy_ledger(traj, 0.01, 0.02)  # a window without that snapshot is not checked for it
 
 
 def test_energy_ledger_guards():

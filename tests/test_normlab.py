@@ -27,7 +27,8 @@ from eigenapprox import (
     synthesize,
     truncation_experiment,
 )
-from eigenapprox.normlab import _AscentState, _near_extremal_coeffs
+from eigenapprox import normlab
+from eigenapprox.normlab import _AscentState, _lp_grid_resolution, _near_extremal_coeffs
 
 
 def _config(**kw):
@@ -234,6 +235,16 @@ def test_near_extremal_family_matches_per_mode_loop(kmax):
         assert np.max(np.abs(got.values - w)) <= 8 * np.finfo(float).eps * np.max(np.abs(w))
 
 
+def test_truncation_experiment_synthesizes_each_denominator_once(monkeypatch):
+    # per family field one denominator grid for the whole experiment; per
+    # (transform, n) one transform grid per field, which the ascent starts
+    # from, and the best field's own grid once more for the ascent
+    calls = []
+    monkeypatch.setattr(normlab, "synthesize", lambda f, res: calls.append(res) or synthesize(f, res))
+    truncation_experiment(n_list=(2, 3), p=4.0, kmax=6, seed=0, n_samples=2, ascent_iters=10)
+    assert len(calls) == 2 + 2 * 2 * (2 + 1)
+
+
 def test_truncation_experiment_small_run_deterministic():
     kw = dict(n_list=(2, 3), p=4.0, kmax=6, seed=0, n_samples=2, ascent_iters=10)
     a = truncation_experiment(**kw)
@@ -286,7 +297,8 @@ def test_ascent_grids_match_fresh_synthesis(op_name, lambda_max, name, param):
     # norm of Tf kept while Tf is unchanged) the ratio of that resynthesis
     op, p = _ASCENT_OPS[op_name]
     f = random_field(op, lambda_max, np.random.default_rng(11), decay=1.0)
-    st = _AscentState(f, name, param, p)
+    res = _lp_grid_resolution(f, p)
+    st = _AscentState(f, name, param, p, synthesize(f, res), synthesize(apply_named_transform(f, name, param), res))
     rng = np.random.default_rng(12)
     for _ in range(40):
         undo = st.perturb(int(rng.integers(len(st.reps))), float(rng.uniform(-0.3, 0.3)))
