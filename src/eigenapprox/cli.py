@@ -241,10 +241,7 @@ def _run_cbf(cfg: dict, out_dir: str) -> list:
     windows = max(1, int(cfg["windows"]))
     times = traj.times
     idx = [round(i * (len(times) - 1) / windows) for i in range(windows + 1)]
-    rows = []
-    for a, b in zip(idx[:-1], idx[1:]):
-        led = cbf.energy_ledger(traj, times[a], times[b])
-        rows.append(led.csv_row())
+    rows = [led.csv_row() for led in cbf.energy_ledgers(traj, [times[i] for i in idx])]
     reports.write_table_csv(os.path.join(out_dir, "ledger.csv"), cbf.EnergyLedger.CSV_HEADER, rows)
     outputs = ["ledger.csv"]
     if cfg.get("save_traj"):

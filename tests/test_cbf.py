@@ -1,9 +1,14 @@
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from eigenapprox import (
@@ -21,6 +26,7 @@ from eigenapprox import (
     cbf_rhs,
     divergence_residual,
     energy_ledger,
+    energy_ledgers,
     from_spectral_field,
     load_trajectory,
     lp_norm,
@@ -170,14 +176,9 @@ def _full(block, n):
     return out
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-@pytest.mark.parametrize("beta", [0.0, 1.0])  # the 2/3 and the 1/2 cutoff
-@pytest.mark.parametrize("n", [8, 16, 32])
-@pytest.mark.parametrize("m", [1, 3])
-def test_pruned_transforms_match_the_full_layout_transforms(dim, beta, n, m):
+def _check_transforms(dim, n, kmax, m):
     # block -> grid is irfftn of the block zero-padded into the n-point
     # layout, and grid -> block is the kept block of rfftn, for m components
-    kmax = _params(dim=dim, beta=beta, resolution=n).dealias_kmax
     rng = np.random.default_rng([dim, n, m, kmax])
     axes, kept = tuple(range(1, dim + 1)), _kept_index(n, kmax, dim)
     shape = (m,) + (2 * kmax + 1,) * (dim - 1) + (kmax + 1,)
@@ -193,6 +194,43 @@ def test_pruned_transforms_match_the_full_layout_transforms(dim, beta, n, m):
     got = cbf._grid_to_block(grid, kmax)
     assert got.shape == want.shape == shape
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("beta", [0.0, 1.0])  # the 2/3 and the 1/2 cutoff
+@pytest.mark.parametrize("n", [8, 10, 16, 32, 48, 64])
+@pytest.mark.parametrize("m", [1, 3])
+def test_pruned_transforms_match_the_full_layout_transforms(dim, beta, n, m):
+    _check_transforms(dim, n, _params(dim=dim, beta=beta, resolution=n).dealias_kmax, m)
+
+
+@pytest.mark.parametrize(
+    "dim, resolution, pad",
+    # n = 128 and 256 pin the exact (j k) mod n phases of `_dft_matrices`
+    # (without the reduction the error is about 1e-14 at 128, 3e-14 at 256);
+    # pad 2 is the ledger's doubled grid
+    [(2, 128, 1), (2, 256, 1), (2, 16, 2), (2, 32, 2), (3, 16, 2), (3, 32, 2)],
+)
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_transforms_match_on_the_large_and_the_ledger_grids(dim, resolution, pad, beta):
+    _check_transforms(dim, pad * resolution, _params(dim=dim, beta=beta, resolution=resolution).dealias_kmax, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.sampled_from([2, 3]),
+    kmax=st.integers(1, 6),
+    extra=st.integers(0, 12),
+    m=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_round_trip_returns_the_block_of_a_real_grid(dim, kmax, extra, m, seed):
+    # the kept block of a real grid is conjugate-symmetric where it must be,
+    # and on any grid of n >= 2K+1 points the inverse is exact on it
+    n = 2 * kmax + 1 + extra
+    block = cbf._grid_to_block(np.random.default_rng(seed).standard_normal((m,) + (n,) * dim), kmax)
+    back = cbf._grid_to_block(cbf._block_to_grid(block, n), kmax)
+    assert np.max(np.abs(back - block)) <= 1e-14 * np.max(np.abs(block))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -362,6 +400,25 @@ def test_ledger_refuses_a_snapshot_outside_the_dealias_mask(beta):
     energy_ledger(traj, 0.01, 0.02)  # a window without that snapshot is not checked for it
 
 
+def test_ledgers_compute_each_snapshot_once(monkeypatch):
+    # two windows over 7 snapshots share the middle one: 7 quadratures, not 8
+    p = CBFParams(mu=0.05, beta=1.0, r=2.0, dim=2, resolution=16, dt=1e-3, t_final=0.03, snapshot_every=5)
+    traj = simulate(random_divergence_free_state(p, kmax_init=2, seed=3), p)
+    assert len(traj.states) == 7
+    edges = (0.0, 0.015, 0.03)
+    per_window = [energy_ledger(traj, a, b) for a, b in zip(edges, edges[1:])]
+    calls = []
+    grid = cbf._padded_velocity_grid
+    monkeypatch.setattr(cbf, "_padded_velocity_grid", lambda *a: calls.append(a) or grid(*a))
+    ledgers = energy_ledgers(traj, edges)
+    assert len(calls) == 7
+    assert [led.csv_row() for led in ledgers] == [led.csv_row() for led in per_window]
+    with pytest.raises(ConfigError, match="two window edges"):
+        energy_ledgers(traj, (0.0,))
+    with pytest.raises(ConfigError, match="t0 < t1"):
+        energy_ledgers(traj, (0.0, 0.015, 0.015))
+
+
 def test_energy_ledger_guards():
     p = _params()
     traj = simulate(taylor_green(p), p)
@@ -506,3 +563,27 @@ def test_checkpoint_round_trip_csv(tmp_path):
         assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-12
     with pytest.raises(ConfigError):
         save_trajectory(traj, str(tmp_path / "x"), fmt="hdf5")
+
+
+_THREAD_RUN = """
+import hashlib
+from eigenapprox import CBFParams, energy_ledger, random_divergence_free_state, simulate
+p = CBFParams(mu=1.0, beta=1.0, r=2.0, dim=3, resolution=32, dt=1e-3, t_final=6e-3, snapshot_every=2)
+traj = simulate(random_divergence_free_state(p, kmax_init=3, seed=7), p)
+digest = hashlib.sha256(b"".join(s.coeffs.tobytes() for s in traj.states)).hexdigest()
+print(digest, repr(energy_ledger(traj, traj.times[0], traj.times[-1]).csv_row()))
+"""
+
+
+def test_results_do_not_depend_on_the_blas_thread_count():
+    # the transforms are BLAS products: a threaded BLAS must give the same
+    # bytes as one thread, or two runs on different machines would differ
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", _THREAD_RUN], env=env, capture_output=True, text=True, check=True)
+        outs.append(run.stdout)
+    assert outs[0] == outs[1]
+    assert len(outs[0].split()) > 1
