@@ -662,6 +662,8 @@ def random_divergence_free_state(params: CBFParams, kmax_init: int = 2, amplitud
     projected, zero-mean, rescaled to || u ||_{L2} = amplitude."""
     if kmax_init < 1 or kmax_init > params.dealias_kmax:
         raise ConfigError(f"kmax_init must lie in [1, {params.dealias_kmax}]")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     n, dim, kmax = params.resolution, params.dim, params.dealias_kmax
     nb = 2 * kmax + 1
@@ -740,28 +742,18 @@ def from_spectral_field(f: SpectralField, params: CBFParams, time: float = 0.0) 
 # checkpoints
 
 
-def save_trajectory(traj: Trajectory, directory: str, fmt: str = "npz") -> None:
-    """Checkpoint: coefficient dumps plus a manifest (params, times, format).
-
-    fmt="npz" stores one compressed array file; fmt="csv" writes one spectral
-    CSV per snapshot (slow, for interop)."""
+def save_trajectory(traj: Trajectory, directory: str) -> None:
+    """Checkpoint: one compressed npz of the coefficient arrays plus a
+    manifest (params, times, format)."""
     os.makedirs(directory, exist_ok=True)
     manifest = {
-        "format": fmt,
+        "format": "npz",
         "params": traj.params.as_dict(),
         "times": [float(t) for t in traj.times],
         "snapshots": len(traj.states),
     }
-    if fmt == "npz":
-        arrays = {f"snapshot_{i:06d}": s.coeffs for i, s in enumerate(traj.states)}
-        np.savez_compressed(os.path.join(directory, "trajectory.npz"), **arrays)
-    elif fmt == "csv":
-        from .serialize import spectral_field_to_csv
-
-        for i, s in enumerate(traj.states):
-            spectral_field_to_csv(to_spectral_field(s), os.path.join(directory, f"snapshot_{i:06d}.csv"))
-    else:
-        raise ConfigError(f"unknown checkpoint format {fmt!r}")
+    arrays = {f"snapshot_{i:06d}": s.coeffs for i, s in enumerate(traj.states)}
+    np.savez_compressed(os.path.join(directory, "trajectory.npz"), **arrays)
     with open(os.path.join(directory, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -770,20 +762,10 @@ def save_trajectory(traj: Trajectory, directory: str, fmt: str = "npz") -> None:
 def load_trajectory(directory: str) -> Trajectory:
     with open(os.path.join(directory, "manifest.json")) as fh:
         manifest = json.load(fh)
+    if manifest["format"] != "npz":
+        raise ConfigError(f"unknown checkpoint format {manifest['format']!r}; only 'npz' is read")
     params = CBFParams(**manifest["params"])
     times = [float(t) for t in manifest["times"]]
-    states = []
-    if manifest["format"] == "npz":
-        with np.load(os.path.join(directory, "trajectory.npz")) as data:
-            for i, t in enumerate(times):
-                states.append(CBFState(t, data[f"snapshot_{i:06d}"]))
-    elif manifest["format"] == "csv":
-        from .serialize import spectral_field_from_csv
-
-        op = TorusStokes(Torus(params.dim))
-        for i, t in enumerate(times):
-            f = spectral_field_from_csv(os.path.join(directory, f"snapshot_{i:06d}.csv"), op)
-            states.append(from_spectral_field(f, params, time=t))
-    else:
-        raise ConfigError(f"unknown checkpoint format {manifest['format']!r}")
+    with np.load(os.path.join(directory, "trajectory.npz")) as data:
+        states = [CBFState(t, data[f"snapshot_{i:06d}"]) for i, t in enumerate(times)]
     return Trajectory(params, times, states)

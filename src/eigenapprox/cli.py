@@ -39,21 +39,21 @@ def _make_operator(cfg: dict):
     if name == "dirichlet-interval":
         return DirichletLaplacian(Interval(cfg["L"]))
     if name == "dirichlet-box":
-        lengths = tuple(float(x) for x in str(cfg["lengths"]).split(","))
-        return DirichletLaplacian(Box(lengths))
+        return DirichletLaplacian(Box(tuple(_comma_list(cfg, "lengths"))))
     if name == "torus":
         return TorusLaplacian(Torus(cfg["d"]))
-    if name == "torus-stokes":
-        return TorusStokes(Torus(cfg["d"]))
-    raise ConfigError(f"unknown operator {name!r}; choose from {_OPERATORS}")
+    return TorusStokes(Torus(cfg["d"]))  # the choices check leaves only torus-stokes
 
 
-def _theta_list(spec) -> list:
-    if isinstance(spec, (int, float)):
-        return [float(spec)]
-    vals = [float(x) for x in str(spec).split(",") if x.strip()]
+def _comma_list(cfg: dict, key: str) -> list:
+    """The values of a comma-list option; a bare number is a one-item list."""
+    convert = _COMMA_LISTS[key]
+    try:
+        vals = [convert(x) for x in str(cfg[key]).split(",") if x.strip()]
+    except ValueError:
+        raise ConfigError(f"{key} must be a comma-separated list of {convert.__name__}s, got {cfg[key]!r}") from None
     if not vals:
-        raise ConfigError("empty theta list")
+        raise ConfigError(f"empty {key} list")
     return vals
 
 
@@ -65,10 +65,12 @@ def _load_or_sample_field(cfg: dict, op):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each takes (cfg, out_dir) and returns output file names
+# subcommand handlers: each takes (cfg, out_dir) and returns output file
+# names; its docstring is the subcommand's help
 
 
 def _run_modes(cfg: dict, out_dir: str) -> list:
+    """enumerate eigenvalues below a threshold"""
     op = _make_operator(cfg)
     k, pol, lam = _mode_table(op, cfg["lambda_max"])
     rows = zip([" ".join(map(str, ks)) for ks in k.tolist()], pol.tolist(), lam.tolist())
@@ -77,6 +79,7 @@ def _run_modes(cfg: dict, out_dir: str) -> list:
 
 
 def _run_approx(cfg: dict, out_dir: str) -> list:
+    """semigroup / damped-truncation error vs its bound"""
     op = _make_operator(cfg)
     f = _load_or_sample_field(cfg, op)
     alpha, beta = cfg["alpha"], cfg["beta"]
@@ -85,7 +88,7 @@ def _run_approx(cfg: dict, out_dir: str) -> list:
     rows = []
     lam1 = op.lambda_min()
     norm_beta = approx.fractional_norm(f, beta)
-    for theta in _theta_list(cfg["theta"]):
+    for theta in _comma_list(cfg, "theta"):
         if not theta > 0:
             raise ConfigError(f"theta must be positive, got {theta}")
         if cfg["transform"] == "pi-theta":
@@ -100,7 +103,7 @@ def _run_approx(cfg: dict, out_dir: str) -> list:
     reports.write_reports_csv(os.path.join(out_dir, "approx.csv"), rows)
     outputs = ["approx.csv"]
     if cfg.get("emit_field"):
-        t0 = _theta_list(cfg["theta"])[0]
+        t0 = _comma_list(cfg, "theta")[0]
         g = approx.pi_theta(f, t0) if cfg["transform"] == "pi-theta" else approx.semigroup_apply(f, t0)
         serialize.spectral_field_to_csv(g, os.path.join(out_dir, "field_out.csv"))
         outputs.append("field_out.csv")
@@ -122,7 +125,8 @@ def _run_approx(cfg: dict, out_dir: str) -> list:
 
 
 def _run_interp(cfg: dict, out_dir: str) -> list:
-    thetas = _theta_list(cfg["theta"])
+    """interpolation-norm identities and I(theta) checks"""
+    thetas = _comma_list(cfg, "theta")
     rows = []
     if cfg.get("check_itheta"):
         for theta in thetas:
@@ -162,14 +166,13 @@ def _run_interp(cfg: dict, out_dir: str) -> list:
 
 
 def _run_h00(cfg: dict, out_dir: str) -> list:
+    """boundary-weighted norm discriminator on an interval"""
     L = cfg["L"]
     domain = Interval(L)
     if cfg["profile"] == "bump":
         u = SpectralField(DirichletLaplacian(domain), {ModeIndex((1,)): 1.0 + 0.0j})
-    elif cfg["profile"] == "constant":
-        u = lambda pts: np.ones(pts.shape[0])  # noqa: E731
     else:
-        raise ConfigError(f"unknown profile {cfg['profile']!r}; choose bump or constant")
+        u = lambda pts: np.ones(pts.shape[0])  # noqa: E731
     report = interpolation.h00_weighted_norm(u, domain, levels=cfg["levels"])
     rows = [[lvl, val, report.diverging] for lvl, val in enumerate(report.values)]
     reports.write_table_csv(os.path.join(out_dir, "h00.csv"), ("level", "value", "diverging"), rows)
@@ -190,9 +193,9 @@ def _run_h00(cfg: dict, out_dir: str) -> list:
 
 
 def _run_truncate(cfg: dict, out_dir: str) -> list:
-    n_list = tuple(int(x) for x in str(cfg["n_list"]).split(","))
+    """spherical vs cubic truncation L^p ratio experiment"""
     rows = normlab.truncation_experiment(
-        n_list=n_list,
+        n_list=tuple(_comma_list(cfg, "n_list")),
         p=cfg["p"],
         kmax=cfg["kmax"],
         seed=cfg["seed"],
@@ -221,6 +224,7 @@ def _run_truncate(cfg: dict, out_dir: str) -> list:
 
 
 def _run_cbf(cfg: dict, out_dir: str) -> list:
+    """pseudospectral CBF run plus energy ledger"""
     params = cbf.CBFParams(
         mu=cfg["mu"],
         beta=cfg["beta"],
@@ -238,7 +242,7 @@ def _run_cbf(cfg: dict, out_dir: str) -> list:
             params, kmax_init=cfg["kmax_init"], amplitude=cfg["amplitude"], seed=cfg["seed"]
         )
     traj = cbf.simulate(initial, params)
-    windows = max(1, int(cfg["windows"]))
+    windows = max(1, cfg["windows"])
     times = traj.times
     idx = [round(i * (len(times) - 1) / windows) for i in range(windows + 1)]
     rows = [led.csv_row() for led in cbf.energy_ledgers(traj, [times[i] for i in idx])]
@@ -264,6 +268,7 @@ def _run_cbf(cfg: dict, out_dir: str) -> list:
 
 
 def _run_report(cfg: dict, out_dir: str) -> list:
+    """merge report CSVs deterministically"""
     inputs = cfg["inputs"]
     if not inputs:
         raise ConfigError("report needs at least one --inputs CSV")
@@ -310,7 +315,9 @@ _HANDLERS = {
     "report": _run_report,
 }
 
-# defaults double as the schema for --config key validation
+# the one option schema: the --config keys, the flags (`--` plus the key with
+# `-` for `_`), the kind every value must have (the type of its default) and
+# the manifest echo
 _DEFAULTS = {
     "modes": {"op": "dirichlet-interval", "L": math.pi, "lengths": "3.141592653589793,3.141592653589793", "d": 2, "lambda_max": 64.0},
     "approx": {
@@ -368,6 +375,32 @@ _DEFAULTS = {
 }
 
 
+_NONE_KINDS = {"n_modes": int, "field": str}  # the options that may be null (unset)
+_CHOICES = {"op": _OPERATORS, "transform": ("semigroup", "pi-theta"), "profile": ("bump", "constant")}
+_COMMA_LISTS = {"theta": float, "lengths": float, "n_list": int}  # element type of each comma list
+_HELP = {
+    "lengths": "comma-separated box edge lengths",
+    "d": "torus dimension",
+    "field": "input spectral CSV instead of a random field",
+    "theta": "comma-separated list",
+    "n_list": "comma-separated truncation radii",
+    "windows": "number of equal ledger windows",
+}
+# kind -> (accepted JSON types, name in messages); a JSON true or false is
+# only ever a switch value, though Python's bool is an int
+_KINDS = {
+    bool: ((bool,), "true or false"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+    list: ((list,), "a list of strings"),
+}
+
+
+def _kind(name: str, key: str) -> type:
+    return _NONE_KINDS.get(key) or type(_DEFAULTS[name][key])
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # one-line machine-parsable failures
         raise ConfigError(message)
@@ -376,88 +409,39 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="eigenapprox", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", metavar="{" + ",".join(_HANDLERS) + "}")
-
-    def add(name: str, help_: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_)
+    for name, handler in _HANDLERS.items():
+        p = sub.add_parser(name, help=handler.__doc__)
         p.add_argument("--out-dir", dest="out_dir", default=None, help=f"output directory (default ${OUT_DIR_ENV} or cwd)")
         p.add_argument("--config", dest="config", default=None, help="JSON file of option values (CLI flags win)")
-        return p
-
-    p = add("modes", "enumerate eigenvalues below a threshold")
-    p.add_argument("--op", choices=_OPERATORS, default=None)
-    p.add_argument("--L", type=float, default=None)
-    p.add_argument("--lengths", default=None, help="comma-separated box edge lengths")
-    p.add_argument("--d", type=int, default=None, help="torus dimension")
-    p.add_argument("--lambda-max", dest="lambda_max", type=float, default=None)
-
-    p = add("approx", "semigroup / damped-truncation error vs its bound")
-    p.add_argument("--op", choices=_OPERATORS, default=None)
-    p.add_argument("--L", type=float, default=None)
-    p.add_argument("--lengths", default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--lambda-max", dest="lambda_max", type=float, default=None)
-    p.add_argument("--n-modes", dest="n_modes", type=int, default=None)
-    p.add_argument("--decay", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--field", default=None, help="input spectral CSV instead of a random field")
-    p.add_argument("--transform", choices=("semigroup", "pi-theta"), default=None)
-    p.add_argument("--theta", default=None, help="comma-separated list")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--emit-field", dest="emit_field", action="store_const", const=True, default=None)
-    p.add_argument("--plot", action="store_const", const=True, default=None)
-
-    p = add("interp", "interpolation-norm identities and I(theta) checks")
-    p.add_argument("--op", choices=_OPERATORS, default=None)
-    p.add_argument("--L", type=float, default=None)
-    p.add_argument("--lengths", default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--lambda-max", dest="lambda_max", type=float, default=None)
-    p.add_argument("--n-modes", dest="n_modes", type=int, default=None)
-    p.add_argument("--decay", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--field", default=None)
-    p.add_argument("--theta", default=None, help="comma-separated list")
-    p.add_argument("--check-itheta", dest="check_itheta", action="store_const", const=True, default=None)
-    p.add_argument("--reiteration", action="store_const", const=True, default=None)
-    p.add_argument("--plot", action="store_const", const=True, default=None)
-
-    p = add("h00", "boundary-weighted norm discriminator on an interval")
-    p.add_argument("--profile", choices=("bump", "constant"), default=None)
-    p.add_argument("--L", type=float, default=None)
-    p.add_argument("--levels", type=int, default=None)
-    p.add_argument("--plot", action="store_const", const=True, default=None)
-
-    p = add("truncate", "spherical vs cubic truncation L^p ratio experiment")
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--kmax", type=int, default=None)
-    p.add_argument("--n-list", dest="n_list", default=None, help="comma-separated truncation radii")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--iters", type=int, default=None)
-    p.add_argument("--plot", action="store_const", const=True, default=None)
-
-    p = add("cbf", "pseudospectral CBF run plus energy ledger")
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--r", type=float, default=None)
-    p.add_argument("--N", type=int, default=None, dest="N")
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--T", type=float, default=None, dest="T")
-    p.add_argument("--snapshot-every", dest="snapshot_every", type=int, default=None)
-    p.add_argument("--taylor-green", dest="taylor_green", action="store_const", const=True, default=None)
-    p.add_argument("--kmax-init", dest="kmax_init", type=int, default=None)
-    p.add_argument("--amplitude", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--windows", type=int, default=None, help="number of equal ledger windows")
-    p.add_argument("--save-traj", dest="save_traj", action="store_const", const=True, default=None)
-    p.add_argument("--plot", action="store_const", const=True, default=None)
-
-    p = add("report", "merge report CSVs deterministically")
-    p.add_argument("--inputs", nargs="+", default=None)
-
+        for key in _DEFAULTS[name]:
+            kind = _kind(name, key)
+            if kind is bool:
+                kw = {"action": "store_const", "const": True}
+            else:
+                kw = {"type": str if kind is list else kind, "nargs": "+" if kind is list else None, "choices": _CHOICES.get(key)}
+            p.add_argument("--" + key.replace("_", "-"), dest=key, default=None, help=_HELP.get(key), **kw)
     return parser
+
+
+def _check_value(name: str, key: str, v) -> None:
+    """Refuse a value, from a flag or the config file, that does not have its
+    option's kind, lies outside its choices or is a negative count; every
+    integer option counts something.  Values are not converted, so the
+    manifest echoes them as given."""
+    if v is None and key in _NONE_KINDS:
+        return
+    kind = _kind(name, key)
+    types, what = ((str, int, float), "a comma-separated list or a number") if key in _COMMA_LISTS else _KINDS[kind]
+    if (
+        not isinstance(v, types)
+        or isinstance(v, bool) != (kind is bool)
+        or (kind is list and not all(isinstance(x, str) for x in v))
+    ):
+        raise ConfigError(f"{key} must be {what}, got {v!r}")
+    if key in _CHOICES and v not in _CHOICES[key]:
+        raise ConfigError(f"{key} must be one of {_CHOICES[key]}, got {v!r}")
+    if kind is int and v < 0:
+        raise ConfigError(f"{key} must be >= 0, got {v}")
 
 
 def _resolve_config(ns: argparse.Namespace) -> dict:
@@ -479,6 +463,8 @@ def _resolve_config(ns: argparse.Namespace) -> dict:
         if key in ("subcommand", "config", "out_dir") or val is None:
             continue
         cfg[key] = val
+    for key, val in cfg.items():
+        _check_value(name, key, val)
     return cfg
 
 
@@ -493,11 +479,14 @@ def _sha256(path: str) -> str:
 def run(argv=None) -> int:
     """Parse argv, run the subcommand, write outputs plus manifest.
 
-    Returns the exit code instead of raising; `entry` wraps this for the
-    console script.
+    Returns the exit code instead of raising, also after `--help`; `entry`
+    wraps this for the console script.
     """
     try:
-        ns = _build_parser().parse_args(argv)
+        try:
+            ns = _build_parser().parse_args(argv)
+        except SystemExit as e:  # only --help exits: the parser raises ConfigError on errors
+            return e.code
         if not getattr(ns, "subcommand", None):
             raise ConfigError(f"missing subcommand; choose from {tuple(_HANDLERS)}")
         cfg = _resolve_config(ns)

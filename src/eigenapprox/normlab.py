@@ -16,14 +16,13 @@ import numpy as np
 from scipy.special import j1
 
 from .approx import (
+    _apply_multiplier,
     _factors,
-    cubic_truncate,
     fractional_norm,
     pi_theta,
     pi_theta_error_norm,
     semigroup_apply,
     semigroup_error_norm,
-    spherical_truncate,
 )
 from .domains import (
     DirichletLaplacian,
@@ -75,6 +74,10 @@ class ExperimentConfig:
             raise ConfigError("need at least one sample")
         if not self.lambda_max > 0:
             raise ConfigError("lambda_max must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.ascent_iters < 0:
+            raise ConfigError(f"ascent_iters must be >= 0, got {self.ascent_iters}")
 
 
 # ---------------------------------------------------------------------------
@@ -151,17 +154,9 @@ TRANSFORMS = ("identity", "semigroup", "pi_theta", "spherical", "cubic")
 
 
 def apply_named_transform(f: SpectralField, name: str, param=None) -> SpectralField:
-    if name == "identity":
-        return f
-    if name == "semigroup":
-        return semigroup_apply(f, float(param))
-    if name == "pi_theta":
-        return pi_theta(f, float(param))
-    if name == "spherical":
-        return spherical_truncate(f, int(param))
-    if name == "cubic":
-        return cubic_truncate(f, int(param))
-    raise ConfigError(f"unknown transform {name!r}; choose from {TRANSFORMS}")
+    if name not in TRANSFORMS:
+        raise ConfigError(f"unknown transform {name!r}; choose from {TRANSFORMS}")
+    return f if name == "identity" else _apply_multiplier(f, name, param)
 
 
 def _lp_grid_resolution(f: SpectralField, p: float) -> int:

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import re
@@ -545,7 +546,7 @@ def test_checkpoint_round_trip_npz(tmp_path):
     p = _params(t_final=0.02)
     traj = simulate(taylor_green(p), p)
     d = tmp_path / "ck"
-    save_trajectory(traj, str(d), fmt="npz")
+    save_trajectory(traj, str(d))
     back = load_trajectory(str(d))
     assert back.params == p
     assert back.times == traj.times
@@ -553,16 +554,22 @@ def test_checkpoint_round_trip_npz(tmp_path):
         assert np.array_equal(a.coeffs, b.coeffs)
 
 
-def test_checkpoint_round_trip_csv(tmp_path):
+def test_load_trajectory_refuses_a_format_other_than_npz(tmp_path):
     p = _params(t_final=0.02)
-    traj = simulate(taylor_green(p), p)
     d = tmp_path / "ck"
-    save_trajectory(traj, str(d), fmt="csv")
-    back = load_trajectory(str(d))
-    for a, b in zip(traj.states, back.states):
-        assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-12
-    with pytest.raises(ConfigError):
-        save_trajectory(traj, str(tmp_path / "x"), fmt="hdf5")
+    save_trajectory(simulate(taylor_green(p), p), str(d))
+    manifest = json.loads((d / "manifest.json").read_text())
+    assert manifest["format"] == "npz"
+    manifest["format"] = "csv"
+    (d / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ConfigError, match="unknown checkpoint format 'csv'"):
+        load_trajectory(str(d))
+
+
+def test_negative_seed_is_a_config_error():
+    # it used to reach numpy, which raised its own ValueError
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        random_divergence_free_state(_params(), seed=-1)
 
 
 _THREAD_RUN = """

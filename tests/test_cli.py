@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import itertools
@@ -6,7 +7,7 @@ import math
 
 import pytest
 
-from eigenapprox.cli import run
+from eigenapprox.cli import _build_parser, run
 
 
 def _read_csv(path):
@@ -269,3 +270,144 @@ def test_non_integer_index_cell_is_exit_2(tmp_path, capsys):
     rc = _run(["approx", "--op", "torus", "--d", "2", "--field", str(field), "--theta", "0.3"], tmp_path / "out")
     assert rc == 2
     assert capsys.readouterr().err == "error: config: line 3: index cell '1.5' is not an integer\n"
+
+
+_OPS = ("dirichlet-interval", "dirichlet-box", "torus", "torus-stokes")
+
+# every (subcommand, flag, kind or choices) the CLI has offered; a flag that
+# is renamed, dropped or re-typed fails the inventory test
+FLAGS = [
+    ("modes", "--op", _OPS),
+    ("modes", "--L", "float"),
+    ("modes", "--lengths", "str"),
+    ("modes", "--d", "int"),
+    ("modes", "--lambda-max", "float"),
+    ("approx", "--op", _OPS),
+    ("approx", "--L", "float"),
+    ("approx", "--lengths", "str"),
+    ("approx", "--d", "int"),
+    ("approx", "--lambda-max", "float"),
+    ("approx", "--n-modes", "int"),
+    ("approx", "--decay", "float"),
+    ("approx", "--seed", "int"),
+    ("approx", "--field", "str"),
+    ("approx", "--transform", ("semigroup", "pi-theta")),
+    ("approx", "--theta", "str"),
+    ("approx", "--alpha", "float"),
+    ("approx", "--beta", "float"),
+    ("approx", "--emit-field", "switch"),
+    ("approx", "--plot", "switch"),
+    ("interp", "--op", _OPS),
+    ("interp", "--L", "float"),
+    ("interp", "--lengths", "str"),
+    ("interp", "--d", "int"),
+    ("interp", "--lambda-max", "float"),
+    ("interp", "--n-modes", "int"),
+    ("interp", "--decay", "float"),
+    ("interp", "--seed", "int"),
+    ("interp", "--field", "str"),
+    ("interp", "--theta", "str"),
+    ("interp", "--check-itheta", "switch"),
+    ("interp", "--reiteration", "switch"),
+    ("interp", "--plot", "switch"),
+    ("h00", "--profile", ("bump", "constant")),
+    ("h00", "--L", "float"),
+    ("h00", "--levels", "int"),
+    ("h00", "--plot", "switch"),
+    ("truncate", "--p", "float"),
+    ("truncate", "--kmax", "int"),
+    ("truncate", "--n-list", "str"),
+    ("truncate", "--seed", "int"),
+    ("truncate", "--samples", "int"),
+    ("truncate", "--iters", "int"),
+    ("truncate", "--plot", "switch"),
+    ("cbf", "--d", "int"),
+    ("cbf", "--mu", "float"),
+    ("cbf", "--beta", "float"),
+    ("cbf", "--r", "float"),
+    ("cbf", "--N", "int"),
+    ("cbf", "--dt", "float"),
+    ("cbf", "--T", "float"),
+    ("cbf", "--snapshot-every", "int"),
+    ("cbf", "--taylor-green", "switch"),
+    ("cbf", "--kmax-init", "int"),
+    ("cbf", "--amplitude", "float"),
+    ("cbf", "--seed", "int"),
+    ("cbf", "--windows", "int"),
+    ("cbf", "--save-traj", "switch"),
+    ("cbf", "--plot", "switch"),
+    ("report", "--inputs", "list"),
+]
+
+
+def _flag_kind(action):
+    if isinstance(action, argparse._StoreConstAction):
+        return "switch"
+    if action.choices:
+        return tuple(action.choices)
+    if action.nargs == "+":
+        return "list"
+    return (action.type or str).__name__
+
+
+def test_flag_inventory():
+    parser = _build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    found = []
+    for name, p in sub.choices.items():
+        opts = [a for a in p._actions if a.option_strings and a.dest != "help"]
+        assert [a.option_strings for a in opts[:2]] == [["--out-dir"], ["--config"]]
+        for a in opts[2:]:
+            # one spelling per flag, and its value lands under the config key
+            assert a.option_strings == ["--" + a.dest.replace("_", "-")]
+            assert a.default is None
+            found.append((name, a.option_strings[0], _flag_kind(a)))
+    assert found == FLAGS
+
+
+@pytest.mark.parametrize("name", ["modes", "approx", "interp", "h00", "truncate", "cbf", "report"])
+def test_help_returns_0(name, capsys):
+    assert run([name, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: eigenapprox {name}")
+
+
+# values that used to run the wrong experiment or end in a traceback
+BAD_VALUES = [
+    ("approx", {"transform": "bogus"}, [], "transform"),
+    ("h00", {"levels": "5"}, [], "levels"),
+    ("truncate", {"plot": "no"}, [], "plot"),
+    ("approx", {}, ["--seed", "-1"], "seed"),
+    ("truncate", {}, ["--seed", "-1"], "seed"),
+    ("truncate", {}, ["--n-list", "2,x"], "n_list"),
+    ("approx", {}, ["--theta", "0.5,x"], "theta"),
+    ("truncate", {}, ["--iters", "-3"], "iters"),
+    ("approx", {"field": 3}, [], "field"),
+    ("report", {"inputs": "a.csv"}, [], "inputs"),
+    ("cbf", {"N": 32.0}, [], "N"),
+]
+
+
+@pytest.mark.parametrize("name, config, flags, key", BAD_VALUES, ids=[f"{r[0]}-{r[3]}" for r in BAD_VALUES])
+def test_bad_value_is_one_config_line(name, config, flags, key, tmp_path, capsys):
+    argv = [name, *flags, "--out-dir", str(tmp_path / "out")]
+    if config:
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:")
+    assert err.count("\n") == 1
+    assert key in err
+    assert "Traceback" not in err
+
+
+def test_config_values_keep_their_json_form(tmp_path):
+    # an int where a float goes and a bare number for a comma list both run,
+    # and the manifest echoes them unconverted
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"theta": 0.25, "alpha": 1, "lambda_max": 20}\n')
+    assert run(["approx", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
+    echoed = json.loads((tmp_path / "out" / "manifest.json").read_text())["config"]
+    assert (echoed["theta"], echoed["alpha"], echoed["lambda_max"]) == (0.25, 1, 20)
+    assert isinstance(echoed["alpha"], int)

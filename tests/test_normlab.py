@@ -87,6 +87,14 @@ def test_family_domain_requirements():
         sample_fields(_config(operator=TorusLaplacian(Torus(1)), family="near-extremal"))
 
 
+@pytest.mark.parametrize("field, message", [("seed", "seed must be >= 0, got -1"), ("ascent_iters", "ascent_iters must be >= 0, got -1")])
+def test_negative_seed_or_ascent_iters_is_refused(field, message):
+    # a negative seed used to fail in numpy at sampling time, and negative
+    # ascent_iters ran no ascent steps
+    with pytest.raises(ConfigError, match=message):
+        _config(**{field: -1})
+
+
 def test_boundary_bump_below_the_first_eigenvalue_names_lambda_max():
     # the first Dirichlet eigenvalue on (0, 1) is pi^2
     with pytest.raises(ConfigError, match="boundary-bump family has no eigenvalue <= lambda_max 9.0"):
