@@ -263,9 +263,6 @@ class SpectralField:
     def is_vector(self) -> bool:
         return isinstance(self.operator, TorusStokes) or self.values.ndim == 2
 
-    def items_sorted(self):
-        return sorted(self.coefficients.items(), key=lambda kv: kv[0].sort_key())
-
     def _eigenvalue_array(self) -> np.ndarray:
         if self._lams is None:
             lams = _eigenvalues(self.operator, self.k)

@@ -39,12 +39,12 @@ from .fields import (
     GridField,
     SpectralField,
     _axis_tables,
+    _axis_weights,
     _mirror_rows,
     _Packed,
     analyze,
     divergence_residual,
     lp_norm,
-    quadrature_weights,
     random_field,
     subtract,
     synthesize,
@@ -179,13 +179,19 @@ def lp_ratio(f: SpectralField, name: str, param, p: float) -> float:
 
 
 class _AscentState:
-    """Incrementally maintained real grids of f and Tf for coordinate ascent.
+    """Real grids of f and Tf for coordinate ascent, updated a move at a time.
 
-    Perturbing a representative mode moves its conjugate partner too, so the
-    field stays real and each move adds a rank-two real update to both grids
-    in place rather than a full resynthesis.  Scalar fields only.  g and gT
-    are f and its transform, synthesized on the grid `_lp_grid_resolution`
-    sizes for f (the caller has gT from measuring the ratio).
+    Scaling a representative mode moves its conjugate partner too, so the
+    field stays real and each move adds a rank-two real update dg, one BLAS
+    product, to both grids rather than a full resynthesis.  A move writes
+    g + dg, and Tf's grid plus the factor times dg when the transform keeps
+    the mode, into candidate buffers; an accepted move swaps them in, so a
+    rejected one leaves g, gT and the coefficients as they were.  A norm
+    applies the quadrature weights as two products, the last axis's and then
+    the product of the others', not as a weight grid.  Scalar fields only.
+    g and gT are f and its transform, synthesized on the grid
+    `_lp_grid_resolution` sizes for f (the caller has gT from measuring the
+    ratio).
     """
 
     def __init__(self, f: SpectralField, name: str, param, p: float, g: GridField, gT: GridField):
@@ -196,12 +202,20 @@ class _AscentState:
         self.res = _lp_grid_resolution(f, p)
         self.domain = f.operator.domain
         self.axes = uniform_axes(self.domain, self.res)
-        shape = tuple(a.size for a in self.axes)
-        self.weights = quadrature_weights(GridField(self.domain, self.axes, np.zeros(shape)))
         self.k, self.pol = f.k, f.pol
         self.values = f.values.copy()
         self.factors = _factors(f, name, param)  # NaN drops the mode
-        self.tables = _axis_tables(self.operator, f.k, self.axes)
+        tables = _axis_tables(self.operator, f.k, self.axes)
+        # per mode the factors of the axes before the last, and the rows
+        # [Re; -Im] of its last-axis factor, so that for a complex head
+        # viewed as [Re, Im] columns, Re(head x last) is one matrix product
+        self.head_tables = tables[:-1]
+        last, self.last_place = tables[-1]
+        self.last_rows = np.stack((last.real, -last.imag), axis=1)
+        # the quadrature weights as the flattened product over the axes
+        # before the last, and the last axis's own
+        *w_head, self.w_last = _axis_weights(g)
+        self.w_head = functools.reduce(np.multiply.outer, w_head, np.ones(1)).reshape(-1)
         # representatives in (k, polarization) order
         reps = np.flatnonzero(_representative_rows(f.k))
         self.reps = reps[np.lexsort((f.pol[reps],) + tuple(f.k[reps, a] for a in reversed(range(f.dim))))]
@@ -212,8 +226,11 @@ class _AscentState:
             raise ConfigError("ascent needs a conjugate-symmetric (real) torus field")
         self.g = g.values.real.copy()
         self.gT = gT.values.real.copy()
-        self._buf = np.empty(shape)
-        self._normT = None  # || gT ||_p while gT is unchanged
+        self._next_g = np.empty_like(self.g)
+        self._next_gT = np.empty_like(self.g)
+        self._buf = np.empty_like(self.g)
+        self._norm_g = self.norm(self.g)
+        self._norm_gT = self.norm(self.gT)
 
     def field(self) -> SpectralField:
         """The current coefficients as a field."""
@@ -225,53 +242,55 @@ class _AscentState:
         return _Packed(self.k, self.pol, self.values.copy())
 
     def norm(self, grid: np.ndarray) -> float:
+        """The L^p norm of a grid on the ascent's axes."""
         # (g g)^(p/2): numpy squares for p = 4 rather than calling pow
         np.multiply(grid, grid, out=self._buf)
         np.power(self._buf, self.p / 2.0, out=self._buf)
-        self._buf *= self.weights
-        return float(self._buf.sum() ** (1.0 / self.p))
+        total = self.w_head @ (self._buf.reshape(self.w_head.size, -1) @ self.w_last)
+        return float(total ** (1.0 / self.p))
 
     def ratio(self) -> float:
-        d = self.norm(self.g)
-        if d == 0.0:
-            return -math.inf
-        if self._normT is None:
-            self._normT = self.norm(self.gT)
-        return self._normT / d
+        return -math.inf if self._norm_g == 0.0 else self._norm_gT / self._norm_g
 
-    def perturb(self, j: int, rel: float):
-        """Scale mode j (and its conjugate partner) by (1+rel); returns undo()."""
+    def move(self, j: int, rel: float, floor: float) -> float:
+        """Scale mode j (and its conjugate partner) by (1+rel) if that lifts
+        the ratio above floor.  Returns the ratio of the scaled field; the
+        state changes only when it beats floor."""
         i = self.reps[j]
-        old = complex(self.values[i])
-        delta = old * rel
+        delta = complex(self.values[i]) * rel
         # a torus mode k != 0 moves its conjugate partner -k as well
         mirror = None if self.mirror is None or not self.k[i].any() else self.mirror[i]
         two = 1.0 if mirror is None else 2.0
-        # two Re(delta f_1 x ... x f_d) as Re(head) x Re(last) - Im(head) x Im(last)
-        *rest, last = [t[place[i]] for t, place in self.tables]
-        head = functools.reduce(np.multiply.outer, rest, two * delta)
-        dg = np.multiply.outer(head.real, last.real)
-        dg -= np.multiply.outer(head.imag, last.imag)
-        self.values[i] = old + delta
-        if mirror is not None:
-            self.values[mirror] = complex(self.values[i]).conjugate()
+        # two Re(delta f_1 x ... x f_d): the head delta f_1 x ... x f_(d-1)
+        # as [Re, Im] columns times the rows [Re f_d; -Im f_d]
+        rest = [t[place[i]] for t, place in self.head_tables]
+        head = np.asarray(functools.reduce(np.multiply.outer, rest, two * delta), dtype=complex)
+        g = self._next_g  # dg, and g + dg once Tf's candidate has it
+        last = self.last_rows[self.last_place[i]]
+        np.matmul(head.reshape(-1, 1).view(float), last, out=g.reshape(self.w_head.size, -1))
         fac = self.factors[i]
-        dgT = None if math.isnan(fac) or fac == 0.0 else dg if fac == 1.0 else fac * dg
-        self.g += dg
-        if dgT is not None:
-            self.gT += dgT
-            self._normT = None
-
-        def undo():
-            self.values[i] = old
+        norm_gT = self._norm_gT
+        moves_T = not (math.isnan(fac) or fac == 0.0)
+        if moves_T:
+            if fac == 1.0:
+                np.add(g, self.gT, out=self._next_gT)
+            else:
+                np.multiply(g, fac, out=self._next_gT)
+                self._next_gT += self.gT
+            norm_gT = self.norm(self._next_gT)
+        g += self.g
+        norm_g = self.norm(g)
+        r = -math.inf if norm_g == 0.0 else norm_gT / norm_g
+        if r > floor:
+            self.values[i] += delta
             if mirror is not None:
-                self.values[mirror] = old.conjugate()
-            self.g -= dg
-            if dgT is not None:
-                self.gT -= dgT
-                self._normT = None
-
-        return undo
+                self.values[mirror] = complex(self.values[i]).conjugate()
+            self.g, self._next_g = g, self.g
+            self._norm_g = norm_g
+            if moves_T:
+                self.gT, self._next_gT = self._next_gT, self.gT
+                self._norm_gT = norm_gT
+        return r
 
 
 def operator_norm_lower_bound(name: str, p: float, config: ExperimentConfig, param=None):
@@ -323,12 +342,7 @@ def _lower_bound(norms: list, name: str, p: float, config: ExperimentConfig, par
         step = 0.10 * 0.1 ** (i / max(iters - 1, 1))  # 10% -> 1%
         j = int(rng.integers(len(st.reps)))
         sign = 1.0 if rng.random() < 0.5 else -1.0
-        undo = st.perturb(j, sign * step)
-        r = st.ratio()
-        if r > best:
-            best = r
-        else:
-            undo()
+        best = max(best, st.move(j, sign * step, best))
     report = NormReport(
         quantity=f"{name}_Lp_ratio",
         value=best,

@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import j1
 
 from eigenapprox import (
@@ -10,6 +15,7 @@ from eigenapprox import (
     ConfigError,
     DirichletLaplacian,
     ExperimentConfig,
+    GridField,
     Interval,
     ModeIndex,
     SpectralField,
@@ -18,6 +24,7 @@ from eigenapprox import (
     TorusStokes,
     apply_named_transform,
     convergence_study,
+    lp_norm,
     lp_ratio,
     operator_norm_lower_bound,
     random_field,
@@ -28,6 +35,7 @@ from eigenapprox import (
     truncation_experiment,
 )
 from eigenapprox import normlab
+from eigenapprox.fields import _Packed
 from eigenapprox.normlab import _AscentState, _lp_grid_resolution, _near_extremal_coeffs
 
 
@@ -302,20 +310,122 @@ _ASCENT_OPS = {
 def test_ascent_grids_match_fresh_synthesis(op_name, lambda_max, name, param):
     # the rank-two updates of the ascent must track a full resynthesis of the
     # current coefficients and of their transform, and its ratio (with the
-    # norm of Tf kept while Tf is unchanged) the ratio of that resynthesis
+    # norm of Tf kept while Tf is unchanged) the ratio of that resynthesis;
+    # a floor of -inf forces a move in, +inf forces it out
     op, p = _ASCENT_OPS[op_name]
     f = random_field(op, lambda_max, np.random.default_rng(11), decay=1.0)
     res = _lp_grid_resolution(f, p)
-    st = _AscentState(f, name, param, p, synthesize(f, res), synthesize(apply_named_transform(f, name, param), res))
+    state = _AscentState(f, name, param, p, synthesize(f, res), synthesize(apply_named_transform(f, name, param), res))
     rng = np.random.default_rng(12)
     for _ in range(40):
-        undo = st.perturb(int(rng.integers(len(st.reps))), float(rng.uniform(-0.3, 0.3)))
-        st.ratio()
-        if rng.random() < 0.4:
-            undo()
-    current = SpectralField(op, st.coeffs)
-    g = synthesize(current, st.res).values.real
-    gT = synthesize(apply_named_transform(current, name, param), st.res).values.real
-    assert np.max(np.abs(st.g - g)) <= 1e-12 * np.max(np.abs(g))
-    assert np.max(np.abs(st.gT - gT)) <= 1e-12 * np.max(np.abs(gT))
-    assert st.ratio() == pytest.approx(lp_ratio(current, name, param, p), rel=1e-12, abs=0.0)
+        j, rel = int(rng.integers(len(state.reps))), float(rng.uniform(-0.3, 0.3))
+        state.move(j, rel, math.inf if rng.random() < 0.4 else -math.inf)
+    current = SpectralField(op, state.coeffs)
+    g = synthesize(current, state.res).values.real
+    gT = synthesize(apply_named_transform(current, name, param), state.res).values.real
+    assert np.max(np.abs(state.g - g)) <= 1e-12 * np.max(np.abs(g))
+    assert np.max(np.abs(state.gT - gT)) <= 1e-12 * np.max(np.abs(gT))
+    assert state.ratio() == pytest.approx(lp_ratio(current, name, param, p), rel=1e-12, abs=0.0)
+
+
+def test_rejected_move_leaves_the_state_bit_identical():
+    # a rejected move used to be added and then subtracted again, which left
+    # the grids off their start at roundoff
+    op = TorusLaplacian(Torus(2))
+    f = random_field(op, 16.0, np.random.default_rng(11), decay=1.0)
+    res = _lp_grid_resolution(f, 4.0)
+    gT = synthesize(apply_named_transform(f, "spherical", 2), res)
+    state = _AscentState(f, "spherical", 2, 4.0, synthesize(f, res), gT)
+    start = (state.g.copy(), state.gT.copy(), state.values.copy(), state.ratio())
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        r = state.move(int(rng.integers(len(state.reps))), float(rng.uniform(-0.3, 0.3)), math.inf)
+        assert math.isfinite(r)
+    assert np.array_equal(state.g, start[0])
+    assert np.array_equal(state.gT, start[1])
+    assert np.array_equal(state.values, start[2])
+    assert state.ratio() == start[3]
+
+
+_NORM_OPS = [TorusLaplacian(Torus(d)) for d in (1, 2, 3)] + [
+    DirichletLaplacian(Interval(2.0)),
+    DirichletLaplacian(Box((math.pi, 2.0))),
+    DirichletLaplacian(Box((math.pi, 2.0, 1.5))),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    op=st.sampled_from(_NORM_OPS),
+    p=st.sampled_from([3.0, 4.0, 5.5]),
+    seed=st.integers(0, 2**16),
+    scale=st.floats(1e-3, 1e3),
+)
+def test_ascent_norm_matches_lp_norm(op, p, seed, scale):
+    # the weights enter the ascent's norm as two products, lp_norm's as one
+    # weight grid; both must be the same quadrature
+    lam = 30.0 if isinstance(op, DirichletLaplacian) else 9.0
+    f = random_field(op, lam, np.random.default_rng(seed), n_modes=4)
+    g = synthesize(f, _lp_grid_resolution(f, p))
+    state = _AscentState(f, "identity", None, p, g, g)
+    grid = scale * np.random.default_rng(seed).standard_normal(g.values.shape)
+    want = lp_norm(GridField(g.domain, g.axes, grid), p)
+    assert state.norm(grid) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "op,lambda_max,name,param,p",
+    [
+        (TorusLaplacian(Torus(2)), 16.0, "spherical", 2, 4.0),
+        (DirichletLaplacian(Box((math.pi, 2.0))), 30.0, "semigroup", 0.05, 3.0),
+    ],
+)
+def test_ascent_accepts_exactly_when_a_fresh_ratio_beats_the_best(op, lambda_max, name, param, p):
+    # each move is judged against lp_ratio of the scaled field synthesized
+    # afresh; moves whose two ratios agree to roundoff may go either way
+    f = random_field(op, lambda_max, np.random.default_rng(21), decay=1.0)
+    res = _lp_grid_resolution(f, p)
+    state = _AscentState(f, name, param, p, synthesize(f, res), synthesize(apply_named_transform(f, name, param), res))
+    best = state.ratio()
+    rng = np.random.default_rng(22)
+    judged = accepted = 0
+    for _ in range(60):
+        j, rel = int(rng.integers(len(state.reps))), float(rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 0.1))
+        i = state.reps[j]
+        values = state.values.copy()
+        values[i] += values[i] * rel
+        if isinstance(op, TorusLaplacian) and state.k[i].any():
+            values[np.all(state.k == -state.k[i], axis=1)] = np.conj(values[i])
+        fresh = lp_ratio(SpectralField(op, _Packed(state.k, state.pol, values)), name, param, p)
+        r = state.move(j, rel, best)
+        assert r == pytest.approx(fresh, rel=1e-12, abs=0.0)
+        if abs(fresh - best) > 1e-12 * best:
+            judged += 1
+            assert (r > best) == (fresh > best)
+        if r > best:
+            accepted += 1
+            best = r
+            assert np.array_equal(state.values, values)
+    assert judged >= 50 and 0 < accepted < judged
+
+
+_TRUNCATE_RUN = """
+import sys
+from eigenapprox.cli import run
+sys.exit(run(["truncate", "--n-list", "4", "--kmax", "12", "--iters", "40", "--out-dir", sys.argv[1]]))
+"""
+
+
+def test_truncate_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # the ascent's moves and norms are BLAS products: a threaded BLAS must
+    # give the same bytes as one thread
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / threads
+        subprocess.run([sys.executable, "-c", _TRUNCATE_RUN, str(out)], env=env, capture_output=True, check=True)
+        outs.append((out / "truncate.csv").read_bytes())
+    assert outs[0] == outs[1]
+    assert len(outs[0].splitlines()) == 3  # the header, spherical and cubic at n = 4
