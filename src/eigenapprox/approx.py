@@ -2,7 +2,9 @@
 fractional powers and norms, the sup constant Phi, and Fourier truncations.
 
 All operators act diagonally on coefficients: each is a per-mode multiplier,
-defined once in `multiplier`.  On torus operators the k=0 coefficient sits
+defined once in `multiplier`; every norm is one sum, `_weighted_norm`.  The
+semigroup time is checked in `_semigroup_time`, Pi_theta's theta and cutoff
+theta^-2 in `_pi_theta_cutoff`.  On torus operators the k=0 coefficient sits
 outside the positive spectrum: fractional powers and norms skip it, and the
 diagonal operators carry it through untouched.
 """
@@ -22,6 +24,22 @@ MULTIPLIERS = ("identity", "semigroup", "pi_theta", "fractional_power", "spheric
 _FOURIER_TRUNCATIONS = ("spherical", "cubic")  # torus only; keep (factor 1) or drop
 
 
+def _semigroup_time(theta) -> float:
+    """theta as a float, checked as a semigroup time."""
+    t = float(theta)
+    if t < 0:
+        raise ConfigError(f"semigroup time must be >= 0, got {theta}")
+    return t
+
+
+def _pi_theta_cutoff(theta) -> tuple:
+    """(theta, cutoff theta^-2) of Pi_theta, which keeps lambda < cutoff."""
+    t = float(theta)
+    if not t > 0:
+        raise ConfigError(f"pi_theta needs theta > 0, got {theta}")
+    return t, t**-2
+
+
 def multiplier(name: str, param=None):
     """Rule (k (M, d), lambda (M,)) -> factors (M,) of a named diagonal
     operator, NaN where the operator drops the mode; a factor of exactly 1
@@ -31,22 +49,17 @@ def multiplier(name: str, param=None):
     if name == "identity":
         return lambda k, lam: np.ones(lam.shape)
     if name == "semigroup":
-        theta = float(param)
-        if theta < 0:
-            raise ConfigError(f"semigroup time must be >= 0, got {theta}")
+        theta = _semigroup_time(param)
         return lambda k, lam: np.exp(-theta * lam)
     if name == "pi_theta":
-        theta = float(param)
-        if not theta > 0:
-            raise ConfigError(f"pi_theta needs theta > 0, got {theta}")
-        cutoff = theta**-2
+        theta, cutoff = _pi_theta_cutoff(param)
         return lambda k, lam: np.where(lam < cutoff, np.exp(-theta * lam), math.nan)
     if name == "fractional_power":
         alpha = float(param)
         return lambda k, lam: lam**alpha
     if name in _FOURIER_TRUNCATIONS:
-        if param < 0:
-            raise ConfigError(f"truncation order must be >= 0, got {param}")
+        if isinstance(param, bool) or not isinstance(param, (int, np.integer)) or param < 0:
+            raise ConfigError(f"truncation order must be an integer >= 0, got {param!r}")
         n = int(param)
         if name == "spherical":
             return lambda k, lam: np.where(np.sum(k * k, axis=1) <= n * n, 1.0, math.nan)
@@ -96,13 +109,26 @@ def apply_fractional_power(f: SpectralField, alpha: float) -> SpectralField:
     return _apply_multiplier(f, "fractional_power", alpha)
 
 
+def _weighted_norm(f: SpectralField, alpha: float, weight=None, where=None) -> float:
+    """sqrt( sum lambda_j^{2 alpha} weight(lambda_j) |c_j|^2 ) over the
+    positive spectrum, or over the part of it where `where(lambda)` holds;
+    0 when no term is left.  Every spectral norm of the package is this sum."""
+    lams, amps = f.eigen_arrays(positive_only=True)
+    if where is not None:
+        keep = where(lams)
+        lams, amps = lams[keep], amps[keep]
+    if lams.size == 0:
+        return 0.0
+    terms = lams ** (2.0 * alpha)
+    if weight is not None:
+        terms = terms * weight(lams)
+    return math.sqrt(float(np.sum(terms * amps)))
+
+
 def fractional_norm(f: SpectralField, alpha: float) -> float:
     """|| f ||_{D(A^alpha)} = sqrt( sum lambda_j^{2 alpha} |c_j|^2 ) over the
     positive spectrum; alpha = 0 gives the coefficient l2 norm."""
-    lams, amps = f.eigen_arrays(positive_only=True)
-    if lams.size == 0:
-        return 0.0
-    return math.sqrt(float(np.sum(lams ** (2.0 * alpha) * amps)))
+    return _weighted_norm(f, alpha)
 
 
 def semigroup_error_norm(f: SpectralField, theta: float, alpha: float) -> float:
@@ -111,27 +137,15 @@ def semigroup_error_norm(f: SpectralField, theta: float, alpha: float) -> float:
     Uses expm1 so the result stays accurate (and monotone in theta) when
     theta*lambda is tiny; subtracting the fields first would lose that.
     """
-    if theta < 0:
-        raise ConfigError(f"semigroup time must be >= 0, got {theta}")
-    lams, amps = f.eigen_arrays(positive_only=True)
-    if lams.size == 0:
-        return 0.0
-    factors = np.expm1(-theta * lams)
-    return math.sqrt(float(np.sum(lams ** (2.0 * alpha) * factors**2 * amps)))
+    _semigroup_time(theta)
+    return _weighted_norm(f, alpha, lambda lams: np.expm1(-theta * lams) ** 2)
 
 
 def pi_theta_error_norm(f: SpectralField, theta: float, alpha: float) -> float:
     """|| Pi_theta f - f ||_{D(A^alpha)}: expm1 factors on kept modes, full
     coefficient mass on dropped ones."""
-    if not theta > 0:
-        raise ConfigError(f"pi_theta needs theta > 0, got {theta}")
-    lams, amps = f.eigen_arrays(positive_only=True)
-    if lams.size == 0:
-        return 0.0
-    cutoff = theta**-2
-    kept = lams < cutoff
-    sq = np.where(kept, np.expm1(-theta * lams) ** 2, 1.0)
-    return math.sqrt(float(np.sum(lams ** (2.0 * alpha) * sq * amps)))
+    _, cutoff = _pi_theta_cutoff(theta)
+    return _weighted_norm(f, alpha, lambda lams: np.where(lams < cutoff, np.expm1(-theta * lams) ** 2, 1.0))
 
 
 def pi_theta_gap_norm(f: SpectralField, theta: float, alpha: float) -> float:
@@ -142,16 +156,8 @@ def pi_theta_gap_norm(f: SpectralField, theta: float, alpha: float) -> float:
     semigroup; this is the left side of the bound phi(theta, alpha - beta)
     * || f ||_{D(A^beta)}.
     """
-    if not theta > 0:
-        raise ConfigError(f"pi_theta needs theta > 0, got {theta}")
-    lams, amps = f.eigen_arrays(positive_only=True)
-    if lams.size == 0:
-        return 0.0
-    dropped = lams >= theta**-2
-    if not np.any(dropped):
-        return 0.0
-    lams, amps = lams[dropped], amps[dropped]
-    return math.sqrt(float(np.sum(lams ** (2.0 * alpha) * np.exp(-2.0 * theta * lams) * amps)))
+    _, cutoff = _pi_theta_cutoff(theta)
+    return _weighted_norm(f, alpha, lambda lams: np.exp(-2.0 * theta * lams), where=lambda lams: lams >= cutoff)
 
 
 def phi(theta: float, kappa: float) -> float:
@@ -187,8 +193,7 @@ def smoothing_bound(theta: float, alpha: float, beta: float, lambda_min: float) 
     norm ratio lambda^{alpha - beta} is largest at the bottom of the spectrum,
     so C = e^{-lambda_min theta} * lambda_min^{alpha - beta}.
     """
-    if theta < 0:
-        raise ConfigError(f"semigroup time must be >= 0, got {theta}")
+    _semigroup_time(theta)
     if alpha >= beta:
         if theta == 0 and alpha > beta:
             raise ConfigError("no finite smoothing constant at theta = 0 with alpha > beta")

@@ -497,13 +497,13 @@ def _absorption_pad(params: CBFParams) -> int:
     return 2
 
 
-def energy_ledger(traj: Trajectory, t0: float, t1: float, params: CBFParams = None) -> EnergyLedger:
+def energy_ledger(traj: Trajectory, t0: float, t1: float) -> EnergyLedger:
     """Assemble the identity terms over [t0, t1] (snapshot times): the
     one-window case of `energy_ledgers`."""
-    return energy_ledgers(traj, (t0, t1), params)[0]
+    return energy_ledgers(traj, (t0, t1))[0]
 
 
-def energy_ledgers(traj: Trajectory, edges, params: CBFParams = None) -> list:
+def energy_ledgers(traj: Trajectory, edges) -> list:
     """One EnergyLedger per window [edges[i], edges[i+1]] (snapshot times).
 
     Kinetic and dissipation terms come from Parseval; the absorption integrand
@@ -517,7 +517,7 @@ def energy_ledgers(traj: Trajectory, edges, params: CBFParams = None) -> list:
     the dealias mask raises AliasingError naming the mode, since the
     quadrature reads the kept block only.
     """
-    p = params if params is not None else traj.params
+    p = traj.params
     if len(edges) < 2:
         raise ConfigError(f"need at least two window edges, got {len(edges)}")
     times = np.asarray(traj.times)

@@ -421,9 +421,13 @@ def uniform_axes(domain: DomainSpec, resolution) -> tuple:
     return tuple(axes)
 
 
-def default_grid_resolution(f: SpectralField, factor: int = 4, floor: int = 8) -> int:
-    """Oversampled default: `factor` times the maximal per-axis mode index."""
-    return max(floor, factor * max(f.max_axis_index(), 1))
+_OVERSAMPLING = 4  # default grid points per unit of the largest mode index
+_MIN_GRID_POINTS = 8
+
+
+def default_grid_resolution(f: SpectralField) -> int:
+    """Oversampled default: _OVERSAMPLING times the maximal per-axis mode index."""
+    return max(_MIN_GRID_POINTS, _OVERSAMPLING * max(f.max_axis_index(), 1))
 
 
 def _axis_tables(operator: OperatorSpec, k: np.ndarray, axes) -> list:

@@ -17,16 +17,28 @@ from typing import Callable, Union
 import numpy as np
 from scipy.integrate import simpson
 
+from .approx import _weighted_norm, fractional_norm
 from .domains import Box, Interval
 from .errors import AccuracyError, ConfigError
 from .fields import GridField, SpectralField, evaluate
 from .reports import NormReport
 
+_TAIL_LIMIT = 0.01  # largest tail share of the squared norm a t-window may carry
+_AUTO_TAIL_FRACTION = 0.004  # InterpolationQuery.auto's budget for each tail
+_AUTO_POINTS_PER_DECADE = 48
+_H00_GAUSS_ORDER = 16  # h00_weighted_norm: Gauss points per panel,
+_H00_MIN_RUN = 4  # the run of increases that flags divergence,
+_H00_GROWTH_TOL = 0.02  # when the last relative growth is still above this
+
+
+def _check_theta(theta: float):
+    if not 0.0 < theta < 1.0:
+        raise ConfigError(f"theta must lie in (0,1), got {theta}")
+
 
 def i_theta(theta: float) -> float:
     """I(theta) = pi / (2 sin(pi theta)) for theta in (0,1)."""
-    if not 0.0 < theta < 1.0:
-        raise ConfigError(f"theta must lie in (0,1), got {theta}")
+    _check_theta(theta)
     return math.pi / (2.0 * math.sin(math.pi * theta))
 
 
@@ -36,8 +48,7 @@ def i_theta_quadrature(theta: float) -> float:
     s -> 1/s having folded the upper half-line onto (0,1)."""
     from scipy.integrate import quad
 
-    if not 0.0 < theta < 1.0:
-        raise ConfigError(f"theta must lie in (0,1), got {theta}")
+    _check_theta(theta)
     val, _ = quad(
         lambda s: (s ** (1.0 - 2.0 * theta) + s ** (2.0 * theta - 1.0)) / (1.0 + s * s),
         0.0,
@@ -57,11 +68,7 @@ def k_functional(f: SpectralField, t) -> float:
     t = float(t)
     if not t > 0:
         raise ConfigError(f"k_functional needs t > 0, got {t}")
-    lams, amps = f.eigen_arrays(positive_only=True)
-    if lams.size == 0:
-        return 0.0
-    s2 = (t * lams) ** 2
-    return math.sqrt(float(np.sum(s2 / (1.0 + s2) * amps)))
+    return _weighted_norm(f, 0.0, lambda lams: (t * lams) ** 2 / (1.0 + (t * lams) ** 2))
 
 
 @dataclass(frozen=True)
@@ -74,26 +81,17 @@ class InterpolationQuery:
     num_points: int = 512
 
     def __post_init__(self):
-        if not 0.0 < self.theta < 1.0:
-            raise ConfigError(f"theta must lie in (0,1), got {self.theta}")
+        _check_theta(self.theta)
         if not (0.0 < self.t_min < self.t_max and math.isfinite(self.t_max)):
             raise ConfigError(f"need 0 < t_min < t_max, got ({self.t_min}, {self.t_max})")
         if self.num_points < 16:
             raise ConfigError(f"need at least 16 quadrature points, got {self.num_points}")
 
     @classmethod
-    def default(cls, f: SpectralField, theta: float) -> "InterpolationQuery":
-        """The stock window: [0.01/lambda_max, 100/lambda_min], 512 points."""
-        lams, _ = f.eigen_arrays(positive_only=True)
-        if lams.size == 0:
-            raise ConfigError("cannot size a t-window for a field with empty positive spectrum")
-        return cls(theta, 0.01 / float(lams.max()), 100.0 / float(lams.min()), 512)
-
-    @classmethod
-    def auto(cls, f_or_lams, theta: float, tail_fraction: float = 0.004, points_per_decade: int = 48) -> "InterpolationQuery":
+    def auto(cls, f_or_lams, theta: float) -> "InterpolationQuery":
         """Window sized from theta so each analytic tail stays below
-        tail_fraction of the total mass (the stock window is too narrow when
-        theta approaches 0 or 1)."""
+        _AUTO_TAIL_FRACTION of the total mass: [0.01/lambda_max, 100/lambda_min]
+        widened as theta approaches 0 or 1, _AUTO_POINTS_PER_DECADE per decade."""
         if isinstance(f_or_lams, SpectralField):
             lams, _ = f_or_lams.eigen_arrays(positive_only=True)
         else:
@@ -102,12 +100,12 @@ class InterpolationQuery:
         if lams.size == 0:
             raise ConfigError("cannot size a t-window for a field with empty positive spectrum")
         ii = i_theta(theta)
-        s0 = (tail_fraction * ii * (2.0 - 2.0 * theta)) ** (1.0 / (2.0 - 2.0 * theta))
-        s1 = (tail_fraction * ii * 2.0 * theta) ** (-1.0 / (2.0 * theta))
+        s0 = (_AUTO_TAIL_FRACTION * ii * (2.0 - 2.0 * theta)) ** (1.0 / (2.0 - 2.0 * theta))
+        s1 = (_AUTO_TAIL_FRACTION * ii * 2.0 * theta) ** (-1.0 / (2.0 * theta))
         t_min = min(0.01, s0) / float(lams.max())
         t_max = max(100.0, s1) / float(lams.min())
         decades = math.log10(t_max / t_min)
-        m = max(512, int(points_per_decade * decades) + 1)
+        m = max(512, int(_AUTO_POINTS_PER_DECADE * decades) + 1)
         return cls(theta, t_min, t_max, m)
 
 
@@ -162,25 +160,31 @@ def _interp_norm_sq(lams: np.ndarray, amps: np.ndarray, q: InterpolationQuery):
     return window, low, high
 
 
-def interpolation_norm(f: SpectralField, q: InterpolationQuery, tail_limit: float = 0.01) -> float:
-    """|| t^{-theta} K(f,t) ||_{L^2(dt/t)} over the query window plus analytic
-    tails; raises AccuracyError when the tail estimate exceeds `tail_limit`
-    of the total (the window is then too narrow to trust)."""
-    lams, amps = f.eigen_arrays(positive_only=True)
-    if lams.size == 0 or float(np.sum(amps)) == 0.0:
-        return 0.0
+def _tail_checked_norm(lams: np.ndarray, amps: np.ndarray, q: InterpolationQuery) -> float:
+    """sqrt(window + tails) of `_interp_norm_sq`; AccuracyError when the tails
+    carry more than _TAIL_LIMIT of the total (the window is too narrow)."""
     window, low, high = _interp_norm_sq(lams, amps, q)
     total = window + low + high
     if total <= 0.0:
         return 0.0
     frac = (low + high) / total
-    if frac > tail_limit:
+    if frac > _TAIL_LIMIT:
         raise AccuracyError(
             f"t-window [{q.t_min:g}, {q.t_max:g}] too narrow: estimated tail mass is "
-            f"{100.0 * frac:.2f}% of the total (limit {100.0 * tail_limit:.0f}%); widen the window "
+            f"{100.0 * frac:.2f}% of the total (limit {100.0 * _TAIL_LIMIT:.0f}%); widen the window "
             "(InterpolationQuery.auto sizes one from theta)"
         )
     return math.sqrt(total)
+
+
+def interpolation_norm(f: SpectralField, q: InterpolationQuery) -> float:
+    """|| t^{-theta} K(f,t) ||_{L^2(dt/t)} over the query window plus analytic
+    tails; raises AccuracyError when the window is too narrow to trust (see
+    `_tail_checked_norm`)."""
+    lams, amps = f.eigen_arrays(positive_only=True)
+    if lams.size == 0 or float(np.sum(amps)) == 0.0:
+        return 0.0
+    return _tail_checked_norm(lams, amps, q)
 
 
 def reiteration_check(f: SpectralField, theta: float, query: InterpolationQuery = None) -> list:
@@ -191,37 +195,25 @@ def reiteration_check(f: SpectralField, theta: float, query: InterpolationQuery 
     lambda_j^{1/2} and compared to sqrt(I(theta)) * fractional_norm(f, theta/2).
     Second: interpolating between the half-power and full domains - same
     square-root spectrum with coefficients premultiplied by lambda_j^{1/2},
-    compared to sqrt(I(theta)) * fractional_norm(f, (1+theta)/2).
+    compared to sqrt(I(theta)) * fractional_norm(f, (1+theta)/2).  Both use
+    `query`, or the auto window of the square-root spectrum.
     """
-    from .approx import fractional_norm
-
-    if not 0.0 < theta < 1.0:
-        raise ConfigError(f"theta must lie in (0,1), got {theta}")
+    root = math.sqrt(i_theta(theta))
     lams, amps = f.eigen_arrays(positive_only=True)
     if lams.size == 0:
         raise ConfigError("reiteration check needs a nonempty positive spectrum")
-    root = math.sqrt(i_theta(theta))
+    sq_lams = np.sqrt(lams)
+    q = query if query is not None else InterpolationQuery.auto(sq_lams, theta)
     out = []
     for name, shifted_amps, ref_exp in (
         ("reiteration_base_to_half", amps, theta / 2.0),
         ("reiteration_half_to_full", amps * lams, (1.0 + theta) / 2.0),
     ):
-        sq_lams = np.sqrt(lams)
-        q = query if query is not None else InterpolationQuery.auto(sq_lams, theta)
-        window, low, high = _interp_norm_sq(sq_lams, shifted_amps, q)
-        total = window + low + high
-        frac = (low + high) / total if total > 0 else 0.0
-        if frac > 0.01:
-            raise AccuracyError(
-                f"reiteration window too narrow (tail mass {100 * frac:.2f}%); widen the query"
-            )
-        value = math.sqrt(total)
-        reference = root * fractional_norm(f, ref_exp)
         out.append(
             NormReport(
                 quantity=name,
-                value=value,
-                reference=reference,
+                value=_tail_checked_norm(sq_lams, shifted_amps, q),
+                reference=root * fractional_norm(f, ref_exp),
                 params={"theta": theta},
                 meta={"t_min": q.t_min, "t_max": q.t_max, "num_points": q.num_points},
             )
@@ -309,24 +301,22 @@ def h00_weighted_norm(
     domain: Union[Interval, Box],
     weight: BoundaryWeight = None,
     levels: int = 10,
-    gauss_order: int = 16,
-    growth_tol: float = 0.02,
-    min_run: int = 4,
 ) -> H00Report:
     """Boundary-weighted integral int rho^{-1} |u|^2 under graded refinement.
 
     Each level halves the innermost panel; a finite integral saturates while
     the borderline-divergent ones keep growing.  Divergence is flagged when
-    the sequence increased across at least `min_run` consecutive refinements
-    and the last two values still differ by more than `growth_tol` relatively.
+    the sequence increased across at least _H00_MIN_RUN consecutive refinements
+    and the last two values still differ by more than _H00_GROWTH_TOL
+    relatively.
     """
     if weight is None:
         weight = BoundaryWeight(domain)
-    if levels < max(2, min_run):
-        raise ConfigError(f"need at least {max(2, min_run)} refinement levels")
+    if levels < _H00_MIN_RUN:
+        raise ConfigError(f"need at least {_H00_MIN_RUN} refinement levels")
     values = []
     for level in range(levels):
-        rules = [_graded_axis_rule(L, level, gauss_order) for L in domain.lengths]
+        rules = [_graded_axis_rule(L, level, _H00_GAUSS_ORDER) for L in domain.lengths]
         mesh = np.meshgrid(*[r[0] for r in rules], indexing="ij")
         pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
         w = rules[0][1]
@@ -342,9 +332,9 @@ def h00_weighted_norm(
         values.append(float(np.sum(w * vals / rho)))
 
     diverging = False
-    if len(values) >= min_run + 1 and values[-1] > 0:
-        tail = values[-(min_run + 1):]
+    if len(values) >= _H00_MIN_RUN + 1 and values[-1] > 0:
+        tail = values[-(_H00_MIN_RUN + 1):]
         increasing = all(b > a for a, b in zip(tail[:-1], tail[1:]))
         last_growth = (values[-1] - values[-2]) / values[-1]
-        diverging = increasing and last_growth > growth_tol
+        diverging = increasing and last_growth > _H00_GROWTH_TOL
     return H00Report(values=values, diverging=diverging)

@@ -480,12 +480,9 @@ def sobolev_surrogate_norm(f: SpectralField, theta: float, m_cap: int = 4096) ->
     if not 0.0 <= theta < 1.0:
         raise ConfigError(f"theta must lie in [0,1), got {theta}")
     L = f.operator.domain.length
-    if theta == 0.0:
-        return f.l2()
-    if theta == 0.5:
-        # || grad u ||: exact via Parseval for the cosine system, lambda_k |c_k|^2
-        lams, amps = f.eigen_arrays()
-        return math.sqrt(float(np.sum(lams * amps)))
+    if theta in (0.0, 0.5):
+        # the l2 norm, and || grad u || exact via Parseval for the cosine system
+        return fractional_norm(f, theta)
     cm, ms = _zero_extension_coeffs(f, m_cap)
     kappa = np.abs(ms) * (math.pi / L)
     mask = ms != 0

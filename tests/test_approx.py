@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigenapprox import (
+    Box,
     ConfigError,
     DirichletLaplacian,
     Interval,
@@ -21,12 +22,14 @@ from eigenapprox import (
     divergence_residual,
     enumerate_modes,
     fractional_norm,
+    k_functional,
     phi,
     pi_theta,
     pi_theta_error_norm,
     pi_theta_gap_norm,
     random_field,
     semigroup_apply,
+    semigroup_error_norm,
     smoothing_bound,
     spherical_truncate,
     subtract,
@@ -277,3 +280,56 @@ def test_smoothing_bound_holds_on_both_branches_and_is_sharp(theta, alpha, beta,
     f = random_field(TorusLaplacian(Torus(2)), 80.0, np.random.default_rng(seed), n_modes=8)
     lhs = fractional_norm(semigroup_apply(f, theta), alpha)
     assert lhs <= smoothing_bound(theta, alpha, beta, 1.0) * fractional_norm(f, beta) * (1.0 + 1e-12)
+
+
+def test_truncation_orders_must_be_nonnegative_integers():
+    op = TorusLaplacian(Torus(2))
+    f = SpectralField(op, {(1, 2): 1.0 + 0j, (-1, -2): 1.0 + 0j})  # |k| = 2.236
+    assert len(spherical_truncate(f, np.int64(3)).coefficients) == 2
+    assert len(cubic_truncate(f, 2).coefficients) == 2
+    # a fractional order was floored: 2.5 dropped both modes, though |k| <= 2.5
+    for bad in (2.5, -1, None, "3", True):
+        for truncate in (spherical_truncate, cubic_truncate):
+            with pytest.raises(ConfigError, match="truncation order"):
+                truncate(f, bad)
+
+
+# Each norm pinned to its closed-form sum, written with the operations the
+# library uses, so a refactor that reorders the arithmetic shows up as a
+# changed bit.
+_PIN_OPS = (
+    TorusLaplacian(Torus(2)),
+    TorusStokes(Torus(2)),
+    TorusStokes(Torus(3)),
+    DirichletLaplacian(Interval(1.0)),
+    DirichletLaplacian(Box((1.0, 2.0))),
+)
+
+
+def _closed_form(lams, w, amps, alpha):
+    return math.sqrt(float(np.sum(lams ** (2.0 * alpha) * w * amps)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    op=st.sampled_from(_PIN_OPS),
+    lambda_max=st.floats(1.0, 40.0),
+    seed=st.integers(0, 2**32 - 1),
+    include_mean=st.booleans(),
+    theta=st.floats(0.01, 1.5),
+    alpha=st.floats(-1.0, 2.0),
+)
+def test_spectral_norms_are_their_closed_form_sums(op, lambda_max, seed, include_mean, theta, alpha):
+    f = random_field(op, lambda_max, np.random.default_rng(seed), decay=1.0, include_mean=include_mean)
+    lams, amps = f.eigen_arrays(positive_only=True)
+    ones = np.ones(lams.shape)
+    assert fractional_norm(f, alpha) == _closed_form(lams, ones, amps, alpha)
+    w = np.expm1(-theta * lams) ** 2
+    assert semigroup_error_norm(f, theta, alpha) == _closed_form(lams, w, amps, alpha)
+    w = np.where(lams < theta**-2, np.expm1(-theta * lams) ** 2, 1.0)
+    assert pi_theta_error_norm(f, theta, alpha) == _closed_form(lams, w, amps, alpha)
+    dropped = lams >= theta**-2
+    lam_d, amp_d = lams[dropped], amps[dropped]
+    assert pi_theta_gap_norm(f, theta, alpha) == _closed_form(lam_d, np.exp(-2.0 * theta * lam_d), amp_d, alpha)
+    s2 = (theta * lams) ** 2
+    assert k_functional(f, theta) == _closed_form(lams, s2 / (1.0 + s2), amps, 0.0)

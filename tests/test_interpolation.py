@@ -137,6 +137,9 @@ def test_tail_error_mentions_auto_sizing():
     # valid brackets but nearly half the mass sits in the analytic tails
     with pytest.raises(AccuracyError, match="auto"):
         interpolation_norm(f, InterpolationQuery(0.5, 0.4, 2.5))
+    # the reiteration path checks its window the same way
+    with pytest.raises(AccuracyError, match="auto"):
+        reiteration_check(f, 0.5, InterpolationQuery(0.5, 0.4, 2.5))
 
 
 def test_query_validation():
