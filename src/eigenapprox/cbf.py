@@ -1,6 +1,6 @@
 """Desk-scale pseudospectral solver for the convective Brinkman-Forchheimer
-equations on the 2- or 3-torus, plus the energy-equality ledger and the time
-and space mollifiers used to verify it.
+equations on the 2- or 3-torus, plus the energy-equality ledger and npz
+checkpoints.
 
     du/dt - mu Lap u + (u.grad)u + grad p + beta |u|^r u = 0,   div u = 0.
 
@@ -56,7 +56,7 @@ import functools
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 from scipy.integrate import simpson
@@ -427,10 +427,6 @@ class Trajectory:
     times: list
     states: list
 
-    @property
-    def snapshot_spacing(self) -> float:
-        return self.params.dt * self.params.snapshot_every
-
 
 def simulate(initial: CBFState, params: CBFParams) -> Trajectory:
     """March to t_final, storing every snapshot_every-th state (plus start
@@ -550,90 +546,6 @@ def energy_ledgers(traj: Trajectory, edges) -> list:
         absorption = 0.0 if p.beta == 0.0 else 2.0 * p.beta * float(simpson(abs_vals[sub], x=sub_t))
         out.append(EnergyLedger(float(sub_t[0]), float(sub_t[-1]), kinetic[w], kinetic[w + 1], dissipation, absorption))
     return out
-
-
-# ---------------------------------------------------------------------------
-# mollifiers
-
-
-@functools.lru_cache(maxsize=1)
-def _bump_mass() -> float:
-    from scipy.integrate import quad
-
-    val, _ = quad(lambda x: math.exp(-1.0 / (1.0 - x * x)), -1.0, 1.0, epsabs=1e-14, epsrel=1e-14)
-    return val
-
-
-@dataclass(frozen=True)
-class MollifierSpec:
-    """Even bump c/h * exp(-1/(1-(s/h)^2)) on (-h, h), unit total integral."""
-
-    half_width: float
-
-    def __post_init__(self):
-        if not self.half_width > 0:
-            raise ConfigError(f"mollifier half-width must be positive, got {self.half_width}")
-
-    def density(self, s) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        x = s / self.half_width
-        out = np.zeros_like(x)
-        inside = np.abs(x) < 1.0
-        xi = x[inside]
-        out[inside] = np.exp(-1.0 / (1.0 - xi * xi))
-        return out / (self.half_width * _bump_mass())
-
-
-def time_mollify(traj: Trajectory, spec: MollifierSpec, t: float) -> SpectralField:
-    """(eta_h * u)(t) = int_0^T eta_h(t - s) u(s) ds over the stored window,
-    with u linearly interpolated between snapshots and Gauss quadrature per
-    snapshot interval.  At t on the boundary of a full-support window the
-    captured mass is 1/2 (the even bump integrates to 1/2 on a half-line)."""
-    h = spec.half_width
-    times = np.asarray(traj.times)
-    t_start, t_end = float(times[0]), float(times[-1])
-    if not (t_start <= t <= t_end):
-        raise ConfigError(f"t={t} outside the trajectory range [{t_start}, {t_end}]")
-    if h < 2.0 * traj.snapshot_spacing:
-        raise ConfigError(
-            f"half-width {h:g} under-resolves the snapshot spacing {traj.snapshot_spacing:g} (need >= 2x)"
-        )
-    lo = max(t_start, t - h)
-    hi = min(t_end, t + h)
-    cuts = [lo] + [float(x) for x in times if lo < x < hi] + [hi]
-    nodes_ref, weights_ref = np.polynomial.legendre.leggauss(20)
-    acc = np.zeros_like(traj.states[0].coeffs)
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if b <= a:
-            continue
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        ss = mid + half * nodes_ref
-        dens = spec.density(t - ss)
-        for s_val, w, rho in zip(ss, weights_ref, dens):
-            if rho == 0.0:
-                continue
-            acc += (half * w * rho) * _interp_state(traj, s_val)
-    return _array_to_field(acc, traj.params.resolution)
-
-
-def _interp_state(traj: Trajectory, t: float) -> np.ndarray:
-    times = traj.times
-    i = int(np.searchsorted(times, t, side="right")) - 1
-    i = max(0, min(i, len(times) - 2))
-    t0, t1 = times[i], times[i + 1]
-    w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-    return (1.0 - w) * traj.states[i].coeffs + w * traj.states[i + 1].coeffs
-
-
-def space_mollify(s: CBFState, n: float, params: CBFParams) -> CBFState:
-    """Semigroup smoothing u -> e^{-A/n} u on the (Stokes) spectrum: diagonal
-    factor e^{-|k|^2/n}.  Being diagonal and real it preserves the
-    divergence-free constraint and conjugate symmetry exactly, contracts every
-    fractional norm, and converges to the identity as n grows."""
-    if not n > 0:
-        raise ConfigError(f"mollification index must be positive, got {n}")
-    _, k2, _, _, _ = _tables(s.dim, s.resolution, params.dealias_kmax)
-    return CBFState(s.time, s.coeffs * np.exp(-k2 / float(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -760,12 +672,31 @@ def save_trajectory(traj: Trajectory, directory: str) -> None:
 
 
 def load_trajectory(directory: str) -> Trajectory:
+    """Read a `save_trajectory` checkpoint.  A manifest without format, params
+    or times, with a parameter CBFParams lacks or needs, or with more times
+    than snapshots raises a ConfigError naming the directory."""
     with open(os.path.join(directory, "manifest.json")) as fh:
         manifest = json.load(fh)
+    absent = [key for key in ("format", "params", "times") if key not in manifest]
+    if absent:
+        raise ConfigError(f"checkpoint {directory}: manifest.json has no {absent[0]!r}")
     if manifest["format"] != "npz":
         raise ConfigError(f"unknown checkpoint format {manifest['format']!r}; only 'npz' is read")
+    declared = fields(CBFParams)
+    unknown = sorted(set(manifest["params"]) - {f.name for f in declared})
+    if unknown:
+        raise ConfigError(f"checkpoint {directory}: unknown parameters {unknown}")
+    missing = [f.name for f in declared if f.default is MISSING and f.name not in manifest["params"]]
+    if missing:
+        raise ConfigError(f"checkpoint {directory}: parameter {missing[0]!r} is missing")
     params = CBFParams(**manifest["params"])
     times = [float(t) for t in manifest["times"]]
+    names = [f"snapshot_{i:06d}" for i in range(len(times))]
     with np.load(os.path.join(directory, "trajectory.npz")) as data:
-        states = [CBFState(t, data[f"snapshot_{i:06d}"]) for i, t in enumerate(times)]
+        lost = [name for name in names if name not in data.files]
+        if lost:
+            raise ConfigError(
+                f"checkpoint {directory}: trajectory.npz has no {lost[0]}, but manifest.json lists {len(times)} times"
+            )
+        states = [CBFState(t, data[name]) for t, name in zip(times, names)]
     return Trajectory(params, times, states)

@@ -242,7 +242,7 @@ def _run_cbf(cfg: dict, out_dir: str) -> list:
             params, kmax_init=cfg["kmax_init"], amplitude=cfg["amplitude"], seed=cfg["seed"]
         )
     traj = cbf.simulate(initial, params)
-    windows = max(1, cfg["windows"])
+    windows = cfg["windows"]
     times = traj.times
     idx = [round(i * (len(times) - 1) / windows) for i in range(windows + 1)]
     rows = [led.csv_row() for led in cbf.energy_ledgers(traj, [times[i] for i in idx])]
@@ -378,6 +378,7 @@ _DEFAULTS = {
 _NONE_KINDS = {"n_modes": int, "field": str}  # the options that may be null (unset)
 _CHOICES = {"op": _OPERATORS, "transform": ("semigroup", "pi-theta"), "profile": ("bump", "constant")}
 _COMMA_LISTS = {"theta": float, "lengths": float, "n_list": int}  # element type of each comma list
+_LEAST = {"windows": 1}  # the counts that must exceed 0; every other one is >= 0
 _HELP = {
     "lengths": "comma-separated box edge lengths",
     "d": "torus dimension",
@@ -425,9 +426,9 @@ def _build_parser() -> _Parser:
 
 def _check_value(name: str, key: str, v) -> None:
     """Refuse a value, from a flag or the config file, that does not have its
-    option's kind, lies outside its choices or is a negative count; every
-    integer option counts something.  Values are not converted, so the
-    manifest echoes them as given."""
+    option's kind, lies outside its choices or is a count below its least
+    value (_LEAST, else 0); every integer option counts something.  Values
+    are not converted, so the manifest echoes them as given."""
     if v is None and key in _NONE_KINDS:
         return
     kind = _kind(name, key)
@@ -440,8 +441,8 @@ def _check_value(name: str, key: str, v) -> None:
         raise ConfigError(f"{key} must be {what}, got {v!r}")
     if key in _CHOICES and v not in _CHOICES[key]:
         raise ConfigError(f"{key} must be one of {_CHOICES[key]}, got {v!r}")
-    if kind is int and v < 0:
-        raise ConfigError(f"{key} must be >= 0, got {v}")
+    if kind is int and v < _LEAST.get(key, 0):
+        raise ConfigError(f"{key} must be >= {_LEAST.get(key, 0)}, got {v}")
 
 
 def _resolve_config(ns: argparse.Namespace) -> dict:
@@ -507,6 +508,9 @@ def run(argv=None) -> int:
         return 2
     except (AccuracyError, ResourceLimitError) as e:
         print(f"error: accuracy: {_one_line(e)}", file=sys.stderr)
+        return 3
+    except MemoryError as e:  # a last line of defence: numpy names the allocation
+        print(f"error: accuracy: {_one_line(e) or 'out of memory'}", file=sys.stderr)
         return 3
     except ToolkitError as e:
         print(f"error: runtime: {_one_line(e)}", file=sys.stderr)

@@ -22,7 +22,6 @@ from .domains import (
     EigenPair,
     ModeIndex,
     OperatorSpec,
-    Torus,
     TorusLaplacian,
     TorusStokes,
     _as_points,

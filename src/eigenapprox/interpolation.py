@@ -11,7 +11,7 @@ rather than silently accepted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -20,7 +20,7 @@ from scipy.integrate import simpson
 from .approx import _weighted_norm, fractional_norm
 from .domains import Box, Interval
 from .errors import AccuracyError, ConfigError
-from .fields import GridField, SpectralField, evaluate
+from .fields import SpectralField, evaluate
 from .reports import NormReport
 
 _TAIL_LIMIT = 0.01  # largest tail share of the squared norm a t-window may carry
@@ -283,17 +283,12 @@ def _graded_axis_rule(L: float, level: int, order: int):
     return np.concatenate([x, L - x]), np.concatenate([w, w])
 
 
-def _h00_eval(u, domain, points: np.ndarray) -> np.ndarray:
+def _h00_eval(u, points: np.ndarray) -> np.ndarray:
     if callable(u):
         return np.asarray(u(points))
     if isinstance(u, SpectralField):
         return evaluate(u, points)
-    if isinstance(u, GridField):
-        from scipy.interpolate import RegularGridInterpolator
-
-        interp = RegularGridInterpolator(u.axes, u.values, method="linear")
-        return interp(points)
-    raise ConfigError("h00_weighted_norm accepts a callable, SpectralField, or GridField")
+    raise ConfigError("h00_weighted_norm accepts a callable or a SpectralField")
 
 
 def h00_weighted_norm(
@@ -302,7 +297,8 @@ def h00_weighted_norm(
     weight: BoundaryWeight = None,
     levels: int = 10,
 ) -> H00Report:
-    """Boundary-weighted integral int rho^{-1} |u|^2 under graded refinement.
+    """Boundary-weighted integral int rho^{-1} |u|^2 under graded refinement;
+    u is a SpectralField or a callable taking an (n, d) array of points.
 
     Each level halves the innermost panel; a finite integral saturates while
     the borderline-divergent ones keep growing.  Divergence is flagged when
@@ -323,7 +319,7 @@ def h00_weighted_norm(
         for r in rules[1:]:
             w = np.multiply.outer(w, r[1])
         w = w.reshape(-1)
-        vals = np.abs(_h00_eval(u, domain, pts)) ** 2
+        vals = np.abs(_h00_eval(u, pts)) ** 2
         if vals.ndim == 2:  # vector samples
             vals = vals.sum(axis=1)
         rho = weight(pts)

@@ -1,4 +1,4 @@
-"""CSV serialization for spectral and grid fields.
+"""CSV serialization for spectral fields.
 
 Spectral rows carry one scalar each: `k1..kd, polarization, re, im`.  The
 polarization column is 0 for scalar fields; m in 1..d-1 selects the tangential
@@ -6,9 +6,6 @@ amplitude along the deterministic basis of k-perp (divergence-free fields);
 negative values -(c+1) tag the Cartesian component c of a plain vector
 amplitude (used for componentwise vector fields and for the carried k=0 mean
 of a divergence-free field, which has no tangential decomposition).
-
-Grid rows are `x1..xd, re, im` (scalar) or `x1..xd, c0_re, c0_im, ...`
-(vector), in C order of the tensor grid.
 """
 
 from __future__ import annotations
@@ -22,8 +19,7 @@ import numpy as np
 
 from .domains import OperatorSpec, TorusStokes, _dot_rows, _index_rules, _polarization_rows, _raise_first
 from .errors import ConfigError
-from .fields import GridField, SpectralField, _merge_rows, _polarized
-from .reports import format_number
+from .fields import SpectralField, _merge_rows, _polarized
 
 
 def _column(values: np.ndarray) -> list:
@@ -132,56 +128,3 @@ def spectral_field_from_csv(path, operator: OperatorSpec) -> SpectralField:
 
     scalar = len(pol) and pol[0] == 0
     return SpectralField(operator, _merge_rows(k, pol, vals, "sum") if scalar else _polarized(k, pol, vals))
-
-
-def grid_field_to_csv(g: GridField, path) -> None:
-    d = g.domain.dim
-    pts = g.points()
-    vals = g.values.reshape(-1, g.values.shape[-1]) if g.is_vector else g.values.reshape(-1, 1)
-    comps = vals.shape[1]
-    if comps == 1:
-        header = [f"x{i + 1}" for i in range(d)] + ["re", "im"]
-    else:
-        header = [f"x{i + 1}" for i in range(d)]
-        for c in range(comps):
-            header += [f"c{c}_re", f"c{c}_im"]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for p, row in zip(pts, vals):
-            cells = [format_number(x) for x in p]
-            for v in row:
-                v = complex(v)
-                cells += [format_number(v.real), format_number(v.imag)]
-            w.writerow(cells)
-
-
-def grid_field_from_csv(path, domain) -> GridField:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        d = domain.dim
-        ncomp, rem = divmod(len(header) - d, 2)
-        if rem != 0 or ncomp < 1:
-            raise ConfigError(f"malformed grid CSV header {header}")
-        coords, data = [], []
-        for row in reader:
-            coords.append([float(v) for v in row[:d]])
-            data.append([complex(float(row[d + 2 * c]), float(row[d + 2 * c + 1])) for c in range(ncomp)])
-    coords = np.asarray(coords)
-    data = np.asarray(data)
-    order = np.lexsort(tuple(coords[:, i] for i in reversed(range(d))))
-    coords, data = coords[order], data[order]
-    axes = []
-    for i in range(d):
-        ax = np.unique(coords[:, i])
-        axes.append(ax)
-    shape = tuple(a.size for a in axes)
-    if int(np.prod(shape)) != coords.shape[0]:
-        raise ConfigError("grid CSV rows do not form a full tensor grid")
-    vals = data.reshape(shape + (ncomp,))
-    if ncomp == 1:
-        vals = vals[..., 0]
-    if np.all(vals.imag == 0.0):
-        vals = vals.real
-    return GridField(domain, tuple(axes), vals)

@@ -18,7 +18,6 @@ from eigenapprox import (
     CBFParams,
     CBFState,
     ConfigError,
-    MollifierSpec,
     SpectralField,
     Torus,
     TorusLaplacian,
@@ -35,14 +34,12 @@ from eigenapprox import (
     save_trajectory,
     scale,
     simulate,
-    space_mollify,
     state_divergence_residual,
     state_energy,
     state_enstrophy,
     step,
     subtract,
     taylor_green,
-    time_mollify,
     to_spectral_field,
 )
 from eigenapprox import cbf
@@ -432,64 +429,6 @@ def test_energy_ledger_guards():
         energy_ledger(short, traj.times[0], traj.times[1])
 
 
-def _constant_trajectory(p, base, t_end=0.2, spacing=0.01):
-    times = [round(i * spacing, 10) for i in range(int(round(t_end / spacing)) + 1)]
-    return Trajectory(p, times, [CBFState(t, base.coeffs.copy()) for t in times])
-
-
-def test_mollifier_density_normalized():
-    spec = MollifierSpec(0.05)
-    s = np.linspace(-0.06, 0.06, 200001)
-    assert np.trapezoid(spec.density(s), s) == pytest.approx(1.0, abs=1e-12)
-    assert np.all(spec.density(np.array([-0.05, 0.05, 0.2])) == 0.0)
-    assert spec.density(0.01) == spec.density(-0.01)
-    with pytest.raises(ConfigError):
-        MollifierSpec(0.0)
-
-
-def test_time_mollify_reproduces_constants():
-    p = _params(dt=1e-2, snapshot_every=1, t_final=0.2)
-    base = taylor_green(p)
-    traj = _constant_trajectory(p, base)
-    f0 = to_spectral_field(base)
-    got = time_mollify(traj, MollifierSpec(0.05), 0.1)
-    assert subtract(got, f0).l2() < 1e-10
-    # at the window edge only half the bump mass is inside the data range
-    edge = time_mollify(traj, MollifierSpec(0.05), 0.0)
-    assert subtract(edge, scale(f0, 0.5)).l2() < 1e-10
-
-
-def test_time_mollify_reproduces_linear_growth():
-    # an even kernel has zero first moment, so linear-in-time data pass through
-    p = _params(dt=1e-2, snapshot_every=1, t_final=0.2)
-    base = taylor_green(p)
-    times = [round(i * 0.01, 10) for i in range(21)]
-    traj = Trajectory(p, times, [CBFState(t, (1.0 + t) * base.coeffs) for t in times])
-    got = time_mollify(traj, MollifierSpec(0.05), 0.1)
-    assert subtract(got, scale(to_spectral_field(base), 1.1)).l2() < 1e-10
-
-
-def test_time_mollify_guards():
-    p = _params(dt=1e-2, snapshot_every=1, t_final=0.2)
-    traj = _constant_trajectory(p, taylor_green(p))
-    with pytest.raises(ConfigError, match="under-resolves"):
-        time_mollify(traj, MollifierSpec(0.005), 0.1)
-    with pytest.raises(ConfigError, match="outside"):
-        time_mollify(traj, MollifierSpec(0.05), 0.5)
-
-
-def test_space_mollify_damps_and_converges_to_identity():
-    p = _params()
-    s = taylor_green(p)  # all modes on the |k|^2 = 2 shell
-    damped = space_mollify(s, 4.0, p)
-    assert state_energy(damped, p) / state_energy(s, p) == pytest.approx(math.exp(-1.0), rel=1e-13)
-    near_id = space_mollify(s, 1e12, p)
-    assert np.max(np.abs(near_id.coeffs - s.coeffs)) < 1e-10 * np.max(np.abs(s.coeffs))
-    assert state_divergence_residual(damped) < 1e-14
-    with pytest.raises(ConfigError):
-        space_mollify(s, 0.0, p)
-
-
 @pytest.mark.parametrize("dim", [2, 3])
 def test_state_field_round_trip(dim):
     p = _params(beta=1.0, dim=dim)
@@ -563,6 +502,30 @@ def test_load_trajectory_refuses_a_format_other_than_npz(tmp_path):
     manifest["format"] = "csv"
     (d / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ConfigError, match="unknown checkpoint format 'csv'"):
+        load_trajectory(str(d))
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda manifest: manifest.pop("format"), "manifest.json has no 'format'"),
+        (lambda manifest: manifest.pop("params"), "manifest.json has no 'params'"),
+        (lambda manifest: manifest["params"].update(nu=1.0), r"unknown parameters \['nu'\]"),
+        (lambda manifest: manifest["params"].pop("mu"), "parameter 'mu' is missing"),
+        (lambda manifest: manifest["times"].append(1.0), "trajectory.npz has no snapshot_000003, but manifest.json lists 4 times"),
+    ],
+    ids=["no-format", "no-params", "unknown-parameter", "no-viscosity", "time-without-snapshot"],
+)
+def test_load_trajectory_names_what_a_malformed_checkpoint_lacks(corrupt, message, tmp_path):
+    # these used to end in a bare KeyError or TypeError
+    p = _params(t_final=0.02, snapshot_every=5)
+    d = tmp_path / "ck"
+    save_trajectory(simulate(taylor_green(p), p), str(d))
+    manifest = json.loads((d / "manifest.json").read_text())
+    assert len(manifest["times"]) == 3
+    corrupt(manifest)
+    (d / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ConfigError, match=f"^checkpoint {re.escape(str(d))}: {message}$"):
         load_trajectory(str(d))
 
 

@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from eigenapprox import cli
 from eigenapprox.cli import _build_parser, run
 
 
@@ -126,6 +127,30 @@ def test_blow_up_is_exit_3(tmp_path, capsys):
 def test_negative_mode_count_is_exit_2(tmp_path, capsys):
     assert _run(["approx", "--op", "torus", "--d", "2", "--n-modes", "-1"], tmp_path) == 2
     assert capsys.readouterr().err == "error: config: n_modes must be >= 0, got -1\n"
+
+
+def test_zero_ledger_windows_is_exit_2(tmp_path, capsys):
+    # it used to run one window while the manifest echoed 0
+    assert _run(["cbf", "--N", "16", "--T", "0.03", "--windows", "0"], tmp_path) == 2
+    assert capsys.readouterr().err == "error: config: windows must be >= 1, got 0\n"
+    assert not (tmp_path / "ledger.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "message, line",
+    [
+        ("Unable to allocate 977. MiB for an array", "error: accuracy: Unable to allocate 977. MiB for an array\n"),
+        ("", "error: accuracy: out of memory\n"),
+    ],
+    ids=["numpy-message", "empty-message"],
+)
+def test_out_of_memory_is_one_accuracy_line(message, line, tmp_path, capsys, monkeypatch):
+    def exhausted(cfg, out_dir):
+        raise MemoryError(message)
+
+    monkeypatch.setitem(cli._HANDLERS, "modes", exhausted)
+    assert _run(["modes"], tmp_path) == 3
+    assert capsys.readouterr().err == line
 
 
 def test_dirichlet_reach_past_every_double_is_exit_3(tmp_path, capsys):

@@ -43,6 +43,7 @@ def test_two_mode_field_matches_direct_evaluation():
     pts = g.points()[:, 0]
     direct = 0.7 * math.sqrt(2.0) * np.sin(math.pi * pts) - 0.2 * math.sqrt(2.0) * np.sin(3 * math.pi * pts)
     assert np.max(np.abs(np.asarray(g.values) - direct)) < 1e-12
+    assert np.isrealobj(g.values)  # real coefficients synthesize to a real grid
 
 
 def test_torus_synthesize_matches_pointwise_sum():

@@ -26,6 +26,7 @@ from eigenapprox import (
     k_functional,
     random_field,
     reiteration_check,
+    synthesize,
 )
 
 
@@ -194,6 +195,15 @@ def test_h00_box_product_structure():
     one_d = quad(lambda x: 2.0 * math.sin(math.pi * x) ** 2 / (x * (1.0 - x)), 0.0, 1.0)[0]
     assert not rep.diverging
     assert rep.value == pytest.approx(one_d**2, rel=1e-8)
+
+
+def test_h00_refuses_a_grid_field():
+    # the callable or the spectral field is evaluated at the quadrature nodes;
+    # a grid would need an interpolation rule of its own
+    dom = Interval(1.0)
+    grid = synthesize(SpectralField(DirichletLaplacian(dom), {(1,): 1.0 + 0j}), 8)
+    with pytest.raises(ConfigError, match="^h00_weighted_norm accepts a callable or a SpectralField$"):
+        h00_weighted_norm(grid, dom)
 
 
 def test_h00_custom_weight_and_guards():

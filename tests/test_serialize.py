@@ -4,20 +4,16 @@ import pytest
 from eigenapprox import (
     ConfigError,
     DirichletLaplacian,
-    GridField,
     Interval,
     ModeIndex,
     SpectralField,
     Torus,
     TorusLaplacian,
     TorusStokes,
-    grid_field_from_csv,
-    grid_field_to_csv,
     random_field,
     spectral_field_from_csv,
     spectral_field_to_csv,
     subtract,
-    synthesize,
 )
 
 
@@ -87,61 +83,6 @@ def test_deterministic_bytes(tmp_path):
     spectral_field_to_csv(f, p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert b"\r" not in p1.read_bytes()
-
-
-def test_grid_round_trip_scalar(tmp_path):
-    op = TorusLaplacian(Torus(2))
-    f = random_field(op, 8.0, np.random.default_rng(3), n_modes=5)
-    g = synthesize(f, 8)
-    p = tmp_path / "g.csv"
-    grid_field_to_csv(g, p)
-    back = grid_field_from_csv(p, op.domain)
-    assert np.allclose(np.asarray(back.values), np.asarray(g.values), atol=1e-15)
-    assert all(np.allclose(a, b) for a, b in zip(back.axes, g.axes))
-
-
-def test_grid_round_trip_vector(tmp_path):
-    op = TorusStokes(Torus(2))
-    f = random_field(op, 5.0, np.random.default_rng(4), n_modes=4)
-    g = synthesize(f, 8)
-    p = tmp_path / "v.csv"
-    grid_field_to_csv(g, p)
-    back = grid_field_from_csv(p, op.domain)
-    assert np.allclose(np.asarray(back.values), np.asarray(g.values), atol=1e-15)
-
-
-def test_grid_rows_survive_shuffling(tmp_path):
-    # reading is order-independent: rows are keyed by their coordinates
-    op = TorusLaplacian(Torus(2))
-    f = random_field(op, 8.0, np.random.default_rng(5), n_modes=5)
-    g = synthesize(f, 6)
-    p = tmp_path / "g.csv"
-    grid_field_to_csv(g, p)
-    lines = p.read_text().splitlines()
-    body = lines[1:]
-    rng = np.random.default_rng(6)
-    rng.shuffle(body)
-    q = tmp_path / "shuffled.csv"
-    q.write_text("\n".join([lines[0]] + body) + "\n")
-    back = grid_field_from_csv(q, op.domain)
-    assert np.allclose(np.asarray(back.values), np.asarray(g.values), atol=1e-15)
-
-
-def test_partial_tensor_grid_rejected(tmp_path):
-    p = tmp_path / "bad.csv"
-    p.write_text("x1,x2,re,im\n0.0,0.0,1.0,0.0\n0.0,1.0,1.0,0.0\n1.0,0.0,1.0,0.0\n")
-    with pytest.raises(ConfigError, match="tensor grid"):
-        grid_field_from_csv(p, Torus(2))
-
-
-def test_real_grid_stays_real(tmp_path):
-    dom = Interval(1.0)
-    op = DirichletLaplacian(dom)
-    g = synthesize(SpectralField(op, {(1,): 1.0 + 0j}), 8)
-    p = tmp_path / "g.csv"
-    grid_field_to_csv(g, p)
-    back = grid_field_from_csv(p, dom)
-    assert np.isrealobj(np.asarray(back.values))
 
 
 def test_spectral_csv_mixing_scalar_and_vector_rows_is_rejected(tmp_path):
