@@ -61,9 +61,9 @@ from dataclasses import MISSING, dataclass, fields
 import numpy as np
 from scipy.integrate import simpson
 
-from .domains import Torus, TorusStokes
+from .domains import Torus, TorusStokes, _grid_phases, _re_im_rows
 from .errors import AccuracyError, AliasingError, ConfigError
-from .fields import GridField, SpectralField, _Packed, _tangential, _with_mirrors, lp_norm, uniform_axes
+from .fields import GridField, SpectralField, _axis_product, _Packed, _tangential, _with_mirrors, lp_norm, uniform_axes
 
 TWO_PI = 2.0 * math.pi
 
@@ -256,32 +256,20 @@ def _dft_matrices(n: int, kmax: int) -> tuple:
       ..., and 1/n) and forward DFT of the halved last axis, 0..K, acting on
       the interleaved (re, im) pairs of a complex array's float view.
 
-    Every phase is 2 pi ((j k) mod n) / n from the exact integer product, so
-    the entries stay at roundoff for large j k.  G drops the imaginary part
-    of k = 0 as `irfft` does; with 2K+1 <= n there is no Nyquist entry.
+    Every entry comes from `domains._grid_phases`, as in every torus grid
+    table: the phase 2 pi ((j k) mod n) / n of the exact integer product.  G
+    drops the imaginary part of k = 0 as `irfft` does; with 2K+1 <= n there
+    is no Nyquist entry.
     """
-    j = np.arange(n)
     full = np.r_[0 : kmax + 1, -kmax:0]
-    phase = (TWO_PI / n) * ((j[:, None] * full) % n)
-    inv = np.exp(1j * phase)
-    half = (TWO_PI / n) * ((np.arange(kmax + 1)[:, None] * j) % n)
-    cos, sin = np.cos(half), np.sin(half)
-    weight = np.where(np.arange(kmax + 1) == 0, 1.0, 2.0)[:, None] / n
-    g = np.empty((2 * kmax + 2, n))
-    g[0::2], g[1::2] = weight * cos, -weight * sin
-    f = np.empty((n, 2 * kmax + 2))
-    f[:, 0::2], f[:, 1::2] = cos.T, -sin.T
-    mats = (inv / n, inv.T.conj(), g, f)
+    inv = np.ascontiguousarray(_grid_phases(n, full).T)
+    half = _grid_phases(n, np.arange(kmax + 1))
+    rows = _re_im_rows(half).reshape(-1, n)  # cos, -sin per k, interleaved
+    weight = np.repeat(np.where(np.arange(kmax + 1) == 0, 1.0, 2.0) / n, 2)[:, None]
+    mats = (inv / n, inv.T.conj(), weight * rows, np.ascontiguousarray(rows.T))
     for m in mats:
         m.setflags(write=False)  # cached: every caller shares these arrays
     return mats
-
-
-def _axis_product(a: np.ndarray, x: np.ndarray, ax: int) -> np.ndarray:
-    """The matrix a applied along axis ax of x: one product a @ (x_ax, rest)
-    per index of the axes before ax."""
-    out = a @ x.reshape(x.shape[: ax + 1] + (-1,))
-    return out.reshape(x.shape[:ax] + (a.shape[0],) + x.shape[ax + 1 :])
 
 
 def _block_to_grid(c: np.ndarray, n: int) -> np.ndarray:

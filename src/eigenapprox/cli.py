@@ -244,6 +244,8 @@ def _run_cbf(cfg: dict, out_dir: str) -> list:
     traj = cbf.simulate(initial, params)
     windows = cfg["windows"]
     times = traj.times
+    if 2 * windows > len(times) - 1:  # Simpson takes 2 snapshot intervals per window
+        raise ConfigError(f"windows {windows} needs at least {2 * windows + 1} snapshots, the run stores {len(times)}")
     idx = [round(i * (len(times) - 1) / windows) for i in range(windows + 1)]
     rows = [led.csv_row() for led in cbf.energy_ledgers(traj, [times[i] for i in idx])]
     reports.write_table_csv(os.path.join(out_dir, "ledger.csv"), cbf.EnergyLedger.CSV_HEADER, rows)

@@ -394,6 +394,20 @@ def _axis_factors(operator: OperatorSpec, axis: int, k, x) -> np.ndarray:
     return _torus_scale(operator.dim) * w if axis == 0 else w
 
 
+def _grid_phases(n: int, k: np.ndarray) -> np.ndarray:
+    """The torus axis factor e^{ikx} at x_j = 2 pi j / n, one row per entry of
+    the integer array k: the n-th root of unity at the exact integer
+    (j k) mod n, so every entry stays at roundoff however large j k is."""
+    roots = np.exp(1j * ((2.0 * math.pi / n) * np.arange(n)))
+    return roots[(k[:, None] % n) * np.arange(n) % n]
+
+
+def _re_im_rows(t: np.ndarray) -> np.ndarray:
+    """The rows [Re t_i; -Im t_i] of a complex table t, shape (rows, 2, points):
+    with h viewed as float (Re, Im) pairs, Re(h @ t) is one real product."""
+    return np.stack((t.real, -t.imag), axis=1)
+
+
 def _as_points(points, d: int) -> np.ndarray:
     """points as an (n, d) float array; a 1-D array is n points if d = 1, else one point."""
     pts = np.asarray(points, dtype=float)

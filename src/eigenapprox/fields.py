@@ -2,8 +2,8 @@
 
 A SpectralField is a finite coefficient map over eigenfunctions of one of the
 closed-form operators; a GridField is a tensor-product sampling.  synthesize
-and analyze convert between the two, with a Nyquist guard on the way out and
-an orthonormality self-check on the way back in.
+and analyze convert between the two by one-axis tables, not FFTs, with a
+Nyquist guard on the way out and an orthonormality check on the way back in.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .domains import (
     _dot_rows,
     _eigenvalues,
     _fits,
+    _grid_phases,
     _index_arrays,
     _index_rules,
     _lone_row,
@@ -37,6 +38,7 @@ from .domains import (
     _mode_table,
     _polarization_rows,
     _raise_first,
+    _re_im_rows,
     _representative_rows,
     _torus_scale,
     enumerate_modes,
@@ -54,12 +56,6 @@ def _tangential(k: np.ndarray, v: np.ndarray) -> np.ndarray:
         e = _polarization_rows(k[nz])
         out[nz] = np.sum(_dot_rows(e, out[nz][:, None, :])[:, :, None] * e, axis=1)
     return out
-
-
-def _finite(arr) -> bool:
-    if np.iscomplexobj(arr):
-        return bool(np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag)))
-    return bool(np.all(np.isfinite(arr)))
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +371,7 @@ class GridField:
         shape = tuple(a.size for a in axes)
         if vals.shape not in (shape, shape + (self.domain.dim,)):
             raise ConfigError(f"values shape {vals.shape} does not match grid {shape}")
-        if not _finite(vals):
+        if not np.all(np.isfinite(vals)):  # a complex value is finite when both its parts are
             raise ConfigError("grid values must be finite")
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "values", vals)
@@ -422,6 +418,7 @@ def uniform_axes(domain: DomainSpec, resolution) -> tuple:
 
 _OVERSAMPLING = 4  # default grid points per unit of the largest mode index
 _MIN_GRID_POINTS = 8
+_GRAM_TOL = 1e-8  # the largest |<w_i, w_j> - delta_ij| analyze's check accepts
 
 
 def default_grid_resolution(f: SpectralField) -> int:
@@ -431,12 +428,30 @@ def default_grid_resolution(f: SpectralField) -> int:
 
 def _axis_tables(operator: OperatorSpec, k: np.ndarray, axes) -> list:
     """Per axis a: the factors of the distinct k[:, a] on axes[a], shape
-    (distinct, points), and each row's place among them."""
+    (distinct, points), and each row's place among them.  A Dirichlet row is
+    `_axis_factors` at the points; a torus row is `_grid_phases` on the
+    canonical axis (with the (2 pi)^{-d/2} scale on the first), and the torus
+    indices are closed under negation, so -k's row is k's counted from the end."""
     tables = []
     for a, x in enumerate(axes):
         uniq, place = np.unique(k[:, a], return_inverse=True)
-        tables.append((_axis_factors(operator, a, uniq[:, None], x[None, :]), place.reshape(-1)))
+        if isinstance(operator, DirichletLaplacian):
+            t = _axis_factors(operator, a, uniq[:, None], x[None, :])
+        else:
+            closed = np.union1d(uniq, -uniq)
+            uniq, place = closed, np.searchsorted(closed, uniq)[place]
+            t = _grid_phases(x.size, uniq)
+            if a == 0:
+                t = _torus_scale(operator.dim) * t
+        tables.append((t, place))
     return tables
+
+
+def _axis_product(a: np.ndarray, x: np.ndarray, ax: int) -> np.ndarray:
+    """The matrix a applied along axis ax of x: one product a @ (x_ax, rest)
+    per index of the axes before ax."""
+    out = a @ x.reshape(x.shape[: ax + 1] + (math.prod(x.shape[ax + 1 :]),))
+    return out.reshape(x.shape[:ax] + (a.shape[0],) + x.shape[ax + 1 :])
 
 
 def _axis_quadrature(domain: DomainSpec, a: np.ndarray, L: float) -> np.ndarray:
@@ -492,44 +507,25 @@ def synthesize(f: SpectralField, resolution=None) -> GridField:
                 f"{points} points per axis cannot represent modes up to k={kmax} (need >= {2 * kmax + 1})"
             )
     axes = uniform_axes(domain, res)
-    if isinstance(f.operator, (TorusLaplacian, TorusStokes)):
-        return _synthesize_torus_fft(f, axes, tuple(a.size for a in axes))
-
-    # the values in one dense block over the distinct indices of each axis,
-    # contracted with that axis's factors one axis at a time
+    # one dense block over the distinct indices of each axis, components
+    # first, contracted with one axis table at a time.  A real field (real
+    # Dirichlet coefficients; on the torus, conj(c) at each mirrored place of
+    # the block) takes its last axis as one real product.
     tables = _axis_tables(f.operator, f.k, axes)
-    out = np.zeros(tuple(t.shape[0] for t, _ in tables) + f.values.shape[1:], dtype=complex)
-    out[tuple(place for _, place in tables)] = f.values
-    for t, _ in tables:
-        out = np.tensordot(out, t, axes=(0, 0))
-    if f.is_vector:
-        out = np.moveaxis(out, 0, -1)
-    if np.max(np.abs(out.imag), initial=0.0) == 0.0:
-        out = out.real
-    return GridField(domain, axes, out)
+    block = np.zeros((math.prod(f.values.shape[1:]),) + tuple(t.shape[0] for t, _ in tables), dtype=complex)
+    block[(slice(None),) + tuple(place for _, place in tables)] = f.values.T
+    if isinstance(f.operator, DirichletLaplacian):
+        real = not np.any(f.values.imag)
+    else:
+        real = np.array_equal(np.flip(block, axis=tuple(range(1, block.ndim))), np.conj(block))
+    for a, (t, _) in enumerate(tables[:-1]):
+        block = _axis_product(t.T, block, a + 1)
+    last = tables[-1][0]
+    out = block.view(float) @ _re_im_rows(last).reshape(-1, last.shape[1]) if real else block @ last
+    return GridField(domain, axes, np.moveaxis(out, 0, -1) if f.is_vector else out[0])
 
 
-def _synthesize_torus_fft(f: SpectralField, axes, shape) -> GridField:
-    d = f.dim
-    sc = _torus_scale(d) * float(np.prod(shape))
-    is_vec = f.is_vector
-    comps = d if is_vec else 1
-    spec = np.zeros((comps,) + shape, dtype=complex)
-    # the Nyquist guard makes k mod n injective, so no two modes share a slot
-    pos = tuple(f.k[:, a] % n for a, n in enumerate(shape))
-    spec[(slice(None),) + pos] += f.values.T if is_vec else f.values
-    vals = np.stack([np.fft.ifftn(spec[c] * sc) for c in range(comps)], axis=-1)
-    if not is_vec:
-        vals = vals[..., 0]
-    space = tuple(range(1, d + 1))
-    if np.array_equal(np.roll(np.flip(spec, axis=space), 1, axis=space), np.conj(spec)):
-        # an exactly symmetric spectrum (slot -k holds conj of slot k) is a
-        # real field; drop the FFT roundoff
-        vals = vals.real
-    return GridField(f.operator.domain, axes, vals)
-
-
-def analyze(g: GridField, modes, operator: OperatorSpec, check: bool = True, tol: float = 1e-8) -> SpectralField:
+def analyze(g: GridField, modes, operator: OperatorSpec, check: bool = True) -> SpectralField:
     """Quadrature inner products of g against the given modes (ModeIndex or
     EigenPair).  Modes and weights are tensor products, so g is contracted
     with the weighted conjugate axis factors one axis at a time and the
@@ -537,8 +533,8 @@ def analyze(g: GridField, modes, operator: OperatorSpec, check: bool = True, tol
     and are reassembled into vector amplitudes.
 
     With check=True the Gram matrix of the modes on g's grid, (e_i . e_j)
-    times the one-axis Gram tables of k_i and k_j, is verified against the
-    identity to `tol`; the first offending pair is named in the AccuracyError.
+    times the one-axis Gram tables of k_i and k_j, must be the identity to
+    `_GRAM_TOL`; the AccuracyError names the first pair that is not.
     """
     if operator.domain != g.domain:
         raise ConfigError("grid domain does not match operator domain")
@@ -556,7 +552,7 @@ def analyze(g: GridField, modes, operator: OperatorSpec, check: bool = True, tol
         gram = np.ones((m, m)) if e is None else e @ e.T
         for (t, place), w in zip(tables, weights):
             gram = gram * ((t * w) @ np.conj(t).T)[np.ix_(place, place)]
-        bad = np.argwhere(np.triu(np.abs(gram - np.eye(m)) > tol))
+        bad = np.argwhere(np.triu(np.abs(gram - np.eye(m)) > _GRAM_TOL))
         if bad.size:
             i, j = bad[0]  # first pair i <= j in row order
             a, b = (f"(k={tuple(k[r].tolist())}, m={pol[r]})" for r in (i, j))

@@ -32,6 +32,7 @@ from .domains import (
     TorusLaplacian,
     TorusStokes,
     _mode_table,
+    _re_im_rows,
     _representative_rows,
 )
 from .errors import AccuracyError, ConfigError
@@ -200,18 +201,15 @@ class _AscentState:
         self.operator = f.operator
         self.p = float(p)
         self.res = _lp_grid_resolution(f, p)
-        self.domain = f.operator.domain
-        self.axes = uniform_axes(self.domain, self.res)
         self.k, self.pol = f.k, f.pol
         self.values = f.values.copy()
         self.factors = _factors(f, name, param)  # NaN drops the mode
-        tables = _axis_tables(self.operator, f.k, self.axes)
-        # per mode the factors of the axes before the last, and the rows
-        # [Re; -Im] of its last-axis factor, so that for a complex head
-        # viewed as [Re, Im] columns, Re(head x last) is one matrix product
+        tables = _axis_tables(self.operator, f.k, g.axes)
+        # per mode the factors of the axes before the last, and the
+        # `_re_im_rows` of its last-axis factor
         self.head_tables = tables[:-1]
         last, self.last_place = tables[-1]
-        self.last_rows = np.stack((last.real, -last.imag), axis=1)
+        self.last_rows = _re_im_rows(last)
         # the quadrature weights as the flattened product over the axes
         # before the last, and the last axis's own
         *w_head, self.w_last = _axis_weights(g)

@@ -136,6 +136,16 @@ def test_zero_ledger_windows_is_exit_2(tmp_path, capsys):
     assert not (tmp_path / "ledger.csv").exists()
 
 
+@pytest.mark.parametrize("windows", [2, 3, 10])
+def test_more_ledger_windows_than_snapshots_allow_is_exit_2(windows, tmp_path, capsys):
+    # T = 0.03 at dt = 1e-3 stores 4 snapshots: room for one Simpson window
+    assert _run(["cbf", "--N", "16", "--T", "0.03", "--windows", str(windows)], tmp_path) == 2
+    assert capsys.readouterr().err == (
+        f"error: config: windows {windows} needs at least {2 * windows + 1} snapshots, the run stores 4\n"
+    )
+    assert not (tmp_path / "ledger.csv").exists()
+
+
 @pytest.mark.parametrize(
     "message, line",
     [

@@ -56,6 +56,61 @@ def test_torus_synthesize_matches_pointwise_sum():
     assert np.max(np.abs(direct.imag)) < 1e-12  # conjugate-symmetric input
 
 
+def _fft_oracle(f, n):
+    """The n^d grid of a torus field as numpy's inverse FFT of its spectrum,
+    each coefficient placed at k mod n, times n^d (2 pi)^(-d/2)."""
+    d = f.dim
+    spec = np.zeros((n,) * d + f.values.shape[1:], dtype=complex)
+    spec[tuple((f.k % n).T)] = f.values
+    return np.fft.ifftn(spec, axes=tuple(range(d))) * (n**d * TWO_PI ** (-d / 2))
+
+
+@pytest.mark.parametrize(
+    "op, lambda_max, res",
+    [
+        (TorusLaplacian(Torus(1)), 30.0, None),
+        (TorusLaplacian(Torus(1)), 30.0, "nyquist"),
+        (TorusLaplacian(Torus(2)), 40.0, None),
+        (TorusLaplacian(Torus(2)), 40.0, "nyquist"),
+        (TorusLaplacian(Torus(2)), 120.0**2, 256),  # j k up to 255 x 120
+        (TorusLaplacian(Torus(3)), 20.0, None),
+        (TorusLaplacian(Torus(3)), 20.0, "nyquist"),
+        (TorusStokes(Torus(2)), 30.0, None),
+        (TorusStokes(Torus(2)), 30.0, "nyquist"),
+        (TorusStokes(Torus(3)), 12.0, None),
+        (TorusStokes(Torus(3)), 12.0, "nyquist"),
+    ],
+)
+@pytest.mark.parametrize("real", [True, False])
+def test_torus_synthesis_matches_the_fft_oracle(op, lambda_max, res, real):
+    f = random_field(op, lambda_max, np.random.default_rng(23), real=real, include_mean=True)
+    if res == "nyquist":  # the fewest points the guard allows
+        res = 2 * f.max_axis_index() + 1
+    g = synthesize(f, res)
+    want = _fft_oracle(f, g.grid_shape[0])
+    assert np.max(np.abs(g.values - want)) <= 1e-14 * np.max(np.abs(g.values))
+    assert np.iscomplexobj(g.values) == (conjugate_symmetry_violation(f) != 0.0)
+    assert np.iscomplexobj(g.values) != real
+
+
+def test_analyze_builds_no_table_over_an_index_range():
+    # on 16 points 2^29 = 0 and 2^29 + 1 = 1 (mod 16): each huge mode has the
+    # samples of a small one, and its exact phases give that mode's inner
+    # product.  So the Gram check passes for {1, 2^29}, which are orthogonal
+    # there, and names the pair {1, 2^29 + 1}, which alias.  A table over the
+    # index range 1..2^29 + 1 would need 8 GiB per axis.
+    op = TorusLaplacian(Torus(1))
+    g = synthesize(random_field(op, 16.0, np.random.default_rng(3), real=False), 16)
+    tol = 1e-15 * np.max(np.abs(g.values))
+    small = analyze(g, [ModeIndex((0,)), ModeIndex((1,))], op).values
+    for big, alias in ((2**29, 0), (2**29 + 1, 1)):
+        c = analyze(g, [ModeIndex((1,)), ModeIndex((big,))], op, check=False).values
+        assert abs(c[0] - small[1]) <= tol and abs(c[1] - small[alias]) <= tol
+    analyze(g, [ModeIndex((1,)), ModeIndex((2**29,))], op)
+    with pytest.raises(AccuracyError, match=r"pair \(k=\(1,\), m=0\) / \(k=\(536870913,\), m=0\)"):
+        analyze(g, [ModeIndex((1,)), ModeIndex((2**29 + 1,))], op)
+
+
 def test_evaluate_matches_synthesize_on_vector_fields():
     # a vector amplitude multiplies the scalar eigenfunction of its k,
     # the Dirichlet sine as well as the torus exponential
