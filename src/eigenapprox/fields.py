@@ -429,17 +429,14 @@ def default_grid_resolution(f: SpectralField) -> int:
 def _axis_tables(operator: OperatorSpec, k: np.ndarray, axes) -> list:
     """Per axis a: the factors of the distinct k[:, a] on axes[a], shape
     (distinct, points), and each row's place among them.  A Dirichlet row is
-    `_axis_factors` at the points; a torus row is `_grid_phases` on the
-    canonical axis (with the (2 pi)^{-d/2} scale on the first), and the torus
-    indices are closed under negation, so -k's row is k's counted from the end."""
+    `_axis_factors` at the points; a torus row is `_grid_phases` on the axis
+    x_j = 2 pi j / n, with the (2 pi)^{-d/2} scale on the first axis."""
     tables = []
     for a, x in enumerate(axes):
         uniq, place = np.unique(k[:, a], return_inverse=True)
         if isinstance(operator, DirichletLaplacian):
             t = _axis_factors(operator, a, uniq[:, None], x[None, :])
         else:
-            closed = np.union1d(uniq, -uniq)
-            uniq, place = closed, np.searchsorted(closed, uniq)[place]
             t = _grid_phases(x.size, uniq)
             if a == 0:
                 t = _torus_scale(operator.dim) * t
@@ -458,7 +455,7 @@ def _axis_quadrature(domain: DomainSpec, a: np.ndarray, L: float) -> np.ndarray:
     n = a.size
     if domain.periodic:
         h = L / n
-        if not np.allclose(np.diff(a), h, rtol=0, atol=1e-12 * L):
+        if not (np.allclose(np.diff(a), h, rtol=0, atol=1e-12 * L) and abs(a[0]) <= 1e-12 * L):
             raise ConfigError("torus quadrature requires the canonical uniform grid")
         return np.full(n, h)
     m = n - 1
@@ -507,14 +504,16 @@ def synthesize(f: SpectralField, resolution=None) -> GridField:
                 f"{points} points per axis cannot represent modes up to k={kmax} (need >= {2 * kmax + 1})"
             )
     axes = uniform_axes(domain, res)
-    # one dense block over the distinct indices of each axis, components
-    # first, contracted with one axis table at a time.  A real field (real
-    # Dirichlet coefficients; on the torus, conj(c) at each mirrored place of
-    # the block) takes its last axis as one real product.
-    tables = _axis_tables(f.operator, f.k, axes)
+    # one dense block over each axis's distinct indices, components first,
+    # contracted with one axis table at a time.  The torus indices are closed
+    # under negation, so a real torus field's block flipped on every axis is
+    # its conjugate; a real field takes its last axis as one real product.
+    dirichlet = isinstance(f.operator, DirichletLaplacian)
+    k = f.k if dirichlet else np.concatenate([f.k, -f.k])
+    tables = [(t, place[: f.k.shape[0]]) for t, place in _axis_tables(f.operator, k, axes)]
     block = np.zeros((math.prod(f.values.shape[1:]),) + tuple(t.shape[0] for t, _ in tables), dtype=complex)
     block[(slice(None),) + tuple(place for _, place in tables)] = f.values.T
-    if isinstance(f.operator, DirichletLaplacian):
+    if dirichlet:
         real = not np.any(f.values.imag)
     else:
         real = np.array_equal(np.flip(block, axis=tuple(range(1, block.ndim))), np.conj(block))

@@ -111,6 +111,20 @@ def test_analyze_builds_no_table_over_an_index_range():
         analyze(g, [ModeIndex((1,)), ModeIndex((2**29 + 1,))], op)
 
 
+@pytest.mark.parametrize("check", [True, False])
+def test_analyze_refuses_a_shifted_torus_grid(check):
+    # torus rows are the phases at x_j = 2 pi j / n; on an evenly spaced grid
+    # shifted by x0, such as the cell centres (j + 1/2) h, they would be off by
+    # e^{i k x0}, and the shifted rows are still orthonormal
+    op = TorusLaplacian(Torus(2))
+    g = synthesize(SpectralField(op, {(1, 0): 1.0, (-1, 0): 1.0}), 8)
+    shifted = (g.axes[0] + math.pi / 8, g.axes[1])
+    with pytest.raises(ConfigError, match="torus quadrature requires the canonical uniform grid"):
+        analyze(GridField(g.domain, shifted, g.values), [ModeIndex((1, 0))], op, check=check)
+    with pytest.raises(ConfigError, match="torus quadrature requires the canonical uniform grid"):
+        lp_norm(GridField(g.domain, shifted, g.values), 2.0)
+
+
 def test_evaluate_matches_synthesize_on_vector_fields():
     # a vector amplitude multiplies the scalar eigenfunction of its k,
     # the Dirichlet sine as well as the torus exponential
