@@ -1,6 +1,6 @@
 """Desk-scale pseudospectral solver for the convective Brinkman-Forchheimer
-equations on the 2- or 3-torus, plus the energy-equality ledger and npz
-checkpoints.
+equations on the 2- or 3-torus, plus the energy-equality ledger and
+checkpoints of the kept modes.
 
     du/dt - mu Lap u + (u.grad)u + grad p + beta |u|^r u = 0,   div u = 0.
 
@@ -26,6 +26,9 @@ transforms between the block and the N-point grid are partial DFTs done as
 dense matrix products, one per axis (`_dft_matrices`): only the 2K+1 kept
 wavenumbers of a full axis and the K+1 of the halved one are ever computed,
 and the zero-padded N-point layout is never built.  No FFT runs in a step.
+Checkpoints store the block alone too: `save_trajectory` writes the blocks of
+all snapshots as one uncompressed array, and `load_trajectory` scatters them
+back into full-layout states, bit for bit.
 
 Known limit: a matrix product costs O(N K) per grid line against the FFT's
 O(N log N), so it pays only on small grids.  Measured against the pruned
@@ -642,34 +645,61 @@ def from_spectral_field(f: SpectralField, params: CBFParams, time: float = 0.0) 
 # checkpoints
 
 
+def _block_shape(params: CBFParams) -> tuple:
+    """Shape of one state's kept block: (d, 2K+1, ..., 2K+1, K+1)."""
+    kmax = params.dealias_kmax
+    return (params.dim,) + (2 * kmax + 1,) * (params.dim - 1) + (kmax + 1,)
+
+
 def save_trajectory(traj: Trajectory, directory: str) -> None:
-    """Checkpoint: one compressed npz of the coefficient arrays plus a
-    manifest (params, times, format)."""
+    """Checkpoint: the kept block of every snapshot, stacked into one
+    complex128 array `blocks` of shape (S, d, 2K+1, ..., 2K+1, K+1) and
+    stored uncompressed in `trajectory.npz`, plus a manifest (format
+    "npz-block", params, times, snapshots).
+
+    Only the block is written: outside it every coefficient of a valid state
+    is zero.  Every snapshot is first checked as `step` checks its input, so
+    one with a nonzero coefficient outside the dealias mask raises
+    AliasingError naming the mode before any file is written.
+    """
+    p = traj.params
+    for s in traj.states:
+        _check_state(s, p)
+    kmax = p.dealias_kmax
+    blocks = np.empty((len(traj.states),) + _block_shape(p), dtype=complex)
+    for b, s in zip(blocks, traj.states):
+        b[...] = _low_modes(s.coeffs, 2 * kmax + 1, kmax)
     os.makedirs(directory, exist_ok=True)
     manifest = {
-        "format": "npz",
-        "params": traj.params.as_dict(),
+        "format": "npz-block",
+        "params": p.as_dict(),
         "times": [float(t) for t in traj.times],
         "snapshots": len(traj.states),
     }
-    arrays = {f"snapshot_{i:06d}": s.coeffs for i, s in enumerate(traj.states)}
-    np.savez_compressed(os.path.join(directory, "trajectory.npz"), **arrays)
+    np.savez(os.path.join(directory, "trajectory.npz"), blocks=blocks)
     with open(os.path.join(directory, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def load_trajectory(directory: str) -> Trajectory:
-    """Read a `save_trajectory` checkpoint.  A manifest without format, params
-    or times, with a parameter CBFParams lacks or needs, or with more times
-    than snapshots raises a ConfigError naming the directory."""
+    """Read a `save_trajectory` checkpoint, scattering each stored block back
+    into the full rfftn layout: the states equal the saved ones bit for bit.
+
+    A manifest without format, params or times, with a format other than
+    "npz-block" (the full-layout "npz" of earlier versions included), or with
+    a parameter CBFParams lacks or needs raises a ConfigError; so does an
+    archive without `blocks`, with blocks of another shape than the params
+    give, or with another number of snapshots than the manifest lists times.
+    Every message but the format's names the directory.
+    """
     with open(os.path.join(directory, "manifest.json")) as fh:
         manifest = json.load(fh)
     absent = [key for key in ("format", "params", "times") if key not in manifest]
     if absent:
         raise ConfigError(f"checkpoint {directory}: manifest.json has no {absent[0]!r}")
-    if manifest["format"] != "npz":
-        raise ConfigError(f"unknown checkpoint format {manifest['format']!r}; only 'npz' is read")
+    if manifest["format"] != "npz-block":
+        raise ConfigError(f"unknown checkpoint format {manifest['format']!r}; only 'npz-block' is read")
     declared = fields(CBFParams)
     unknown = sorted(set(manifest["params"]) - {f.name for f in declared})
     if unknown:
@@ -679,12 +709,20 @@ def load_trajectory(directory: str) -> Trajectory:
         raise ConfigError(f"checkpoint {directory}: parameter {missing[0]!r} is missing")
     params = CBFParams(**manifest["params"])
     times = [float(t) for t in manifest["times"]]
-    names = [f"snapshot_{i:06d}" for i in range(len(times))]
     with np.load(os.path.join(directory, "trajectory.npz")) as data:
-        lost = [name for name in names if name not in data.files]
-        if lost:
-            raise ConfigError(
-                f"checkpoint {directory}: trajectory.npz has no {lost[0]}, but manifest.json lists {len(times)} times"
-            )
-        states = [CBFState(t, data[name]) for t, name in zip(times, names)]
-    return Trajectory(params, times, states)
+        if "blocks" not in data.files:
+            raise ConfigError(f"checkpoint {directory}: trajectory.npz has no 'blocks'")
+        blocks = data["blocks"]
+    shape = _block_shape(params)
+    if blocks.dtype != complex or blocks.shape[1:] != shape:
+        raise ConfigError(
+            f"checkpoint {directory}: trajectory.npz holds {blocks.dtype} blocks of shape {blocks.shape[1:]}, "
+            f"but the params (d={params.dim}, N={params.resolution}, beta={params.beta}) give complex128 {shape}"
+        )
+    if blocks.shape[0] != len(times):
+        raise ConfigError(
+            f"checkpoint {directory}: trajectory.npz holds {blocks.shape[0]} snapshots, "
+            f"but manifest.json lists {len(times)} times"
+        )
+    n, kmax = params.resolution, params.dealias_kmax
+    return Trajectory(params, times, [CBFState(t, _low_modes(b, n, kmax)) for t, b in zip(times, blocks)])

@@ -512,7 +512,14 @@ def synthesize(f: SpectralField, resolution=None) -> GridField:
     k = f.k if dirichlet else np.concatenate([f.k, -f.k])
     tables = [(t, place[: f.k.shape[0]]) for t, place in _axis_tables(f.operator, k, axes)]
     block = np.zeros((math.prod(f.values.shape[1:]),) + tuple(t.shape[0] for t, _ in tables), dtype=complex)
-    block[(slice(None),) + tuple(place for _, place in tables)] = f.values.T
+    at = (slice(None),) + tuple(place for _, place in tables)
+    if isinstance(f.operator, TorusStokes) and np.unique(_row_keys(f.k)).size < f.k.shape[0]:
+        # a Stokes field may hold several polarization rows at one k: they
+        # add, as in `evaluate`.  With one row per k (every other field) the
+        # plain assignment keeps every bit, signed zeros included.
+        np.add.at(block, at, f.values.T)
+    else:
+        block[at] = f.values.T
     if dirichlet:
         real = not np.any(f.values.imag)
     else:

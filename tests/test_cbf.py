@@ -4,11 +4,12 @@ import os
 import re
 import subprocess
 import sys
+import zipfile
 
 import numpy as np
 import pytest
 import scipy.fft
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
@@ -498,11 +499,12 @@ def test_load_trajectory_refuses_a_format_other_than_npz(tmp_path):
     d = tmp_path / "ck"
     save_trajectory(simulate(taylor_green(p), p), str(d))
     manifest = json.loads((d / "manifest.json").read_text())
-    assert manifest["format"] == "npz"
-    manifest["format"] = "csv"
-    (d / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(ConfigError, match="unknown checkpoint format 'csv'"):
-        load_trajectory(str(d))
+    assert manifest["format"] == "npz-block"
+    for old in ("csv", "npz"):  # "npz" is the full-layout format of earlier versions
+        manifest["format"] = old
+        (d / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ConfigError, match=f"unknown checkpoint format '{old}'; only 'npz-block' is read"):
+            load_trajectory(str(d))
 
 
 @pytest.mark.parametrize(
@@ -512,9 +514,27 @@ def test_load_trajectory_refuses_a_format_other_than_npz(tmp_path):
         (lambda manifest: manifest.pop("params"), "manifest.json has no 'params'"),
         (lambda manifest: manifest["params"].update(nu=1.0), r"unknown parameters \['nu'\]"),
         (lambda manifest: manifest["params"].pop("mu"), "parameter 'mu' is missing"),
-        (lambda manifest: manifest["times"].append(1.0), "trajectory.npz has no snapshot_000003, but manifest.json lists 4 times"),
+        (lambda manifest: manifest["times"].append(1.0), "trajectory.npz holds 3 snapshots, but manifest.json lists 4 times"),
+        (
+            lambda manifest: manifest["params"].update(resolution=20),
+            r"trajectory.npz holds complex128 blocks of shape \(2, 11, 6\), "
+            r"but the params \(d=2, N=20, beta=0.0\) give complex128 \(2, 13, 7\)",
+        ),
+        (
+            lambda manifest: manifest["params"].update(beta=1.0),
+            r"trajectory.npz holds complex128 blocks of shape \(2, 11, 6\), "
+            r"but the params \(d=2, N=16, beta=1.0\) give complex128 \(2, 7, 4\)",
+        ),
     ],
-    ids=["no-format", "no-params", "unknown-parameter", "no-viscosity", "time-without-snapshot"],
+    ids=[
+        "no-format",
+        "no-params",
+        "unknown-parameter",
+        "no-viscosity",
+        "time-without-snapshot",
+        "resolution-edited",
+        "beta-edited",
+    ],
 )
 def test_load_trajectory_names_what_a_malformed_checkpoint_lacks(corrupt, message, tmp_path):
     # these used to end in a bare KeyError or TypeError
@@ -527,6 +547,59 @@ def test_load_trajectory_names_what_a_malformed_checkpoint_lacks(corrupt, messag
     (d / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ConfigError, match=f"^checkpoint {re.escape(str(d))}: {message}$"):
         load_trajectory(str(d))
+
+
+def test_load_trajectory_names_an_archive_without_blocks(tmp_path):
+    p = _params(t_final=0.02)
+    d = tmp_path / "ck"
+    save_trajectory(simulate(taylor_green(p), p), str(d))
+    np.savez(d / "trajectory.npz", snapshot_000000=taylor_green(p).coeffs)  # the old layout's array name
+    with pytest.raises(ConfigError, match=f"^checkpoint {re.escape(str(d))}: trajectory.npz has no 'blocks'$"):
+        load_trajectory(str(d))
+
+
+@pytest.mark.parametrize("beta, kmax", [(0.0, 5), (1.0, 3)])
+def test_save_trajectory_refuses_a_snapshot_outside_the_dealias_mask(beta, kmax, tmp_path):
+    # the checkpoint stores the kept block only, so an outside mode would be lost
+    p = _params(beta=beta, t_final=0.02)
+    assert p.dealias_kmax == kmax
+    traj = simulate(taylor_green(p), p)
+    traj.states[-1].coeffs[0, kmax + 1, 0] = 1e-300
+    d = tmp_path / "ck"
+    with pytest.raises(AliasingError, match=rf"^mode \({kmax + 1}, 0\) lies outside the dealias mask \(kmax={kmax}\)$"):
+        save_trajectory(traj, str(d))
+    assert not (d / "trajectory.npz").exists()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    dim=st.sampled_from([2, 3]),
+    n=st.integers(4, 20).map(lambda h: 2 * h),
+    beta=st.sampled_from([0.0, 1.0]),
+    snapshots=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(dim=2, n=10, beta=0.0, snapshots=2, seed=0)
+@example(dim=3, n=10, beta=1.0, snapshots=1, seed=1)
+def test_checkpoint_stores_the_kept_block_and_round_trips_exactly(dim, n, beta, snapshots, seed, tmp_path_factory):
+    p = _params(dim=dim, resolution=n, beta=beta)
+    kmax = p.dealias_kmax
+    shape = (dim,) + (2 * kmax + 1,) * (dim - 1) + (kmax + 1,)
+    rng = np.random.default_rng(seed)
+    states = [
+        CBFState(0.1 * i, cbf._low_modes(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), n, kmax))
+        for i in range(snapshots)
+    ]
+    d = tmp_path_factory.mktemp("ck")
+    save_trajectory(Trajectory(p, [s.time for s in states], states), str(d))
+    with zipfile.ZipFile(d / "trajectory.npz") as archive:
+        assert [(i.filename, i.compress_type) for i in archive.infolist()] == [("blocks.npy", zipfile.ZIP_STORED)]
+    with np.load(d / "trajectory.npz") as data:
+        assert data["blocks"].shape == (snapshots,) + shape and data["blocks"].dtype == np.complex128
+    back = load_trajectory(str(d))
+    assert back.params == p and back.times == [s.time for s in states]
+    for a, b in zip(states, back.states):
+        assert b.coeffs.dtype == a.coeffs.dtype and np.array_equal(b.coeffs, a.coeffs)
 
 
 def test_negative_seed_is_a_config_error():

@@ -212,6 +212,13 @@ def test_cbf_ledger_and_checkpoint(tmp_path):
     assert "trajectory/trajectory.npz" in manifest["outputs"]
 
 
+def test_saved_trajectory_is_byte_identical_across_runs(tmp_path):
+    args = ["cbf", "--d", "3", "--N", "16", "--beta", "1", "--T", "0.02", "--save-traj"]
+    assert _run(args, tmp_path / "a") == 0 and _run(args, tmp_path / "b") == 0
+    for name in ("manifest.json", "trajectory.npz"):
+        assert (tmp_path / "a" / "trajectory" / name).read_bytes() == (tmp_path / "b" / "trajectory" / name).read_bytes()
+
+
 def test_truncate_small_grid(tmp_path):
     rc = _run(["truncate", "--n-list", "2,3", "--kmax", "6", "--samples", "2", "--iters", "5"], tmp_path)
     assert rc == 0

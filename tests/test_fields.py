@@ -140,6 +140,35 @@ def test_evaluate_matches_synthesize_on_vector_fields():
         evaluate(torus, np.zeros((3, 3)))
 
 
+def test_synthesize_sums_the_stokes_rows_that_share_a_k():
+    # synthesize used to keep only the last row written at each k
+    plane = TorusStokes(Torus(2))
+    real = SpectralField(
+        plane,
+        {
+            ModeIndex((1, 0), 1): np.array([0.0, 1.0]),
+            ModeIndex((1, 0), 0): np.array([0.0, 2.0]),
+            ModeIndex((-1, 0), 1): np.array([0.0, 1.0]),
+            ModeIndex((-1, 0), 0): np.array([0.0, 2.0]),
+        },
+    )
+    assert synthesize(real, 8).values[0, 0] == pytest.approx([0.0, 3.0 / math.pi], abs=1e-15)
+    space = TorusStokes(Torus(3))
+    cplx = SpectralField(
+        space,
+        {
+            ModeIndex((1, 2, 0), 1): np.array([2.0, -1.0, 0.5j]),
+            ModeIndex((1, 2, 0), 2): np.array([0.0, 0.0, 1.0 - 1j]),
+            ModeIndex((1, 2, 0), 0): np.array([-4.0j, 2.0j, 3.0]),
+            ModeIndex((0, -1, 1), 0): np.array([1.0, 0.5, 0.5]),
+        },
+    )
+    for f in (real, cplx):
+        g = synthesize(f, 8)
+        got = evaluate(f, g.points()).reshape(g.values.shape)
+        assert np.max(np.abs(got - g.values)) <= 1e-14 * np.max(np.abs(g.values))
+
+
 def test_synthesize_rejects_undersampled_grid():
     op = TorusLaplacian(Torus(1))
     f = SpectralField(op, {(6,): 1.0 + 0j, (-6,): 1.0 + 0j})
