@@ -399,7 +399,14 @@ def _grid_phases(n: int, k: np.ndarray) -> np.ndarray:
     the integer array k: the n-th root of unity at the exact integer
     (j k) mod n, so every entry stays at roundoff however large j k is."""
     roots = np.exp(1j * ((2.0 * math.pi / n) * np.arange(n)))
-    return roots[(k[:, None] % n) * np.arange(n) % n]
+    return roots[_mod((k[:, None] % n) * np.arange(n), n)]
+
+
+def _mod(a: np.ndarray, n: int) -> np.ndarray:
+    """a mod n for an integer array a and an int n > 0, as a - (a // n) n:
+    numpy divides by a scalar with a multiply and shift for //, not for %,
+    so this takes about half the time of a % n."""
+    return a - a // n * n
 
 
 def _re_im_rows(t: np.ndarray) -> np.ndarray:

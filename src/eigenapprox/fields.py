@@ -34,6 +34,7 @@ from .domains import (
     _index_arrays,
     _index_rules,
     _lone_row,
+    _mod,
     _mode_product,
     _mode_table,
     _polarization_rows,
@@ -429,18 +430,29 @@ def default_grid_resolution(f: SpectralField) -> int:
 def _axis_tables(operator: OperatorSpec, k: np.ndarray, axes) -> list:
     """Per axis a: the factors of the distinct k[:, a] on axes[a], shape
     (distinct, points), and each row's place among them.  A Dirichlet row is
-    `_axis_factors` at the points; a torus row is `_grid_phases` on the axis
-    x_j = 2 pi j / n, with the (2 pi)^{-d/2} scale on the first axis."""
+    `_axis_factors` at the points of a sorted distinct index; a torus row is
+    `_grid_phases` on the axis x_j = 2 pi j / n, with the (2 pi)^{-d/2} scale
+    on the first axis.
+
+    A torus axis of n points has n distinct factors, so its rows are the
+    residues r = (k + n//2) mod n that occur, in increasing order, found by
+    one presence pass and a running count instead of a sort.  For |k| < n/2
+    that is the sorted order of k itself; indices that alias share a row,
+    whose phases they share anyway."""
     tables = []
     for a, x in enumerate(axes):
-        uniq, place = np.unique(k[:, a], return_inverse=True)
         if isinstance(operator, DirichletLaplacian):
-            t = _axis_factors(operator, a, uniq[:, None], x[None, :])
-        else:
-            t = _grid_phases(x.size, uniq)
-            if a == 0:
-                t = _torus_scale(operator.dim) * t
-        tables.append((t, place))
+            uniq, place = np.unique(k[:, a], return_inverse=True)
+            tables.append((_axis_factors(operator, a, uniq[:, None], x[None, :]), place))
+            continue
+        n = x.size
+        r = _mod(k[:, a] + n // 2, n)  # |k| <= 2^30: no overflow
+        present = np.zeros(n, dtype=bool)
+        present[r] = True
+        t = _grid_phases(n, np.flatnonzero(present) - n // 2)
+        if a == 0:
+            t = _torus_scale(operator.dim) * t
+        tables.append((t, (np.cumsum(present) - 1)[r]))
     return tables
 
 

@@ -30,8 +30,8 @@ from eigenapprox import (
     synthesize,
     uniform_axes,
 )
-from eigenapprox.domains import mode_evaluator
-from eigenapprox.fields import enumerate_modes_cached, evaluate, quadrature_weights
+from eigenapprox.domains import _grid_phases, _torus_scale, mode_evaluator
+from eigenapprox.fields import _axis_tables, enumerate_modes_cached, evaluate, quadrature_weights
 
 TWO_PI = 2.0 * math.pi
 
@@ -109,6 +109,44 @@ def test_analyze_builds_no_table_over_an_index_range():
     analyze(g, [ModeIndex((1,)), ModeIndex((2**29,))], op)
     with pytest.raises(AccuracyError, match=r"pair \(k=\(1,\), m=0\) / \(k=\(536870913,\), m=0\)"):
         analyze(g, [ModeIndex((1,)), ModeIndex((2**29 + 1,))], op)
+
+
+def _sorted_axis_tables(operator, k, axes):
+    """The torus tables over the sorted distinct indices of each column."""
+    tables = []
+    for a, x in enumerate(axes):
+        uniq, place = np.unique(k[:, a], return_inverse=True)
+        t = _grid_phases(x.size, uniq)
+        tables.append((_torus_scale(operator.dim) * t if a == 0 else t, place))
+    return tables
+
+
+@pytest.mark.parametrize(
+    "op, res",
+    [
+        (TorusLaplacian(Torus(1)), (9,)),
+        (TorusLaplacian(Torus(1)), (10,)),
+        (TorusLaplacian(Torus(2)), (16, 7)),
+        (TorusLaplacian(Torus(3)), (6, 7, 8)),
+        (TorusStokes(Torus(3)), (5, 8, 4)),
+    ],
+)
+def test_torus_axis_tables_match_the_sorted_tables(op, res):
+    axes = uniform_axes(op.domain, res)
+    n = np.array(res)
+    rng = np.random.default_rng(sum(res))
+    below = [np.zeros((0, op.dim), dtype=np.int64)]  # every |k| < n/2
+    below += [rng.integers(-((n - 1) // 2), (n - 1) // 2 + 1, size=(m, op.dim)) for m in (1, 5, 40, 400)]
+    half = n // 2  # k = +-n/2 on the even axes
+    edge = [np.stack([half, -half, half - 1, 1 - half]), np.concatenate([below[-1], [half, -half]])]
+    alias = [below[-1] + n * rng.integers(-3, 4, size=below[-1].shape), np.stack([n + 1, 2**29 * n - 1, 1 - 5 * n])]
+    for k, exact in [(k, True) for k in below] + [(k, False) for k in edge + alias]:
+        for (t, place), (t_ref, place_ref) in zip(_axis_tables(op, k, axes), _sorted_axis_tables(op, k, axes)):
+            assert place.shape == place_ref.shape == (k.shape[0],)
+            if exact:
+                assert np.array_equal(t, t_ref) and np.array_equal(place, place_ref)
+            else:  # indices that alias share a row, whose phases are each one's
+                assert np.array_equal(t[place], t_ref[place_ref])
 
 
 @pytest.mark.parametrize("check", [True, False])

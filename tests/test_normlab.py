@@ -169,6 +169,26 @@ def test_convergence_study_guards():
         convergence_study(f, "semigroup", [("H", 1.0)], (0.5,))
 
 
+@pytest.mark.parametrize("p", [1.0, 0.5, math.inf, math.nan])
+def test_lp_grid_callers_size_p_one_and_name_a_p_without_a_grid(p):
+    # p = 1 takes the p = 2 grid, which holds the field (k up to 4 needs 9
+    # points); no grid makes the sup norm exact, and p < 1 or nan is no norm
+    f = random_field(TorusLaplacian(Torus(2)), 20.0, np.random.default_rng(4))
+    calls = (
+        lambda: lp_ratio(f, "spherical", 2, p),
+        lambda: convergence_study(f, "semigroup", [("Lp", p), ("DA", 0.0)], [0.1]),
+    )
+    if p != 1.0:
+        for call in calls:
+            with pytest.raises(ConfigError, match=f"p = {p}"):
+                call()
+        return
+    assert _lp_grid_resolution(f, 1.0) == _lp_grid_resolution(f, 2.0)
+    assert 0.0 < calls[0]() < math.inf
+    l1, l2 = (r.value for r in calls[1]())
+    assert 0.0 < l1 <= 2.0 * math.pi * l2  # Cauchy-Schwarz on the torus of area (2 pi)^2
+
+
 def test_sobolev_half_power_identity():
     cfg = _config(
         operator=DirichletLaplacian(Interval(1.0)),
@@ -242,13 +262,19 @@ def _near_extremal_oracle(kmax, rng):
 def test_near_extremal_family_matches_per_mode_loop(kmax):
     for seed in range(3):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _near_extremal_coeffs(kmax, rng)
-        want = _near_extremal_oracle(kmax, ref)
-        assert [tuple(k) for k in got.k.tolist()] == list(want)
-        assert not np.any(got.pol)
+        for got in _near_extremal_coeffs(kmax, rng, 2):
+            want = _near_extremal_oracle(kmax, ref)
+            assert [tuple(k) for k in got.k.tolist()] == list(want)
+            assert not np.any(got.pol)
+            w = np.array(list(want.values()))
+            assert np.max(np.abs(got.values - w)) <= 8 * np.finfo(float).eps * np.max(np.abs(w))
         assert rng.standard_normal() == ref.standard_normal()  # the same draws
-        w = np.array(list(want.values()))
-        assert np.max(np.abs(got.values - w)) <= 8 * np.finfo(float).eps * np.max(np.abs(w))
+    # n fields drawn at once are n single draws from the same seed, bit for bit
+    rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+    once = _near_extremal_coeffs(kmax, rng, 3)
+    singles = [c for _ in range(3) for c in _near_extremal_coeffs(kmax, ref, 1)]
+    for a, b in zip(once, singles, strict=True):
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def test_truncation_experiment_synthesizes_each_denominator_once(monkeypatch):
