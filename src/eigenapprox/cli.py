@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -409,6 +410,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache  # one parser per process; dispatch reads _HANDLERS at call time
 def _build_parser() -> _Parser:
     parser = _Parser(prog="eigenapprox", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", metavar="{" + ",".join(_HANDLERS) + "}")

@@ -23,9 +23,18 @@ from .fields import SpectralField, _merge_rows, _polarized
 
 
 def _column(values: np.ndarray) -> list:
-    """Each entry as text, from one repr of the column: str for ints and, for
-    doubles, repr, which is format_number's text (nan and +-inf included)."""
-    return repr(values.tolist())[1:-1].split(", ") if values.size else []
+    """format_number's text of each entry (str for ints, repr for doubles, nan
+    and +-inf included), formatting each distinct value once: a real field
+    stores both members of every +-k pair, whose parts are equal or negated.
+    Doubles are formatted by magnitude and take a '-' where the sign bit is
+    set, except nan, which always prints 'nan'."""
+    signed = values.dtype.kind == "f"
+    distinct, inv = np.unique(np.abs(values) if signed else values, return_inverse=True)
+    text = repr(distinct.tolist())[1:-1].split(", ") if distinct.size else []
+    if signed:
+        text += ["-" + s for s in text]
+        inv = inv + len(distinct) * (np.signbit(values) & ~np.isnan(values))
+    return np.array(text, dtype=object)[inv].tolist()
 
 
 def spectral_field_to_csv(f: SpectralField, path) -> None:
@@ -43,9 +52,12 @@ def spectral_field_to_csv(f: SpectralField, path) -> None:
         vals[nz, : d - 1] = _dot_rows(_polarization_rows(k[nz]), vals[nz][:, None, :])
         tags[nz] = np.arange(1, d + 1)
         used[nz, d - 1] = False
-    k = np.repeat(k, used.sum(axis=1), axis=0)
-    columns = [_column(k[:, a]) for a in range(d)] + [_column(tags[used])]
-    columns += [_column(vals[used].real), _column(vals[used].imag)]
+    k, vals = np.repeat(k, used.sum(axis=1), axis=0), vals[used]
+    # the cells column after column: the integer columns share one pass, and
+    # so do re and im, which hold the same magnitudes
+    cells = _column(np.concatenate([*k.T, tags[used]])) + _column(np.concatenate([vals.real, vals.imag]))
+    n = len(vals)
+    columns = [cells[i * n : (i + 1) * n] for i in range(d + 3)]
     header = ",".join([f"k{i + 1}" for i in range(d)] + ["polarization", "re", "im"])
     with open(path, "w", newline="") as fh:
         fh.write("\n".join([header, *map(",".join, zip(*columns))]) + "\n")
@@ -123,6 +135,7 @@ def spectral_field_from_csv(path, operator: OperatorSpec) -> SpectralField:
         ((pol > 0) & ~np.any(k, axis=1), "polarization basis undefined for k = 0"),
         (pol < -d, f"component tag {{pol}} out of range for dimension {d}"),
         *_index_rules(operator, k, np.zeros_like(pol)),  # the operator's rules on k: none on pol fires at 0
+        (~np.isfinite(vals), "non-finite coefficient at {k}"),  # 1e400, inf and nan parse
     )
     _raise_first(checks, k, pol, first_line=2)
 

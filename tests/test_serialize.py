@@ -1,7 +1,14 @@
+import csv
+import io
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eigenapprox import (
+    Box,
     ConfigError,
     DirichletLaplacian,
     Interval,
@@ -15,6 +22,9 @@ from eigenapprox import (
     spectral_field_to_csv,
     subtract,
 )
+from eigenapprox.domains import polarization_basis
+from eigenapprox.reports import format_number
+from eigenapprox.serialize import _column
 
 
 def test_scalar_spectral_round_trip(tmp_path):
@@ -220,3 +230,91 @@ def test_quoted_spectral_cells_parse(tmp_path):
     p.write_text('k1,k2,polarization,re,im\n"1",0,0," 2.5","-0.0"\n')
     f = spectral_field_from_csv(p, TorusLaplacian(Torus(2)))
     assert f.coefficients == {ModeIndex((1, 0)): 2.5 + 0j}
+
+
+@pytest.mark.parametrize("cell", ["1e400", "inf", "-inf", "nan"])
+@pytest.mark.parametrize("part", ["re", "im"])
+def test_non_finite_value_names_its_line(tmp_path, cell, part):
+    # such cells parse as doubles; the field refuses them, and the reader says where
+    p = tmp_path / "bad.csv"
+    re_, im = (cell, "0.0") if part == "re" else ("0.0", cell)
+    p.write_text(f"k1,polarization,re,im\n1,0,{re_},{im}\n2,0,1.0,0.0\n")
+    with pytest.raises(ConfigError, match=r"^line 2: non-finite coefficient at \(1,\)$"):
+        spectral_field_from_csv(p, TorusLaplacian(Torus(1)))
+
+
+# magnitudes that repeat across a column, so both signs of one magnitude meet
+_MAGNITUDE = st.one_of(
+    st.sampled_from([0.0, math.inf, math.nan, 5e-324, 2.225073858507201e-308, 1.7976931348623157e308, 0.1]),
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=True),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pool=st.lists(_MAGNITUDE, min_size=1, max_size=6), picks=st.lists(st.tuples(st.integers(0, 5), st.booleans()), max_size=40))
+@example(pool=[0.0], picks=[])
+@example(pool=[0.0, math.inf, math.nan], picks=[(i, neg) for i in range(3) for neg in (False, True)])
+def test_column_of_doubles_is_format_number(pool, picks):
+    values = np.array([math.copysign(pool[i % len(pool)], -1.0 if neg else 1.0) for i, neg in picks], dtype=float)
+    assert _column(values) == [format_number(x) for x in values.tolist()]
+
+
+_INT64 = st.one_of(st.sampled_from([-(2**63), 2**63 - 1, -1, 0, 1]), st.integers(-(2**63), 2**63 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pool=st.lists(_INT64, min_size=1, max_size=6), picks=st.lists(st.integers(0, 5), max_size=40))
+@example(pool=[0], picks=[])
+def test_column_of_integers_is_format_number(pool, picks):
+    values = np.array([pool[i % len(pool)] for i in picks], dtype=np.int64)
+    assert _column(values) == [format_number(x) for x in values.tolist()]
+
+
+def _reference_csv(f) -> bytes:
+    """The spectral CSV of f written cell by cell with the csv module and
+    format_number, one mode at a time, in (k, polarization) order."""
+    d = f.dim
+    out = io.StringIO()
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow([f"k{i + 1}" for i in range(d)] + ["polarization", "re", "im"])
+    for idx, v in sorted(f.coefficients.items(), key=lambda kv: kv[0].sort_key()):
+        if isinstance(f.operator, TorusStokes) and any(idx.k):
+            rows = [(m + 1, e @ v) for m, e in enumerate(polarization_basis(idx.k))]
+        elif np.ndim(v):
+            rows = [(-(c + 1), v[c]) for c in range(d)]
+        else:
+            rows = [(0, v)]
+        for pol, val in rows:
+            val = complex(val)
+            w.writerow([format_number(x) for x in [*idx.k, pol, val.real, val.imag]])
+    return out.getvalue().encode()
+
+
+def _componentwise_torus_field(rng):
+    # each component a real field on the same modes: +-k rows hold conjugates
+    op = TorusLaplacian(Torus(2))
+    parts = [random_field(op, 30.0, rng) for _ in range(2)]
+    return SpectralField(op, {tuple(k): v for k, v in zip(parts[0].k.tolist(), np.stack([g.values for g in parts], axis=1))})
+
+
+_SEEDED_FIELDS = {
+    "torus1": lambda rng: random_field(TorusLaplacian(Torus(1)), 400.0, rng, include_mean=True),
+    "torus2": lambda rng: random_field(TorusLaplacian(Torus(2)), 120.0, rng, include_mean=True),
+    "torus3": lambda rng: random_field(TorusLaplacian(Torus(3)), 20.0, rng, decay=1.5),
+    "torus2-complex": lambda rng: random_field(TorusLaplacian(Torus(2)), 40.0, rng, real=False),
+    "torus2-componentwise": _componentwise_torus_field,
+    "stokes2-mean": lambda rng: random_field(TorusStokes(Torus(2)), 60.0, rng, include_mean=True),
+    "stokes3-mean": lambda rng: random_field(TorusStokes(Torus(3)), 12.0, rng, include_mean=True),
+    "interval": lambda rng: random_field(DirichletLaplacian(Interval(1.25)), 900.0, rng, decay=0.5),
+    "box": lambda rng: random_field(DirichletLaplacian(Box((1.0, 2.0))), 200.0, rng),
+    "empty": lambda rng: SpectralField(TorusStokes(Torus(3)), {}),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 7919])
+@pytest.mark.parametrize("name", list(_SEEDED_FIELDS))
+def test_written_file_is_the_cell_by_cell_reference(tmp_path, name, seed):
+    f = _SEEDED_FIELDS[name](np.random.default_rng(seed))
+    p = tmp_path / "f.csv"
+    spectral_field_to_csv(f, p)
+    assert p.read_bytes() == _reference_csv(f)
