@@ -102,13 +102,6 @@ def pi_theta(f: SpectralField, theta: float) -> SpectralField:
     return _apply_multiplier(f, "pi_theta", theta)
 
 
-def apply_fractional_power(f: SpectralField, alpha: float) -> SpectralField:
-    """A^alpha f: per-mode scaling by lambda_j^alpha (carried mean untouched)."""
-    if alpha == 0:
-        return f
-    return _apply_multiplier(f, "fractional_power", alpha)
-
-
 def _weighted_norm(f: SpectralField, alpha: float, weight=None, where=None) -> float:
     """sqrt( sum lambda_j^{2 alpha} weight(lambda_j) |c_j|^2 ) over the
     positive spectrum, or over the part of it where `where(lambda)` holds;

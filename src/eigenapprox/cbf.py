@@ -4,10 +4,11 @@ checkpoints of the kept modes.
 
     du/dt - mu Lap u + (u.grad)u + grad p + beta |u|^r u = 0,   div u = 0.
 
-The pressure is eliminated by per-mode Leray projection.  States live as
-dense rfftn coefficient arrays (component axis first), dealias-masked and
-zero-mean; a state with a nonzero coefficient outside the mask is rejected
-with an AliasingError naming the first such wavenumber.  The time stepper is
+The pressure is eliminated by per-mode Leray projection.  A state holds
+only the kept block of its rfftn coefficients (component axis first),
+zero-mean, so it cannot carry a coefficient outside the dealias mask:
+`from_spectral_field` rejects such a field with an AliasingError naming the
+first such wavenumber.  The time stepper is
 classical RK4 on the integrating-factor transform of the nonlinear part, so
 the stiff viscous term is integrated exactly.  For the semi-discrete
 (dealias-truncated Galerkin) system the energy identity holds exactly: the
@@ -17,18 +18,17 @@ quadrature.
 The solver computes on the kept modes only.  With dealias cutoff K the kept
 wavenumbers |k_a| <= K form the block (d, 2K+1, ..., 2K+1, K+1), which is
 itself the rfftn layout of a (2K+1)-point grid; for N = 32 and the 1/2 rule
-it holds 1,800 of the 17,408 slots per component.  `step` gathers it from
-the state once, runs the RK4 combinations, integrating factors, projections
-and wavenumber products on it, and scatters the result back once (Orszag,
-J. Atmos. Sci. 28, 1971; Canuto, Hussaini, Quarteroni & Zang, Spectral
-Methods: Fundamentals in Single Domains, 2006, sections 3.2-3.3).  The
-transforms between the block and the N-point grid are partial DFTs done as
-dense matrix products, one per axis (`_dft_matrices`): only the 2K+1 kept
-wavenumbers of a full axis and the K+1 of the halved one are ever computed,
-and the zero-padded N-point layout is never built.  No FFT runs in a step.
-Checkpoints store the block alone too: `save_trajectory` writes the blocks of
-all snapshots as one uncompressed array, and `load_trajectory` scatters them
-back into full-layout states, bit for bit.
+it holds 1,800 of the 17,408 slots per component.  `CBFState.block` is that
+block, and `step` runs the RK4 combinations, integrating factors,
+projections and wavenumber products on it (Orszag, J. Atmos. Sci. 28, 1971;
+Canuto, Hussaini, Quarteroni & Zang, Spectral Methods: Fundamentals in
+Single Domains, 2006, sections 3.2-3.3).  The transforms between the block
+and the N-point grid are partial DFTs done as dense matrix products, one per
+axis (`_dft_matrices`): only the 2K+1 kept wavenumbers of a full axis and
+the K+1 of the halved one are ever computed, and the zero-padded N-point
+layout is never built.  No FFT runs in a step.  Checkpoints store the
+blocks as they are: `save_trajectory` stacks them into one uncompressed
+array and `load_trajectory` reads them back, bit for bit.
 
 Known limit: a matrix product costs O(N K) per grid line against the FFT's
 O(N log N), so it pays only on small grids.  Measured against the pruned
@@ -48,9 +48,7 @@ cutoff.
 The ledger's absorption integrand |u|^q, q = r + 2, is quadratured on the
 smallest multiple of the solver grid that makes it exact when q is an even
 integer (the N-point grid itself for r = 2), and on the doubled grid
-otherwise, through the same inverse transform of the kept block.  So the
-ledger, like `step`, raises AliasingError for a snapshot with a nonzero
-coefficient outside the dealias mask instead of dropping it.
+otherwise, through the same inverse transform of the kept block.
 """
 
 from __future__ import annotations
@@ -129,62 +127,52 @@ class CBFParams:
 
 
 @functools.lru_cache(maxsize=32)
-def _wavenumbers(dim: int, n: int) -> tuple:
-    """Per-axis wavenumber arrays of the rfftn layout (last axis halved),
-    shaped to broadcast against it."""
+def _tables(dim: int, n: int):
+    """Per-axis wavenumber arrays (shaped to broadcast), |k|^2 and Parseval
+    weights for the rfftn layout (last axis halved) of an n-point grid.  The
+    kept block of cutoff K is the layout of n = 2K+1 points."""
+    spec_shape = (n,) * (dim - 1) + (n // 2 + 1,)
     karrs = []
     for ax in range(dim):
+        k = np.arange(n // 2 + 1 if ax == dim - 1 else n, dtype=float)
         if ax < dim - 1:
-            k = np.arange(n, dtype=float)
             k[(n + 1) // 2 :] -= n
-        else:
-            k = np.arange(n // 2 + 1, dtype=float)
-        shape = [1] * dim
-        shape[ax] = k.size
-        karrs.append(k.reshape(shape))
-    return tuple(karrs)
-
-
-@functools.lru_cache(maxsize=32)
-def _tables(dim: int, n: int, kmax: int):
-    """Wavenumber arrays, |k|^2, the dealias mask, and Parseval weights for
-    the rfftn layout (last axis halved) of an n-point grid.  The kept block
-    of cutoff K is the layout of n = 2K+1 points; its tables are
-    `_tables(dim, 2 * K + 1, K)`."""
-    spec_shape = (n,) * (dim - 1) + (n // 2 + 1,)
-    karrs = _wavenumbers(dim, n)
+        karrs.append(k.reshape([1] * ax + [k.size] + [1] * (dim - ax - 1)))
     k2 = np.zeros(spec_shape)
     for k in karrs:
         k2 = k2 + k * k
-    mask = np.ones(spec_shape, dtype=bool)
-    for k in karrs:
-        mask &= np.abs(k) <= kmax
     klast = karrs[-1]
     pw = np.where((klast > 0) & (2 * klast != n), 2.0, 1.0)  # an odd n has no Nyquist slot
     pw = np.broadcast_to(pw, spec_shape).copy()
     k2safe = np.where(k2 == 0.0, 1.0, k2)
-    return karrs, k2, k2safe, mask, pw
+    return tuple(karrs), k2, k2safe, pw
 
 
 @dataclass
 class CBFState:
-    """One snapshot: time plus rfftn velocity coefficients, shape
-    (dim, n, ..., n//2+1), divergence-free, conjugate-symmetric (real field),
-    zero-mean, supported inside the dealias mask."""
+    """One snapshot of the velocity on the N-point grid, N = resolution: time
+    plus the kept block of its rfftn coefficients, shape (dim, 2K+1, ...,
+    2K+1, K+1) for dealias cutoff K (the rfftn layout of 2K+1 points),
+    divergence-free, conjugate-symmetric (real field) and zero-mean."""
 
     time: float
-    coeffs: np.ndarray
+    block: np.ndarray
+    resolution: int
 
     @property
     def dim(self) -> int:
-        return self.coeffs.shape[0]
+        return self.block.shape[0]
 
     @property
-    def resolution(self) -> int:
-        return self.coeffs.shape[1]
+    def coeffs(self) -> np.ndarray:
+        """A read-only copy of the coefficients in the full rfftn layout of
+        the N-point grid, shape (dim, N, ..., N, N//2+1): zero off the block."""
+        out = _low_modes(self.block, self.resolution, self.block.shape[-1] - 1)
+        out.setflags(write=False)
+        return out
 
     def copy(self) -> "CBFState":
-        return CBFState(self.time, self.coeffs.copy())
+        return CBFState(self.time, self.block.copy(), self.resolution)
 
 
 def _scale_factor(dim: int, n: int) -> float:
@@ -194,22 +182,24 @@ def _scale_factor(dim: int, n: int) -> float:
 
 def state_energy(s: CBFState, params: CBFParams) -> float:
     """Kinetic term || u ||^2 (L2 squared) via Parseval."""
-    _, _, _, _, pw = _tables(s.dim, s.resolution, params.dealias_kmax)
+    # sum on the N-point layout, not the block: numpy's pairwise sum rounds by where the zeros sit
+    _, _, _, pw = _tables(s.dim, s.resolution)
     return _scale_factor(s.dim, s.resolution) * float(np.sum(pw * np.abs(s.coeffs) ** 2))
 
 
 def state_enstrophy(s: CBFState, params: CBFParams) -> float:
-    """|| grad u ||^2 via Parseval (the dissipation integrand)."""
-    _, k2, _, _, pw = _tables(s.dim, s.resolution, params.dealias_kmax)
+    """|| grad u ||^2 via Parseval (the dissipation integrand), summed as in
+    `state_energy`."""
+    _, k2, _, pw = _tables(s.dim, s.resolution)
     return _scale_factor(s.dim, s.resolution) * float(np.sum(pw * k2 * np.abs(s.coeffs) ** 2))
 
 
 def state_divergence_residual(s: CBFState) -> float:
     """max_k |k . u_hat(k)| in orthonormal-basis amplitude units (so the
     value does not scale with the grid resolution)."""
-    div = np.zeros(s.coeffs.shape[1:], dtype=complex)
-    for i, k in enumerate(_wavenumbers(s.dim, s.resolution)):
-        div += 1j * k * s.coeffs[i]
+    div = np.zeros(s.block.shape[1:], dtype=complex)
+    for i, k in enumerate(_tables(s.dim, s.block.shape[1])[0]):
+        div += 1j * k * s.block[i]
     sc = TWO_PI ** (s.dim / 2.0) / float(s.resolution) ** s.dim
     return sc * float(np.max(np.abs(div)))
 
@@ -232,10 +222,12 @@ def _low_modes(a: np.ndarray, n: int, m: int) -> np.ndarray:
 
     A full axis of an rfftn layout holds k >= 0 at its start and k < 0 at
     its end; the halved last axis holds k >= 0 only.  The kept block of
-    cutoff K is the layout of 2K+1 points, so gathering it from a state
-    (n = 2K+1, m = K) and scattering it back (m = K) are both this one copy.
-    The transforms never see the N-point layout: `_block_to_grid` and
-    `_grid_to_block` map the block straight to the grid and back.
+    cutoff K is the layout of 2K+1 points, so gathering it from a full
+    layout (n = 2K+1, m = K, as `random_divergence_free_state` does from
+    `rfftn`) and scattering it into one (m = K, `CBFState.coeffs`) are both
+    this one copy.  The solver itself never sees the N-point layout:
+    `_block_to_grid` and `_grid_to_block` map the block straight to the grid
+    and back.
     """
     out = np.zeros(a.shape[:1] + (n,) * (a.ndim - 2) + (n // 2 + 1,), dtype=complex)
     low = slice(0, m + 1)
@@ -275,9 +267,10 @@ def _dft_matrices(n: int, kmax: int) -> tuple:
     return mats
 
 
-def _block_to_grid(c: np.ndarray, n: int) -> np.ndarray:
+def _block_to_grid(c: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Real values on the n-point grid of the kept block c (component axis
-    first, cutoff K = c.shape[-1] - 1): `irfftn` of c zero-padded into the
+    first, cutoff K = c.shape[-1] - 1), written into and returned as `out`
+    (shape (c.shape[0], n, ..., n)): `irfftn` of c zero-padded into the
     n-point layout, computed as partial DFTs without that layout.
 
     Each full axis, innermost first, is a product with E; the halved last
@@ -286,11 +279,11 @@ def _block_to_grid(c: np.ndarray, n: int) -> np.ndarray:
     the module docstring for where that stops paying.  The two agree to
     about 1e-15 relative for n from 8 to 128.
     """
-    e, _, g, _ = _dft_matrices(n, c.shape[-1] - 1)
+    e, _, g, _ = _dft_matrices(out.shape[-1], c.shape[-1] - 1)
     x = c
     for ax in range(c.ndim - 2, 0, -1):
         x = _axis_product(e, x, ax)
-    return x.view(float) @ g
+    return np.matmul(x.view(float), g, out=out)
 
 
 def _grid_to_block(u: np.ndarray, kmax: int) -> np.ndarray:
@@ -307,9 +300,11 @@ def _grid_to_block(u: np.ndarray, kmax: int) -> np.ndarray:
     return x
 
 
-def _nonlinear(c: np.ndarray, params: CBFParams) -> np.ndarray:
+def _nonlinear(c: np.ndarray, params: CBFParams, work: np.ndarray) -> np.ndarray:
     """-P[ (u.grad)u + beta |u|^r u ] on the kept block c, with the k=0 entry
-    forced to zero (mean momentum untouched).
+    forced to zero (mean momentum untouched).  `work`, shape (2, d, N, ...,
+    N), holds the grid values: u in work[0], the products in work[1]; its
+    contents on entry do not matter, so the stages of a step share one.
 
     One batched inverse transform of the block (`_block_to_grid`, a product
     per axis) gives u on the N-point grid.  The convective term is taken in
@@ -323,11 +318,10 @@ def _nonlinear(c: np.ndarray, params: CBFParams) -> np.ndarray:
     the block.
     """
     dim = c.shape[0]
-    n, kmax = params.resolution, params.dealias_kmax
-    nb = 2 * kmax + 1  # the kept block is the rfftn layout of nb points
-    karrs, _, k2safe, _, _ = _tables(dim, nb, kmax)
-    u = _block_to_grid(c, n)
-    prod = np.empty_like(u)  # one buffer for every real-space product
+    kmax = params.dealias_kmax
+    karrs, _, k2safe, _ = _tables(dim, 2 * kmax + 1)  # the block is the layout of 2K+1 points
+    u = _block_to_grid(c, work[0])
+    prod = work[1]  # one buffer for every real-space product
     w2 = np.zeros(u.shape[1:])  # |u|^2, summed from the diagonal products
     ik = [1j * k for k in karrs]
     neg = np.zeros_like(c)  # minus the convective and absorption terms
@@ -351,53 +345,45 @@ def cbf_rhs(s: CBFState, params: CBFParams) -> SpectralField:
     """Full right-hand side -mu lambda_k u_hat - P[(u.grad)u + beta|u|^r u]
     as a divergence-free spectral field."""
     _check_state(s, params)
-    kmax = params.dealias_kmax
-    nb = 2 * kmax + 1
-    _, k2, _, _, _ = _tables(s.dim, nb, kmax)
-    c = _low_modes(s.coeffs, nb, kmax)
-    rhs = -params.mu * k2 * c + _nonlinear(c, params)
-    return _array_to_field(_low_modes(rhs, s.resolution, kmax), s.resolution)
+    n = s.resolution
+    k2 = _tables(s.dim, s.block.shape[1])[1]
+    rhs = -params.mu * k2 * s.block + _nonlinear(s.block, params, np.empty((2, s.dim) + (n,) * s.dim))
+    return _array_to_field(rhs, n)
 
 
 def _check_state(s: CBFState, params: CBFParams):
-    if s.dim != params.dim or s.resolution != params.resolution:
+    shape = _block_shape(params)
+    if s.resolution != params.resolution or s.block.shape != shape:
         raise ConfigError(
-            f"state shape (d={s.dim}, N={s.resolution}) does not match params "
-            f"(d={params.dim}, N={params.resolution})"
+            f"state (N={s.resolution}, block {s.block.shape}) does not match params "
+            f"(N={params.resolution}, block {shape})"
         )
-    n, kmax = s.resolution, params.dealias_kmax
-    outside = np.any(s.coeffs != 0.0, axis=0) & ~_tables(s.dim, n, kmax)[3]
-    if outside.any():
-        pos = np.argwhere(outside)[0]
-        k = np.where(pos <= n // 2, pos, pos - n)
-        raise AliasingError(f"mode {tuple(k.tolist())} lies outside the dealias mask (kmax={kmax})")
 
 
 def step(s: CBFState, params: CBFParams) -> CBFState:
     """One RK4 step with exact integrating factor for the viscous term.
 
-    The step gathers the kept block of the state once, computes every stage
-    on it (the transforms are matrix products between the block and the
-    grid) and scatters the result back once; a state with a nonzero
-    coefficient outside the dealias mask raises AliasingError instead of
-    losing it.  The step preserves the divergence-free constraint and
-    conjugate symmetry exactly (the coefficients never leave the rfft layout
-    and every multiplier is real).
+    Every stage computes on the kept block of the state (the transforms are
+    matrix products between the block and the grid), and the four
+    evaluations of the nonlinear term share one grid work array.  The step
+    preserves the divergence-free constraint and conjugate symmetry exactly
+    (the coefficients never leave the rfft layout and every multiplier is
+    real).  A state whose resolution or block shape is not the params' raises
+    ConfigError.
     Raises AccuracyError if the velocity norm grows more than 10x in a
     single step.
     """
     _check_state(s, params)
-    kmax = params.dealias_kmax
-    nb = 2 * kmax + 1
-    karrs, k2, k2safe, _, _ = _tables(s.dim, nb, kmax)
+    n, c = s.resolution, s.block
+    karrs, k2, k2safe, _ = _tables(s.dim, c.shape[1])
     dt = params.dt
     e1 = np.exp(-params.mu * k2 * (dt / 2.0))
     e2 = e1 * e1
-    c = _low_modes(s.coeffs, nb, kmax)
-    a = _nonlinear(c, params)
-    b = _nonlinear(e1 * (c + (dt / 2.0) * a), params)
-    c3 = _nonlinear(e1 * c + (dt / 2.0) * b, params)
-    d = _nonlinear(e2 * c + dt * (e1 * c3), params)
+    work = np.empty((2, s.dim) + (n,) * s.dim)
+    a = _nonlinear(c, params, work)
+    b = _nonlinear(e1 * (c + (dt / 2.0) * a), params, work)
+    c3 = _nonlinear(e1 * c + (dt / 2.0) * b, params, work)
+    d = _nonlinear(e2 * c + dt * (e1 * c3), params, work)
     new = e2 * c + (dt / 6.0) * (e2 * a + 2.0 * e1 * (b + c3) + d)
     # every stage is tangential, so this re-projection only removes the
     # accumulated floating-point normal component (keeps div at roundoff)
@@ -409,7 +395,7 @@ def step(s: CBFState, params: CBFParams) -> CBFState:
             f"blow-up guard: velocity norm grew {math.sqrt(after / before):.1f}x in one step "
             f"at t={s.time:.6g} (dt={dt:g}, N={params.resolution}); refine dt"
         )
-    return CBFState(s.time + dt, _low_modes(new, s.resolution, kmax))
+    return CBFState(s.time + dt, new, n)
 
 
 @dataclass
@@ -459,17 +445,13 @@ class EnergyLedger:
     CSV_HEADER = ("t0", "t1", "kinetic0", "kinetic1", "dissipation", "absorption", "residual")
 
 
-def _padded_velocity_grid(s: CBFState, pad: int, kmax: int) -> GridField:
-    """Real-space velocity on a pad-times-finer grid, from the kept block of
-    cutoff kmax (the state must have no coefficient outside it)."""
-    n = s.resolution
-    dim = s.dim
-    np_ = pad * n
-    vals = _block_to_grid(_low_modes(s.coeffs, 2 * kmax + 1, kmax), np_)
-    vals *= (np_ / n) ** dim
-    torus = Torus(dim)
-    axes = uniform_axes(torus, np_)
-    return GridField(torus, axes, np.moveaxis(vals, 0, -1))
+def _padded_velocity_grid(s: CBFState, pad: int) -> GridField:
+    """Real-space velocity on a pad-times-finer grid, from the kept block."""
+    m = pad * s.resolution
+    vals = _block_to_grid(s.block, np.empty((s.dim,) + (m,) * s.dim))
+    vals *= float(pad) ** s.dim
+    torus = Torus(s.dim)
+    return GridField(torus, uniform_axes(torus, m), np.moveaxis(vals, 0, -1))
 
 
 def _absorption_pad(params: CBFParams) -> int:
@@ -500,9 +482,8 @@ def energy_ledgers(traj: Trajectory, edges) -> list:
     snapshots.  Each snapshot's integrands are computed once, so adjacent
     windows share their boundary snapshot's values, and every window's terms
     are those of its own `energy_ledger`.  Every snapshot in the windows is
-    checked as `step` checks its input: one with a nonzero coefficient outside
-    the dealias mask raises AliasingError naming the mode, since the
-    quadrature reads the kept block only.
+    checked as `step` checks its input, so one whose block does not fit the
+    params raises ConfigError.
     """
     p = traj.params
     if len(edges) < 2:
@@ -528,7 +509,7 @@ def energy_ledgers(traj: Trajectory, edges) -> list:
     if p.beta != 0.0:
         q = p.r + 2.0
         pad = _absorption_pad(p)
-        abs_vals = np.array([lp_norm(_padded_velocity_grid(s, pad, p.dealias_kmax), q) ** q for s in states])
+        abs_vals = np.array([lp_norm(_padded_velocity_grid(s, pad), q) ** q for s in states])
     kinetic = [state_energy(traj.states[i], p) for i in [i0 for i0, _ in windows] + [last]]
     out = []
     for w, (i0, i1) in enumerate(windows):
@@ -554,10 +535,9 @@ def taylor_green(params: CBFParams, amplitude: float = 1.0) -> CBFState:
     X, Y = np.meshgrid(x, x, indexing="ij")
     u0 = amplitude * np.sin(X) * np.cos(Y)
     u1 = -amplitude * np.cos(X) * np.sin(Y)
-    kmax = params.dealias_kmax
-    coeffs = _low_modes(_grid_to_block(np.stack([u0, u1]), kmax), n, kmax)
-    coeffs[:, 0, 0] = 0.0  # the mean is exactly zero; drop the transform's cancellation noise
-    return CBFState(0.0, coeffs)
+    block = _grid_to_block(np.stack([u0, u1]), params.dealias_kmax)
+    block[:, 0, 0] = 0.0  # the mean is exactly zero; drop the transform's cancellation noise
+    return CBFState(0.0, block, n)
 
 
 def random_divergence_free_state(params: CBFParams, kmax_init: int = 2, amplitude: float = 1.0, seed: int = 0) -> CBFState:
@@ -570,7 +550,7 @@ def random_divergence_free_state(params: CBFParams, kmax_init: int = 2, amplitud
     rng = np.random.default_rng(seed)
     n, dim, kmax = params.resolution, params.dim, params.dealias_kmax
     nb = 2 * kmax + 1
-    karrs, _, k2safe, _, _ = _tables(dim, nb, kmax)
+    karrs, _, k2safe, _ = _tables(dim, nb)
     u = rng.standard_normal((dim,) + (n,) * dim)
     # numpy's rfftn, not `_grid_to_block`: the two differ at roundoff, and
     # that moves the `cbf` CLI's ledger residuals (differences of O(1)
@@ -582,27 +562,27 @@ def random_divergence_free_state(params: CBFParams, kmax_init: int = 2, amplitud
     c *= band
     c = _leray_arrays(c, karrs, k2safe)
     c[(slice(None),) + (0,) * dim] = 0.0
-    s = CBFState(0.0, _low_modes(c, n, kmax))
+    s = CBFState(0.0, c, n)
     e = state_energy(s, params)
     if e <= 0.0:
         raise ConfigError("degenerate random state")
-    s.coeffs *= amplitude / math.sqrt(e)
+    s.block *= amplitude / math.sqrt(e)
     return s
 
 
-def _array_to_field(coeffs: np.ndarray, n: int) -> SpectralField:
-    """rfftn coefficient array -> divergence-free SpectralField (orthonormal
-    basis amplitudes), reconstructing the conjugate half.
+def _array_to_field(block: np.ndarray, n: int) -> SpectralField:
+    """Kept block of an N-point state (N = n) -> divergence-free SpectralField
+    (orthonormal basis amplitudes), reconstructing the conjugate half.
 
     The source arrays are Leray projections, so any normal component is
     floating-point residue; it is projected out before validation.
     """
-    dim = coeffs.shape[0]
+    dim, kmax = block.shape[0], block.shape[-1] - 1
     sc = TWO_PI ** (dim / 2.0) / float(n) ** dim
-    pos = np.argwhere(np.any(coeffs != 0.0, axis=0))
+    pos = np.argwhere(np.any(block != 0.0, axis=0))
     k = pos.copy()
-    k[:, :-1] = np.where(pos[:, :-1] <= n // 2, pos[:, :-1], pos[:, :-1] - n)
-    v = _tangential(k, np.moveaxis(coeffs, 0, -1)[tuple(pos.T)] * sc)
+    k[:, :-1] = np.where(pos[:, :-1] <= kmax, pos[:, :-1], pos[:, :-1] - (2 * kmax + 1))
+    v = _tangential(k, np.moveaxis(block, 0, -1)[tuple(pos.T)] * sc)
     keep = ~np.any(k, axis=1) | np.any(v != 0.0, axis=1)
     # the rfft layout stores the mirror of a row with last index > 0 implicitly
     rows = _Packed(k[keep], np.zeros(np.count_nonzero(keep), dtype=np.int64), v[keep])
@@ -610,13 +590,13 @@ def _array_to_field(coeffs: np.ndarray, n: int) -> SpectralField:
 
 
 def to_spectral_field(s: CBFState) -> SpectralField:
-    return _array_to_field(s.coeffs, s.resolution)
+    return _array_to_field(s.block, s.resolution)
 
 
 def from_spectral_field(f: SpectralField, params: CBFParams, time: float = 0.0) -> CBFState:
-    """Divergence-free SpectralField -> dense state.  The field must be
+    """Divergence-free SpectralField -> state.  The field must be
     conjugate-symmetric (real velocity), zero-mean, and supported inside the
-    dealias mask."""
+    dealias mask: a mode outside it raises AliasingError naming it."""
     if not isinstance(f.operator, TorusStokes) or f.dim != params.dim:
         raise ConfigError("expected a divergence-free torus field of matching dimension")
     from .fields import conjugate_symmetry_violation
@@ -627,7 +607,7 @@ def from_spectral_field(f: SpectralField, params: CBFParams, time: float = 0.0) 
     n, dim = params.resolution, params.dim
     kmax = params.dealias_kmax
     sc = float(n) ** dim / TWO_PI ** (dim / 2.0)
-    coeffs = np.zeros((dim,) + (n,) * (dim - 1) + (n // 2 + 1,), dtype=complex)
+    block = np.zeros(_block_shape(params), dtype=complex)
     mean = ~np.any(f.k, axis=1)
     bad = (mean & np.any(f.values != 0.0, axis=1)) | (np.max(np.abs(f.k), axis=1, initial=0) > kmax)
     if np.any(bad):
@@ -637,8 +617,8 @@ def from_spectral_field(f: SpectralField, params: CBFParams, time: float = 0.0) 
         raise AliasingError(f"mode {tuple(f.k[i].tolist())} lies outside the dealias mask (kmax={kmax})")
     # rows with last index < 0 are stored implicitly as the mirrors of -k
     stored = ~mean & (f.k[:, -1] >= 0)
-    coeffs[(slice(None),) + tuple((f.k[stored] % n).T)] = (f.values[stored] * sc).T
-    return CBFState(time, coeffs)
+    block[(slice(None),) + tuple((f.k[stored] % (2 * kmax + 1)).T)] = (f.values[stored] * sc).T
+    return CBFState(time, block, n)
 
 
 # ---------------------------------------------------------------------------
@@ -657,18 +637,14 @@ def save_trajectory(traj: Trajectory, directory: str) -> None:
     stored uncompressed in `trajectory.npz`, plus a manifest (format
     "npz-block", params, times, snapshots).
 
-    Only the block is written: outside it every coefficient of a valid state
-    is zero.  Every snapshot is first checked as `step` checks its input, so
-    one with a nonzero coefficient outside the dealias mask raises
-    AliasingError naming the mode before any file is written.
+    The blocks are the states' own.  Every snapshot is first checked as
+    `step` checks its input, so one whose block does not fit the params
+    raises ConfigError before any file is written.
     """
     p = traj.params
     for s in traj.states:
         _check_state(s, p)
-    kmax = p.dealias_kmax
-    blocks = np.empty((len(traj.states),) + _block_shape(p), dtype=complex)
-    for b, s in zip(blocks, traj.states):
-        b[...] = _low_modes(s.coeffs, 2 * kmax + 1, kmax)
+    blocks = np.stack([s.block for s in traj.states], dtype=complex)
     os.makedirs(directory, exist_ok=True)
     manifest = {
         "format": "npz-block",
@@ -683,8 +659,8 @@ def save_trajectory(traj: Trajectory, directory: str) -> None:
 
 
 def load_trajectory(directory: str) -> Trajectory:
-    """Read a `save_trajectory` checkpoint, scattering each stored block back
-    into the full rfftn layout: the states equal the saved ones bit for bit.
+    """Read a `save_trajectory` checkpoint: each state holds its stored block,
+    equal to the saved one bit for bit.
 
     A manifest without format, params or times, with a format other than
     "npz-block" (the full-layout "npz" of earlier versions included), or with
@@ -724,5 +700,4 @@ def load_trajectory(directory: str) -> Trajectory:
             f"checkpoint {directory}: trajectory.npz holds {blocks.shape[0]} snapshots, "
             f"but manifest.json lists {len(times)} times"
         )
-    n, kmax = params.resolution, params.dealias_kmax
-    return Trajectory(params, times, [CBFState(t, _low_modes(b, n, kmax)) for t, b in zip(times, blocks)])
+    return Trajectory(params, times, [CBFState(t, b, params.resolution) for t, b in zip(times, blocks)])

@@ -10,6 +10,7 @@ of a divergence-free field, which has no tangential decomposition).
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import re
@@ -140,4 +141,15 @@ def spectral_field_from_csv(path, operator: OperatorSpec) -> SpectralField:
     _raise_first(checks, k, pol, first_line=2)
 
     scalar = len(pol) and pol[0] == 0
-    return SpectralField(operator, _merge_rows(k, pol, vals, "sum") if scalar else _polarized(k, pol, vals))
+
+    def merged(n: int):  # the field of the first n rows, summed per mode in row order
+        return _merge_rows(k[:n], pol[:n], vals[:n], "sum") if scalar else _polarized(k[:n], pol[:n], vals[:n])
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = merged(len(pol))
+        if not np.isfinite(rows.values).all():
+            # finite rows whose sum overflows: a sum that is not finite stays so
+            # as rows are added, so bisect for the row that tips it over
+            n = bisect.bisect_left(range(len(pol) + 1), True, key=lambda n: not np.isfinite(merged(n).values).all())
+            raise ConfigError(f"line {n + 1}: the coefficients at {tuple(k[n - 1].tolist())} sum to a non-finite value")
+    return SpectralField(operator, rows)

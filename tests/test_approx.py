@@ -15,7 +15,6 @@ from eigenapprox import (
     Torus,
     TorusLaplacian,
     TorusStokes,
-    apply_fractional_power,
     c_gamma,
     conjugate_symmetry_violation,
     cubic_truncate,
@@ -34,7 +33,7 @@ from eigenapprox import (
     spherical_truncate,
     subtract,
 )
-from eigenapprox.approx import multiplier
+from eigenapprox.approx import _apply_multiplier, multiplier
 
 
 def test_pi_theta_strict_cutoff():
@@ -214,7 +213,7 @@ def test_transforms_keep_real_stokes_fields_real_and_divergence_free(
     for name, transform, param in (
         ("pi_theta", pi_theta, theta),
         ("semigroup", semigroup_apply, theta),
-        ("fractional_power", apply_fractional_power, alpha),
+        ("fractional_power", lambda f, a: _apply_multiplier(f, "fractional_power", a), alpha),
         ("spherical", spherical_truncate, n),
         ("cubic", cubic_truncate, n),
     ):

@@ -24,6 +24,7 @@ from eigenapprox import (
     TorusLaplacian,
     TorusStokes,
     Trajectory,
+    add,
     cbf_rhs,
     divergence_residual,
     energy_ledger,
@@ -44,6 +45,7 @@ from eigenapprox import (
     to_spectral_field,
 )
 from eigenapprox import cbf
+from eigenapprox.domains import polarization_basis
 
 TWO_PI2 = 2.0 * math.pi**2
 
@@ -98,7 +100,7 @@ def test_taylor_green_rhs_is_purely_viscous():
 
 def test_zero_state_rhs_is_zero():
     p = _params()
-    z = CBFState(0.0, np.zeros((2, 16, 9), dtype=complex))
+    z = CBFState(0.0, np.zeros((2, 11, 6), dtype=complex), 16)
     assert cbf_rhs(z, p).l2() == 0.0
 
 
@@ -175,6 +177,12 @@ def _full(block, n):
     return out
 
 
+def _work(p):
+    # the nonlinear term's grid work array, filled with what a previous use
+    # could leave there
+    return np.full((2, p.dim) + (p.resolution,) * p.dim, np.nan)
+
+
 def _check_transforms(dim, n, kmax, m):
     # block -> grid is irfftn of the block zero-padded into the n-point
     # layout, and grid -> block is the kept block of rfftn, for m components
@@ -185,7 +193,7 @@ def _check_transforms(dim, n, kmax, m):
     padded = np.zeros((m,) + (n,) * (dim - 1) + (n // 2 + 1,), dtype=complex)
     padded[kept] = block
     want = scipy.fft.irfftn(padded, s=(n,) * dim, axes=axes)
-    got = cbf._block_to_grid(block, n)
+    got = cbf._block_to_grid(block, np.empty((m,) + (n,) * dim))
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     grid = rng.standard_normal((m,) + (n,) * dim)
@@ -228,7 +236,7 @@ def test_block_round_trip_returns_the_block_of_a_real_grid(dim, kmax, extra, m, 
     # and on any grid of n >= 2K+1 points the inverse is exact on it
     n = 2 * kmax + 1 + extra
     block = cbf._grid_to_block(np.random.default_rng(seed).standard_normal((m,) + (n,) * dim), kmax)
-    back = cbf._grid_to_block(cbf._block_to_grid(block, n), kmax)
+    back = cbf._grid_to_block(cbf._block_to_grid(block, np.empty((m,) + (n,) * dim)), kmax)
     assert np.max(np.abs(back - block)) <= 1e-14 * np.max(np.abs(block))
 
 
@@ -240,7 +248,7 @@ def test_divergence_form_matches_advective_oracle(dim, beta, r):
     p = _params(dim=dim, beta=beta, r=r)
     s = random_divergence_free_state(p, kmax_init=p.dealias_kmax, amplitude=3.0, seed=11)
     want = _advective_nonlinear(s.coeffs, p)
-    got = _full(cbf._nonlinear(_kept(s.coeffs, p.dealias_kmax), p), p.resolution)
+    got = _full(cbf._nonlinear(s.block, p, _work(p)), p.resolution)
     assert np.max(np.abs(want)) > 0.0
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -251,7 +259,7 @@ def test_steps_match_advective_oracle_steps(monkeypatch, dim, beta, r):
     s = random_divergence_free_state(p, kmax_init=2, amplitude=2.0, seed=4)
     got = simulate(s, p).states[-1].coeffs
     kmax, n = p.dealias_kmax, p.resolution
-    monkeypatch.setattr(cbf, "_nonlinear", lambda c, q: _kept(_advective_nonlinear(_full(c, n), q), kmax))
+    monkeypatch.setattr(cbf, "_nonlinear", lambda c, q, work: _kept(_advective_nonlinear(_full(c, n), q), kmax))
     want = simulate(s, p).states[-1].coeffs
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -286,22 +294,84 @@ def test_step_matches_full_layout_reference_steps(dim, beta, r):
     assert np.max(np.abs(s.coeffs - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def _with_mode(s, k, amplitude):
+    """The field of state s plus a real velocity of the given amplitude at
+    the pair +-k, along the first polarization of k."""
+    e = amplitude * polarization_basis(k)[0]
+    return add(to_spectral_field(s), SpectralField(TorusStokes(Torus(len(k))), {k: e, tuple(-x for x in k): e}))
+
+
 def test_state_outside_the_dealias_mask_is_rejected():
-    # the step computes on the kept block only: a coefficient outside it
-    # would be dropped, so step, simulate and cbf_rhs name it instead
+    # a state holds the kept block only, so a mode outside it has nowhere to
+    # go: the conversion into a state names it instead of dropping it
     p = _params()  # N = 16, kmax = 5
     s = taylor_green(p)
-    for k, pos in (((-6, 1), (10, 1)), ((0, 6), (0, 6)), ((8, 0), (8, 0))):
-        bad = s.copy()
-        bad.coeffs[(1,) + pos] = 1e-300
+    for k in ((-6, 1), (0, 6), (8, 0)):
         msg = re.escape(f"mode {k} lies outside the dealias mask (kmax=5)")
+        with pytest.raises(AliasingError, match=msg):
+            from_spectral_field(_with_mode(s, k, 1e-300), p)
+    two = add(_with_mode(s, (-6, 1), 1.0), _with_mode(s, (0, 6), 1.0))
+    first = next(k for k in two.k.tolist() if max(map(abs, k)) > 5)
+    with pytest.raises(AliasingError, match=re.escape(f"mode {tuple(first)} lies outside")):
+        from_spectral_field(two, p)
+
+
+def test_solver_paths_never_build_the_full_layout(monkeypatch, tmp_path):
+    # the state is the kept block: only the read-only `coeffs` view and the
+    # rfftn gather of the random initial state scatter into the N-point layout
+    p2, p3 = _params(), _params(dim=3, beta=1.0, t_final=3 * 2e-3, snapshot_every=1)
+    s3 = random_divergence_free_state(p3, kmax_init=2, seed=1)
+
+    def refuse(*args):
+        raise AssertionError("the full rfftn layout was built")
+
+    monkeypatch.setattr(cbf, "_low_modes", refuse)
+    s2 = taylor_green(p2)
+    for s, p in ((s2, p2), (s3, p3)):
+        step(s, p)
+        cbf_rhs(s, p)
+        cbf._padded_velocity_grid(s, 2)
+        back = from_spectral_field(to_spectral_field(s), p)
+        assert back.block.shape == s.block.shape
+    traj = simulate(s3, p3)
+    save_trajectory(traj, str(tmp_path / "ck"))
+    loaded = load_trajectory(str(tmp_path / "ck"))
+    assert all(np.array_equal(a.block, b.block) for a, b in zip(traj.states, loaded.states))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_coeffs_is_a_read_only_view_of_the_block(dim):
+    p = _params(dim=dim, beta=1.0)
+    s = random_divergence_free_state(p, kmax_init=2, seed=6)
+    c = s.coeffs
+    assert np.array_equal(c, _full(s.block, p.resolution))
+    with pytest.raises(ValueError, match="read-only"):
+        c[(0,) * c.ndim] = 1.0
+    with pytest.raises(AttributeError):
+        s.coeffs = np.zeros_like(c)
+    s.block *= 2.0  # the view is made from the block each time it is read
+    assert np.array_equal(s.coeffs, 2.0 * c)
+
+
+def test_a_state_that_does_not_fit_the_params_is_refused(tmp_path):
+    p = _params(t_final=0.02, snapshot_every=5)  # N = 16, block (2, 11, 6)
+    good = taylor_green(p)
+    misfits = [
+        (CBFState(0.0, np.zeros((2, 16, 9), dtype=complex), 16), r"N=16, block \(2, 16, 9\)"),  # the full layout
+        (CBFState(0.0, np.zeros((2, 7, 4), dtype=complex), 16), r"N=16, block \(2, 7, 4\)"),  # the 1/2 rule's block
+        (CBFState(0.0, good.block, 20), r"N=20, block \(2, 11, 6\)"),
+    ]
+    for bad, shown in misfits:
+        msg = rf"^state \({shown}\) does not match params \(N=16, block \(2, 11, 6\)\)$"
         for call in (step, simulate, cbf_rhs):
-            with pytest.raises(AliasingError, match=msg):
+            with pytest.raises(ConfigError, match=msg):
                 call(bad, p)
-    two = s.copy()
-    two.coeffs[0, 10, 1] = two.coeffs[0, 0, 6] = 1.0
-    with pytest.raises(AliasingError, match=re.escape("mode (0, 6)")):
-        step(two, p)
+        traj = Trajectory(p, [0.0, 0.01, 0.02], [good, bad, good])
+        with pytest.raises(ConfigError, match=msg):
+            energy_ledgers(traj, (0.0, 0.02))
+        with pytest.raises(ConfigError, match=msg):
+            save_trajectory(traj, str(tmp_path / "ck"))
+        assert not (tmp_path / "ck").exists()
 
 
 def test_3d_steps_keep_support_and_structure():
@@ -330,11 +400,11 @@ def test_blow_up_guard():
 
 def test_simulate_guards():
     p = _params(dt=0.3, t_final=1.0)
-    s = CBFState(0.0, np.zeros((2, 16, 9), dtype=complex))
+    s = CBFState(0.0, np.zeros((2, 11, 6), dtype=complex), 16)
     with pytest.raises(ConfigError, match="integer multiple"):
         simulate(s, p)
     with pytest.raises(ConfigError, match="does not match"):
-        simulate(CBFState(0.0, np.zeros((2, 8, 5), dtype=complex)), _params())
+        simulate(CBFState(0.0, np.zeros((2, 5, 3), dtype=complex), 8), _params())
 
 
 def test_energy_ledger_without_absorption():
@@ -367,8 +437,8 @@ def test_ledger_quadratures_r2_on_the_solver_grid(dim):
     assert cbf._absorption_pad(p) == 1
     s = random_divergence_free_state(p, kmax_init=p.dealias_kmax, amplitude=2.0, seed=5)
     for state in (s, step(s, p)):
-        on_grid = lp_norm(cbf._padded_velocity_grid(state, 1, p.dealias_kmax), 4.0) ** 4
-        doubled = lp_norm(cbf._padded_velocity_grid(state, 2, p.dealias_kmax), 4.0) ** 4
+        on_grid = lp_norm(cbf._padded_velocity_grid(state, 1), 4.0) ** 4
+        doubled = lp_norm(cbf._padded_velocity_grid(state, 2), 4.0) ** 4
         assert abs(on_grid - doubled) <= 1e-13 * doubled
 
 
@@ -381,22 +451,21 @@ def test_ledger_grid_choice():
     p = CBFParams(mu=0.05, beta=1.0, r=3.0, dim=2, resolution=16, dt=1e-3, t_final=0.02, snapshot_every=5)
     assert cbf._absorption_pad(p) == 2
     traj = simulate(random_divergence_free_state(p, kmax_init=3, seed=3), p)
-    vals = [lp_norm(cbf._padded_velocity_grid(s, 2, p.dealias_kmax), 5.0) ** 5.0 for s in traj.states]
+    vals = [lp_norm(cbf._padded_velocity_grid(s, 2), 5.0) ** 5.0 for s in traj.states]
     assert energy_ledger(traj, 0.0, 0.02).absorption == 2.0 * p.beta * float(simpson(vals, x=traj.times))
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.0])
 def test_ledger_refuses_a_snapshot_outside_the_dealias_mask(beta):
-    # the ledger's quadrature reads the kept block only: a coefficient
-    # outside it would be dropped, so the ledger names it as step does
+    # the ledger's quadrature reads the kept block only, and a snapshot can
+    # hold nothing else: a mode outside it is named when the state is made
     p = CBFParams(mu=0.05, beta=beta, r=2.0, dim=2, resolution=16, dt=1e-3, t_final=0.02, snapshot_every=5)
     traj = simulate(random_divergence_free_state(p, kmax_init=2, seed=3), p)
-    energy_ledger(traj, 0.0, 0.02)
-    traj.states[1].coeffs[1, 0, 6] = 1e-300
+    before = energy_ledger(traj, 0.0, 0.02).csv_row()
     msg = re.escape(f"mode (0, 6) lies outside the dealias mask (kmax={p.dealias_kmax})")
     with pytest.raises(AliasingError, match=msg):
-        energy_ledger(traj, 0.0, 0.02)
-    energy_ledger(traj, 0.01, 0.02)  # a window without that snapshot is not checked for it
+        from_spectral_field(_with_mode(traj.states[1], (0, 6), 1e-300), p, time=traj.times[1])
+    assert energy_ledger(traj, 0.0, 0.02).csv_row() == before
 
 
 def test_ledgers_compute_each_snapshot_once(monkeypatch):
@@ -560,15 +629,17 @@ def test_load_trajectory_names_an_archive_without_blocks(tmp_path):
 
 @pytest.mark.parametrize("beta, kmax", [(0.0, 5), (1.0, 3)])
 def test_save_trajectory_refuses_a_snapshot_outside_the_dealias_mask(beta, kmax, tmp_path):
-    # the checkpoint stores the kept block only, so an outside mode would be lost
+    # the checkpoint stores the kept block only, so an outside mode would be
+    # lost: the conversion into a state names it before it can reach one
     p = _params(beta=beta, t_final=0.02)
     assert p.dealias_kmax == kmax
     traj = simulate(taylor_green(p), p)
-    traj.states[-1].coeffs[0, kmax + 1, 0] = 1e-300
-    d = tmp_path / "ck"
+    last = traj.states[-1]
     with pytest.raises(AliasingError, match=rf"^mode \({kmax + 1}, 0\) lies outside the dealias mask \(kmax={kmax}\)$"):
-        save_trajectory(traj, str(d))
-    assert not (d / "trajectory.npz").exists()
+        from_spectral_field(_with_mode(last, (kmax + 1, 0), 1e-300), p, time=last.time)
+    d = tmp_path / "ck"
+    save_trajectory(traj, str(d))
+    assert np.array_equal(load_trajectory(str(d)).states[-1].block, last.block)
 
 
 @settings(max_examples=25, deadline=None)
@@ -586,10 +657,7 @@ def test_checkpoint_stores_the_kept_block_and_round_trips_exactly(dim, n, beta, 
     kmax = p.dealias_kmax
     shape = (dim,) + (2 * kmax + 1,) * (dim - 1) + (kmax + 1,)
     rng = np.random.default_rng(seed)
-    states = [
-        CBFState(0.1 * i, cbf._low_modes(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), n, kmax))
-        for i in range(snapshots)
-    ]
+    states = [CBFState(0.1 * i, rng.standard_normal(shape) + 1j * rng.standard_normal(shape), n) for i in range(snapshots)]
     d = tmp_path_factory.mktemp("ck")
     save_trajectory(Trajectory(p, [s.time for s in states], states), str(d))
     with zipfile.ZipFile(d / "trajectory.npz") as archive:
@@ -599,7 +667,8 @@ def test_checkpoint_stores_the_kept_block_and_round_trips_exactly(dim, n, beta, 
     back = load_trajectory(str(d))
     assert back.params == p and back.times == [s.time for s in states]
     for a, b in zip(states, back.states):
-        assert b.coeffs.dtype == a.coeffs.dtype and np.array_equal(b.coeffs, a.coeffs)
+        assert b.block.dtype == a.block.dtype and np.array_equal(b.block, a.block)
+        assert b.resolution == n and np.array_equal(b.coeffs, a.coeffs)
 
 
 def test_negative_seed_is_a_config_error():

@@ -509,14 +509,16 @@ def _csv_reader_oracle(text, op):
     return coeffs
 
 
-def _array_to_field_oracle(coeffs, n):
-    """The field's map, and the magnitude of each row's input."""
-    dim = coeffs.shape[0]
+def _array_to_field_oracle(block, n):
+    """The field's map, and the magnitude of each row's input, for the kept
+    block of an n-point state: wavenumbers 0..K then -K..-1 on each full
+    axis, 0..K on the last."""
+    dim, kmax = block.shape[0], block.shape[-1] - 1
     sc = (2.0 * math.pi) ** (dim / 2.0) / float(n) ** dim
     out, scale = {}, {}
-    for pos in np.argwhere(np.any(coeffs != 0.0, axis=0)):
-        idx = ModeIndex(tuple(int(p) if p <= n // 2 else int(p) - n for p in pos[:-1]) + (int(pos[-1]),))
-        row = coeffs[(slice(None),) + tuple(pos)] * sc
+    for pos in np.argwhere(np.any(block != 0.0, axis=0)):
+        idx = ModeIndex(tuple(int(p) if p <= kmax else int(p) - (2 * kmax + 1) for p in pos[:-1]) + (int(pos[-1]),))
+        row = block[(slice(None),) + tuple(pos)] * sc
         scale[idx] = scale[idx.mirror()] = _norm(row)
         v = _tangential_oracle(idx.k, row)
         if any(idx.k) and not np.any(v):
@@ -528,13 +530,14 @@ def _array_to_field_oracle(coeffs, n):
 
 
 def _from_field_oracle(f, params):
-    n, dim = params.resolution, params.dim
+    """The kept block of the state of f."""
+    n, dim, kmax = params.resolution, params.dim, params.dealias_kmax
     sc = float(n) ** dim / (2.0 * math.pi) ** (dim / 2.0)
-    coeffs = np.zeros((dim,) + (n,) * (dim - 1) + (n // 2 + 1,), dtype=complex)
+    block = np.zeros((dim,) + (2 * kmax + 1,) * (dim - 1) + (kmax + 1,), dtype=complex)
     for idx, v in f.coefficients.items():
         if any(idx.k) and idx.k[-1] >= 0:
-            coeffs[(slice(None),) + tuple(ki % n for ki in idx.k)] = np.asarray(v) * sc
-    return coeffs
+            block[(slice(None),) + tuple(ki % (2 * kmax + 1) for ki in idx.k)] = np.asarray(v) * sc
+    return block
 
 
 def _agrees(got, op, want, scale=None) -> bool:
@@ -764,22 +767,19 @@ def test_spectral_csv_keeps_extreme_doubles(tmp_path, f):
 def test_state_conversion_matches_per_mode_loops(dim, beta, seed, kmax):
     params = CBFParams(mu=0.05, beta=beta, dim=dim, resolution=12 if dim == 3 else 16, dt=1e-3)
     s = random_divergence_free_state(params, kmax_init=kmax, seed=seed)
-    n, cut = params.resolution, params.dealias_kmax
-    viscous = -params.mu * cbf._tables(dim, n, cut)[1] * s.coeffs
-    # the solver's nonlinear term takes and returns the kept block: wavenumbers
-    # 0..K then -K..-1 on each full axis, 0..K on the last
-    kept = (slice(None),) + np.ix_(*([np.r_[0 : cut + 1, n - cut : n]] * (dim - 1) + [np.arange(cut + 1)]))
-    nonlinear = np.zeros_like(s.coeffs)
-    nonlinear[kept] = cbf._nonlinear(s.coeffs[kept], params)
-    rhs = viscous + nonlinear  # carries a roundoff normal part
-    noise = np.random.default_rng(seed).standard_normal((2,) + s.coeffs.shape)
+    # the state, the solver's nonlinear term and the conversions all hold the
+    # kept block: wavenumbers 0..K then -K..-1 on each full axis, 0..K on the last
+    n, nb = params.resolution, 2 * params.dealias_kmax + 1
+    viscous = -params.mu * cbf._tables(dim, nb)[1] * s.block
+    rhs = viscous + cbf._nonlinear(s.block, params, np.empty((2, dim) + (n,) * dim))  # a roundoff normal part
+    noise = np.random.default_rng(seed).standard_normal((2,) + s.block.shape)
     noise = np.where(noise[0] > 1.0, noise[0] + 1j * noise[1], np.where(noise[0] < -2.0, -0.0, 0.0))
     # the noise is not tangential: the oracle may reject its projection residue
-    for arr in (s.coeffs, step(s, params).coeffs, viscous, rhs, noise):
+    for arr in (s.block, step(s, params).block, viscous, rhs, noise):
         assert _agrees(_run(cbf._array_to_field, arr, n), TorusStokes(Torus(dim)), *_array_to_field_oracle(arr, n))
     assert _same(cbf_rhs(s, params).coefficients, cbf._array_to_field(rhs, n).coefficients)
     f = to_spectral_field(s)
-    assert from_spectral_field(f, params).coeffs.tobytes() == _from_field_oracle(f, params).tobytes()
+    assert from_spectral_field(f, params).block.tobytes() == _from_field_oracle(f, params).tobytes()
 
 
 def test_state_conversion_names_the_first_offending_mode():

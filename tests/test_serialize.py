@@ -1,6 +1,8 @@
 import csv
 import io
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -241,6 +243,36 @@ def test_non_finite_value_names_its_line(tmp_path, cell, part):
     p.write_text(f"k1,polarization,re,im\n1,0,{re_},{im}\n2,0,1.0,0.0\n")
     with pytest.raises(ConfigError, match=r"^line 2: non-finite coefficient at \(1,\)$"):
         spectral_field_from_csv(p, TorusLaplacian(Torus(1)))
+
+
+@pytest.mark.parametrize(
+    "op, rows, line, k",
+    [
+        (TorusLaplacian(Torus(1)), ["1,0,1.5e308,0.0", "1,0,1.5e308,0.0"], 3, "(1,)"),
+        (TorusLaplacian(Torus(1)), ["1,0,0.0,-1e308", "2,0,1.0,0.0", "1,0,0.0,-1e308"], 4, "(1,)"),
+        (TorusLaplacian(Torus(1)), ["2,0,1e308,0.0", "1,0,1e308,0.0", "1,0,-1e308,0.0", "1,0,1e308,0.0", "2,0,1e308,0.0"], 6, "(2,)"),
+        (TorusStokes(Torus(2)), ["0,1,1,1e308,0.0", "0,1,1,1e308,0.0"], 3, "(0, 1)"),
+    ],
+    ids=["two-rows", "a-row-between", "cancelling-first", "stokes"],
+)
+def test_overflowing_sum_names_the_line_that_overflows(tmp_path, op, rows, line, k):
+    # every row is finite on its own; the reader adds the rows of a mode in
+    # order, and names the one whose addition leaves the double range
+    p = tmp_path / "bad.csv"
+    header = ",".join([f"k{i + 1}" for i in range(op.dim)] + ["polarization", "re", "im"])
+    p.write_text("\n".join([header, *rows]) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=rf"^line {line}: the coefficients at {re.escape(k)} sum to a non-finite value$"):
+            spectral_field_from_csv(p, op)
+
+
+def test_sums_that_stay_finite_are_read_in_row_order(tmp_path):
+    p = tmp_path / "f.csv"
+    p.write_text("k1,polarization,re,im\n1,0,1.5e308,0.0\n1,0,-1.5e308,0.0\n1,0,1.5e308,0.0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert spectral_field_from_csv(p, TorusLaplacian(Torus(1))).coefficients == {ModeIndex((1,)): 1.5e308 + 0j}
 
 
 # magnitudes that repeat across a column, so both signs of one magnitude meet

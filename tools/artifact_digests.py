@@ -39,6 +39,8 @@ JOBS = (
     ("cbf-2d", ["cbf", "--d", "2", "--N", "32", "--T", "0.05", "--save-traj", "--plot"]),
     ("cbf-3d", ["cbf", "--d", "3", "--N", "16", "--beta", "1", "--T", "0.02", "--save-traj"]),
     ("cbf-3d-r3", ["cbf", "--d", "3", "--N", "16", "--beta", "1", "--r", "3", "--T", "0.02", "--save-traj"]),
+    ("cbf-tg", ["cbf", "--taylor-green", "--N", "16", "--T", "0.02", "--snapshot-every", "5", "--windows", "2",
+                "--save-traj"]),
     ("readback-torus2", ["approx", "--field", "approx-torus2/field_out.csv", "--emit-field",
                          "--op", "torus", "--d", "2"]),
     ("readback-stokes3", ["approx", "--field", "approx-stokes3/field_out.csv", "--emit-field", "--op", "torus-stokes",
