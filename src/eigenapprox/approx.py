@@ -70,6 +70,8 @@ def multiplier(name: str, param=None):
 def _factors(f: SpectralField, name: str, param) -> np.ndarray:
     """The named operator's factor for every row of f (see `multiplier`)."""
     rule = multiplier(name, param)
+    if name in _FOURIER_TRUNCATIONS and not isinstance(f.operator, (TorusLaplacian, TorusStokes)):
+        raise ConfigError("Fourier truncations are defined for torus fields")
     lams = f._eigenvalue_array()
     factor = np.ones(lams.shape)
     pos = lams > 0.0  # the carried mean keeps factor 1
@@ -77,15 +79,18 @@ def _factors(f: SpectralField, name: str, param) -> np.ndarray:
     return factor
 
 
-def _apply_multiplier(f: SpectralField, name: str, param) -> SpectralField:
-    factor = _factors(f, name, param)
-    if name in _FOURIER_TRUNCATIONS and not isinstance(f.operator, (TorusLaplacian, TorusStokes)):
-        raise ConfigError("Fourier truncations are defined for torus fields")
+def _scaled(values: np.ndarray, factor: np.ndarray) -> tuple:
+    """The mask of the rows `factor` keeps (not NaN), and their values times it."""
     keep = ~np.isnan(factor)
     scaled = keep & (factor != 1.0)
-    values = f.values.copy()
+    values = values.copy()
     values[scaled] = values[scaled] * factor[scaled].reshape((-1,) + (1,) * (values.ndim - 1))
-    return SpectralField(f.operator, _Packed(f.k[keep], f.pol[keep], values[keep]))
+    return keep, values[keep]
+
+
+def _apply_multiplier(f: SpectralField, name: str, param) -> SpectralField:
+    keep, values = _scaled(f.values, _factors(f, name, param))
+    return SpectralField(f.operator, _Packed(f.k[keep], f.pol[keep], values))
 
 
 def semigroup_apply(f: SpectralField, theta: float) -> SpectralField:

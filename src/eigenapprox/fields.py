@@ -483,14 +483,14 @@ def _axis_quadrature(domain: DomainSpec, a: np.ndarray, L: float) -> np.ndarray:
     return w * (h / 3.0)
 
 
-def _axis_weights(g: GridField) -> list:
-    """The one-axis quadrature weights of g's axes."""
-    return [_axis_quadrature(g.domain, a, L) for a, L in zip(g.axes, g.domain.lengths)]
+def _axis_weights(domain: DomainSpec, axes) -> list:
+    """The one-axis quadrature weights of a grid's axes."""
+    return [_axis_quadrature(domain, a, L) for a, L in zip(axes, domain.lengths)]
 
 
 def quadrature_weights(g: GridField) -> np.ndarray:
     """Tensor-product quadrature weights matching g's axes (shape grid_shape)."""
-    return functools.reduce(np.multiply.outer, _axis_weights(g))
+    return functools.reduce(np.multiply.outer, _axis_weights(g.domain, g.axes))
 
 
 # ---------------------------------------------------------------------------
@@ -516,31 +516,38 @@ def synthesize(f: SpectralField, resolution=None) -> GridField:
                 f"{points} points per axis cannot represent modes up to k={kmax} (need >= {2 * kmax + 1})"
             )
     axes = uniform_axes(domain, res)
-    # one dense block over each axis's distinct indices, components first,
-    # contracted with one axis table at a time.  The torus indices are closed
-    # under negation, so a real torus field's block flipped on every axis is
-    # its conjugate; a real field takes its last axis as one real product.
-    dirichlet = isinstance(f.operator, DirichletLaplacian)
-    k = f.k if dirichlet else np.concatenate([f.k, -f.k])
-    tables = [(t, place[: f.k.shape[0]]) for t, place in _axis_tables(f.operator, k, axes)]
-    block = np.zeros((math.prod(f.values.shape[1:]),) + tuple(t.shape[0] for t, _ in tables), dtype=complex)
+    return GridField(domain, axes, _apply_tables(f.operator, _synthesis_tables(f.operator, f.k, axes), f.k, f.values))
+
+
+def _synthesis_tables(operator: OperatorSpec, k: np.ndarray, axes) -> list:
+    """synthesize's table step, which fields with the same modes k share."""
+    both = k if isinstance(operator, DirichletLaplacian) else np.concatenate([k, -k])
+    return [(t, place[: k.shape[0]]) for t, place in _axis_tables(operator, both, axes)]
+
+
+def _apply_tables(operator: OperatorSpec, tables: list, k: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """synthesize's product step: the grid of the modes k with these values,
+    one dense block over each axis's distinct indices (components first)
+    contracted with one table at a time.  The torus tables hold k and -k, so
+    a real field's block flipped on every axis is its conjugate."""
+    block = np.zeros((math.prod(values.shape[1:]),) + tuple(t.shape[0] for t, _ in tables), dtype=complex)
     at = (slice(None),) + tuple(place for _, place in tables)
-    if isinstance(f.operator, TorusStokes) and np.unique(_row_keys(f.k)).size < f.k.shape[0]:
+    if isinstance(operator, TorusStokes) and np.unique(_row_keys(k)).size < k.shape[0]:
         # a Stokes field may hold several polarization rows at one k: they
         # add, as in `evaluate`.  With one row per k (every other field) the
         # plain assignment keeps every bit, signed zeros included.
-        np.add.at(block, at, f.values.T)
+        np.add.at(block, at, values.T)
     else:
-        block[at] = f.values.T
-    if dirichlet:
-        real = not np.any(f.values.imag)
+        block[at] = values.T
+    if isinstance(operator, DirichletLaplacian):
+        real = not np.any(values.imag)
     else:
         real = np.array_equal(np.flip(block, axis=tuple(range(1, block.ndim))), np.conj(block))
     for a, (t, _) in enumerate(tables[:-1]):
         block = _axis_product(t.T, block, a + 1)
     last = tables[-1][0]
     out = block.view(float) @ _re_im_rows(last).reshape(-1, last.shape[1]) if real else block @ last
-    return GridField(domain, axes, np.moveaxis(out, 0, -1) if f.is_vector else out[0])
+    return np.moveaxis(out, 0, -1) if values.ndim == 2 else out[0]
 
 
 def analyze(g: GridField, modes, operator: OperatorSpec, check: bool = True) -> SpectralField:
@@ -560,7 +567,7 @@ def analyze(g: GridField, modes, operator: OperatorSpec, check: bool = True) -> 
     m = k.shape[0]
     if not m:
         return SpectralField(operator)
-    weights = _axis_weights(g)
+    weights = _axis_weights(g.domain, g.axes)
     tables = _axis_tables(operator, k, g.axes)
     vector = isinstance(operator, TorusStokes)
     e = _polarization_rows(k)[np.arange(m), pol - 1] if vector else None

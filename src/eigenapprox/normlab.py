@@ -3,7 +3,9 @@ studies, the spherical-vs-cubic truncation trend, and a Sobolev surrogate
 comparison for fractional norms on an interval.
 
 Everything is seeded and deterministic; results come back as NormReport rows
-ready for CSV.
+ready for CSV.  A `_Family` prepares once what depends only on the modes a
+sampled family shares: the L^p grid and weights, one synthesis table set,
+the ascent's representatives and mirrors, and each field's L^p norm.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 from scipy.special import j1
@@ -18,6 +21,7 @@ from scipy.special import j1
 from .approx import (
     _apply_multiplier,
     _factors,
+    _scaled,
     fractional_norm,
     pi_theta,
     pi_theta_error_norm,
@@ -35,14 +39,15 @@ from .domains import (
     _re_im_rows,
     _representative_rows,
 )
-from .errors import AccuracyError, ConfigError
+from .errors import AccuracyError, ConfigError, ResourceLimitError
 from .fields import (
     GridField,
     SpectralField,
-    _axis_tables,
+    _Packed,
+    _apply_tables,
     _axis_weights,
     _mirror_rows,
-    _Packed,
+    _synthesis_tables,
     analyze,
     divergence_residual,
     lp_norm,
@@ -161,9 +166,13 @@ def sample_fields(config: ExperimentConfig) -> list:
 TRANSFORMS = ("identity", "semigroup", "pi_theta", "spherical", "cubic")
 
 
-def apply_named_transform(f: SpectralField, name: str, param=None) -> SpectralField:
+def _check_transform(name: str) -> None:
     if name not in TRANSFORMS:
         raise ConfigError(f"unknown transform {name!r}; choose from {TRANSFORMS}")
+
+
+def apply_named_transform(f: SpectralField, name: str, param=None) -> SpectralField:
+    _check_transform(name)
     return f if name == "identity" else _apply_multiplier(f, name, param)
 
 
@@ -172,12 +181,19 @@ def _lp_grid_resolution(f: SpectralField, p: float) -> int:
     even integer p (integrand band-limited by ceil(p)*k_max) and trustworthy
     otherwise.  Below p = 2 the grid is the p = 2 grid, which still holds
     the field itself (synthesize needs 2*k_max + 1 points); p = inf has no
-    grid that makes the sup norm exact, so only finite p >= 1 is sized."""
+    grid that makes the sup norm exact, so only finite p >= 1 is sized, and
+    a grid numpy cannot address is refused before it is allocated."""
     if not 1.0 <= p < math.inf:
         raise ConfigError(f"a grid-sized L^p norm needs finite p >= 1, got p = {p}")
     kmax = max(f.max_axis_index(), 1)
     n = max(int(math.ceil(p)), 2) * kmax + 2
-    return n + (n % 2)
+    n += n % 2
+    points = n if f.operator.domain.periodic else n + 1
+    if points**f.dim * 8 > np.iinfo(np.intp).max:
+        raise ResourceLimitError(
+            f"the L^p grid at p = {p:g}, k_max = {kmax} needs {Decimal(points):.3g} points per axis: too many for numpy"
+        )
+    return n
 
 
 def lp_ratio(f: SpectralField, name: str, param, p: float) -> float:
@@ -190,42 +206,29 @@ def lp_ratio(f: SpectralField, name: str, param, p: float) -> float:
     return num / denom
 
 
-class _AscentState:
-    """Real grids of f and Tf for coordinate ascent, updated a move at a time.
+class _Family:
+    """A sampled scalar family's nonzero fields and what their shared (k, pol)
+    alone fix, for every transform measured on it: the grid `_lp_grid_resolution`
+    sizes with its axes and weights, `tables`, `reps` in (k, pol) order with
+    their `mirror`, and `norms`.  `norm` is the module's one L^p quadrature."""
 
-    Scaling a representative mode moves its conjugate partner too, so the
-    field stays real and each move adds a rank-two real update dg, one BLAS
-    product, to both grids rather than a full resynthesis.  A move writes
-    g + dg, and Tf's grid plus the factor times dg when the transform keeps
-    the mode, into candidate buffers; an accepted move swaps them in, so a
-    rejected one leaves g, gT and the coefficients as they were.  A norm
-    applies the quadrature weights as two products, the last axis's and then
-    the product of the others', not as a weight grid.  Scalar fields only.
-    g and gT are f and its transform, synthesized on the grid
-    `_lp_grid_resolution` sizes for f (the caller has gT from measuring the
-    ratio).
-    """
-
-    def __init__(self, f: SpectralField, name: str, param, p: float, g: GridField, gT: GridField):
-        if f.is_vector:
+    def __init__(self, fields: list, p: float):
+        if any(f.is_vector for f in fields):
             raise ConfigError("coordinate ascent operates on scalar fields")
-        self.operator = f.operator
-        self.p = float(p)
+        f = fields[0]
+        for i, g in enumerate(fields):
+            if not (np.array_equal(g.k, f.k) and np.array_equal(g.pol, f.pol)):
+                raise ConfigError(f"family field {i} does not have the modes (k, pol) of field 0")
+        self.fields = [g for g in fields if g.l2() > 0.0]
+        if not self.fields:
+            raise ConfigError("degenerate family: every sampled field is zero")
+        self.operator, self.k, self.pol, self.p = f.operator, f.k, f.pol, float(p)
         self.res = _lp_grid_resolution(f, p)
-        self.k, self.pol = f.k, f.pol
-        self.values = f.values.copy()
-        self.factors = _factors(f, name, param)  # NaN drops the mode
-        tables = _axis_tables(self.operator, f.k, g.axes)
-        # per mode the factors of the axes before the last, and the
-        # `_re_im_rows` of its last-axis factor
-        self.head_tables = tables[:-1]
-        last, self.last_place = tables[-1]
-        self.last_rows = _re_im_rows(last)
-        # the quadrature weights as the flattened product over the axes
-        # before the last, and the last axis's own
-        *w_head, self.w_last = _axis_weights(g)
+        self.axes = uniform_axes(f.operator.domain, self.res)
+        *w_head, self.w_last = _axis_weights(f.operator.domain, self.axes)
         self.w_head = functools.reduce(np.multiply.outer, w_head, np.ones(1)).reshape(-1)
-        # representatives in (k, polarization) order
+        self.tables = _synthesis_tables(f.operator, f.k, self.axes)
+        self.last_rows = _re_im_rows(self.tables[-1][0])  # [Re; -Im] of the last axis's factors
         reps = np.flatnonzero(_representative_rows(f.k))
         self.reps = reps[np.lexsort((f.pol[reps],) + tuple(f.k[reps, a] for a in reversed(range(f.dim))))]
         if not self.reps.size:
@@ -233,31 +236,20 @@ class _AscentState:
         self.mirror = None if isinstance(f.operator, DirichletLaplacian) else _mirror_rows(f.k, f.pol)
         if self.mirror is not None and np.any(self.mirror[self.reps] < 0):
             raise ConfigError("ascent needs a conjugate-symmetric (real) torus field")
-        self.g = g.values.real.copy()
-        self.gT = gT.values.real.copy()
-        self._next_g = np.empty_like(self.g)
-        self._next_gT = np.empty_like(self.g)
-        self._buf = np.empty_like(self.g)
-        self._norm_g = self.norm(self.g)
-        self._norm_gT = self.norm(self.gT)
+        self._buf = np.empty(tuple(a.size for a in self.axes))
+        self.norms = [self.norm(self.grid(g.values)) for g in self.fields]
 
-    def field(self) -> SpectralField:
-        """The current coefficients as a field."""
-        return SpectralField(self.operator, self.coeffs)
-
-    @property
-    def coeffs(self) -> _Packed:
-        """A copy of the current modes, accepted by SpectralField."""
-        return _Packed(self.k, self.pol, self.values.copy())
+    def grid(self, values: np.ndarray) -> np.ndarray:
+        """The grid of the family's modes with these values."""
+        return _apply_tables(self.operator, self.tables, self.k, values)
 
     def norm(self, grid: np.ndarray) -> float:
-        """The L^p norm of a grid on the ascent's axes, as (g g)^(p/2).
-
-        At p = 4 the power is `np.square`, which equals pow(b, 2.0) bit for
-        bit (both round b b once).  On the 162^2 grid of `truncate`, one
-        core of a 2-core x86-64 host, `np.square` takes about 8 us and
-        `np.power(b, 2.0)` 15-24 us.  Any other p keeps numpy's generic
-        `pow`, a known cost: `np.power(b, 1.5)` for p = 3 takes 90-110 us."""
+        """The L^p norm of a real grid on the family's axes: (u u)^(p/2) times
+        the last axis's weights, then the flattened product of the others'.
+        At p = 4 the power is `np.square`, equal to pow(b, 2.0) bit for bit;
+        on the 162^2 grid of `truncate`, one core of a 2-core x86-64 host, it
+        takes about 8 us, `np.power(b, 2.0)` 15-24 us and p = 3's
+        `np.power(b, 1.5)`, the generic `pow` any other p keeps, 90-110 us."""
         np.multiply(grid, grid, out=self._buf)
         if self.p == 4.0:
             np.square(self._buf, out=self._buf)
@@ -266,6 +258,37 @@ class _AscentState:
         total = self.w_head @ (self._buf.reshape(self.w_head.size, -1) @ self.w_last)
         return float(total ** (1.0 / self.p))
 
+
+class _AscentState:
+    """Real grids of f and Tf for coordinate ascent, updated a move at a time.
+
+    Scaling a representative mode moves its conjugate partner too, so the
+    field stays real and each move adds a rank-two real update dg, one BLAS
+    product, to both grids rather than a full resynthesis.  A move writes
+    g + dg, and Tf's grid plus the factor times dg when the transform keeps
+    the mode, into candidate buffers; an accepted move swaps them in, so a
+    rejected one leaves g, gT and the coefficients as they were.  The axis
+    factors, representatives, mirrors and norm are f's `_Family`'s, and g is
+    applied from its tables; gT, Tf's grid for these `factors`, comes from
+    the caller, who measured the ratio with it, and is the state's now."""
+
+    def __init__(self, family: _Family, f: SpectralField, factors: np.ndarray, gT: np.ndarray):
+        self.family = family
+        self.values = f.values.copy()
+        self.factors = factors  # NaN drops the mode
+        self.g, self.gT = family.grid(f.values), gT
+        self._next_g, self._next_gT = np.empty_like(self.g), np.empty_like(gT)
+        self._norm_g, self._norm_gT = family.norm(self.g), family.norm(gT)
+
+    def field(self) -> SpectralField:
+        """The current coefficients as a field."""
+        return SpectralField(self.family.operator, self.coeffs)
+
+    @property
+    def coeffs(self) -> _Packed:
+        """A copy of the current modes, accepted by SpectralField."""
+        return _Packed(self.family.k, self.family.pol, self.values.copy())
+
     def ratio(self) -> float:
         return -math.inf if self._norm_g == 0.0 else self._norm_gT / self._norm_g
 
@@ -273,19 +296,21 @@ class _AscentState:
         """Scale mode j (and its conjugate partner) by (1+rel) if that lifts
         the ratio above floor.  Returns the ratio of the scaled field; the
         state changes only when it beats floor."""
-        i = self.reps[j]
+        family = self.family
+        i = family.reps[j]
         delta = complex(self.values[i]) * rel
         # a torus mode k != 0, which is not its own mirror, moves its
         # conjugate partner -k as well
-        mirror = None if self.mirror is None or self.mirror[i] == i else self.mirror[i]
+        mirror = None if family.mirror is None or family.mirror[i] == i else family.mirror[i]
         two = 1.0 if mirror is None else 2.0
         # two Re(delta f_1 x ... x f_d): the head delta f_1 x ... x f_(d-1)
         # as [Re, Im] columns times the rows [Re f_d; -Im f_d]
-        rest = [t[place[i]] for t, place in self.head_tables]
+        *head_tables, (_, last_place) = family.tables
+        rest = [t[place[i]] for t, place in head_tables]
         head = np.asarray(functools.reduce(np.multiply.outer, rest, two * delta), dtype=complex)
         g = self._next_g  # dg, and g + dg once Tf's candidate has it
-        last = self.last_rows[self.last_place[i]]
-        np.matmul(head.reshape(-1, 1).view(float), last, out=g.reshape(self.w_head.size, -1))
+        last = family.last_rows[last_place[i]]
+        np.matmul(head.reshape(-1, 1).view(float), last, out=g.reshape(family.w_head.size, -1))
         fac = self.factors[i]
         norm_gT = self._norm_gT
         moves_T = not (math.isnan(fac) or fac == 0.0)
@@ -295,9 +320,9 @@ class _AscentState:
             else:
                 np.multiply(g, fac, out=self._next_gT)
                 self._next_gT += self.gT
-            norm_gT = self.norm(self._next_gT)
+            norm_gT = family.norm(self._next_gT)
         g += self.g
-        norm_g = self.norm(g)
+        norm_g = family.norm(g)
         r = -math.inf if norm_g == 0.0 else norm_gT / norm_g
         if r > floor:
             self.values[i] += delta
@@ -317,7 +342,7 @@ def operator_norm_lower_bound(name: str, p: float, config: ExperimentConfig, par
     decaying to 1%, fixed iteration count).  Returns (NormReport, field).
     """
     _check_ascent_p(p)
-    return _lower_bound(_family_norms(sample_fields(config), p), name, p, config, param)
+    return _lower_bound(_Family(sample_fields(config), p), name, p, config, param)
 
 
 def _check_ascent_p(p: float) -> None:
@@ -325,40 +350,27 @@ def _check_ascent_p(p: float) -> None:
         raise ConfigError(f"p must lie in (1, inf), got {p}")
 
 
-def _family_norms(family: list, p: float) -> list:
-    """(field, resolution, L^p norm) of every nonzero field of a sampled
-    family, on the grid `lp_ratio` uses: each denominator is synthesized
-    once for all the transforms and parameters measured on the family.  The
-    grids themselves are not kept; holding one per field raised the peak
-    memory of a `truncate` run by about 2 MB."""
-    out = []
-    for f in family:
-        if f.l2() > 0.0:
-            res = _lp_grid_resolution(f, p)
-            out.append((f, res, lp_norm(synthesize(f, res), p)))
-    if not out:
-        raise ConfigError("degenerate family: every sampled field is zero")
-    return out
-
-
-def _lower_bound(norms: list, name: str, p: float, config: ExperimentConfig, param):
-    """operator_norm_lower_bound on the `_family_norms` of a sampled family:
-    each ratio is `lp_ratio`'s, and the ascent starts from the best field's
-    transform grid as the ratio computed it."""
-    top = None  # (ratio, field, resolution, grid of Tf); the first of equal ratios wins
-    for f, res, norm in norms:
-        gT = synthesize(apply_named_transform(f, name, param), res)
-        ratio = lp_norm(gT, p) / norm
+def _lower_bound(family: _Family, name: str, p: float, config: ExperimentConfig, param):
+    """operator_norm_lower_bound on a prepared family: one set of factors and
+    one table set of the kept modes give every field's transform grid, and
+    the ascent starts from the best ratio's field and grid."""
+    _check_transform(name)
+    factors = _factors(family.fields[0], name, param)
+    kept = family.k[~np.isnan(factors)]
+    tables = _synthesis_tables(family.operator, kept, family.axes)
+    top = None  # (ratio, field, grid of Tf); the first of equal ratios wins
+    for f, norm in zip(family.fields, family.norms):
+        gT = _apply_tables(family.operator, tables, kept, _scaled(f.values, factors)[1])
+        ratio = family.norm(gT) / norm
         if top is None or ratio > top[0]:
-            top = (ratio, f, res, gT)
-    _, f, res, gT = top
-    st = _AscentState(f, name, param, p, synthesize(f, res), gT)
+            top = (ratio, f, gT)
+    st = _AscentState(family, top[1], factors, top[2])
     best = st.ratio()
     rng = np.random.default_rng(config.seed + 1)
     iters = config.ascent_iters
     for i in range(iters):
         step = 0.10 * 0.1 ** (i / max(iters - 1, 1))  # 10% -> 1%
-        j = int(rng.integers(len(st.reps)))
+        j = int(rng.integers(len(family.reps)))
         sign = 1.0 if rng.random() < 0.5 else -1.0
         best = max(best, st.move(j, sign * step, best))
     report = NormReport(
@@ -366,7 +378,8 @@ def _lower_bound(norms: list, name: str, p: float, config: ExperimentConfig, par
         value=best,
         reference=None,
         params={"transform": name, "param": param, "p": p, "n": param if name in ("spherical", "cubic") else None},
-        meta={"seed": config.seed, "family": config.family, "samples": len(norms), "ascent_iters": iters, "grid": st.res},
+        meta={"seed": config.seed, "family": config.family, "samples": len(family.norms), "ascent_iters": iters,
+              "grid": family.res},
     )
     return report, st.field()
 
@@ -390,11 +403,11 @@ def truncation_experiment(
         ascent_iters=ascent_iters,
     )
     _check_ascent_p(p)
-    norms = _family_norms(sample_fields(config), p)  # seeded: the same family for every (transform, n)
+    family = _Family(sample_fields(config), p)  # seeded: the same family for every (transform, n)
     reports = []
     for name in ("spherical", "cubic"):
         for n in n_list:
-            rep, _ = _lower_bound(norms, name, p, config, int(n))
+            rep, _ = _lower_bound(family, name, p, config, int(n))
             rep.params["n"] = int(n)
             reports.append(rep)
     return reports

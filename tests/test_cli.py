@@ -171,6 +171,17 @@ def test_dirichlet_reach_past_every_double_is_exit_3(tmp_path, capsys):
     assert "\n" not in err.rstrip("\n")
 
 
+def test_a_p_whose_grid_numpy_cannot_address_is_exit_3(tmp_path, capsys):
+    # the grid of 6e300 points per axis used to reach numpy and end in a
+    # ValueError traceback; it is refused before anything is allocated
+    rc = _run(["truncate", "--n-list", "3", "--kmax", "6", "--p", "1e300"], tmp_path)
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "error: accuracy: the L^p grid at p = 1e+300, k_max = 6 needs 6.00e+300 points per axis: too many for numpy\n"
+    )
+    assert not (tmp_path / "truncate.csv").exists()
+
+
 def test_missing_subcommand_is_exit_2(capsys):
     assert run([]) == 2
     assert capsys.readouterr().err.startswith("error: config:")

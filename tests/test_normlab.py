@@ -34,9 +34,18 @@ from eigenapprox import (
     synthesize,
     truncation_experiment,
 )
-from eigenapprox import normlab
+from eigenapprox import fields, normlab
+from eigenapprox.approx import _factors
 from eigenapprox.fields import _Packed
-from eigenapprox.normlab import _AscentState, _lp_grid_resolution, _near_extremal_coeffs
+from eigenapprox.normlab import (
+    FAMILIES,
+    TRANSFORMS,
+    _AscentState,
+    _Family,
+    _lower_bound,
+    _lp_grid_resolution,
+    _near_extremal_coeffs,
+)
 
 
 def _config(**kw):
@@ -277,14 +286,111 @@ def test_near_extremal_family_matches_per_mode_loop(kmax):
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
-def test_truncation_experiment_synthesizes_each_denominator_once(monkeypatch):
-    # per family field one denominator grid for the whole experiment; per
-    # (transform, n) one transform grid per field, which the ascent starts
-    # from, and the best field's own grid once more for the ascent
+def test_truncation_experiment_builds_tables_once_per_family(monkeypatch):
+    # one table set for the family's modes, which gives every field's grid
+    # and the ascent's axis factors, and one per (transform, n) for the
+    # modes the transform keeps; nothing is synthesized field by field
     calls = []
-    monkeypatch.setattr(normlab, "synthesize", lambda f, res: calls.append(res) or synthesize(f, res))
+    real = fields._axis_tables
+    monkeypatch.setattr(fields, "_axis_tables", lambda *a: calls.append(a[1].shape) or real(*a))
+    monkeypatch.setattr(normlab, "synthesize", None)
     truncation_experiment(n_list=(2, 3), p=4.0, kmax=6, seed=0, n_samples=2, ascent_iters=10)
-    assert len(calls) == 2 + 2 * 2 * (2 + 1)
+    assert len(calls) == 1 + 2 * 2
+
+
+# the sampled families the transform grids are checked on: the
+# near-extremal and a random-smooth 2-torus family, and a random-smooth
+# Dirichlet box family
+_FAMILY_CONFIGS = {
+    "near-extremal": dict(lambda_max=36.0, family="near-extremal", n_samples=3),
+    "torus2": dict(lambda_max=16.0, n_samples=3),
+    "box2": dict(operator=DirichletLaplacian(Box((math.pi, 2.0))), lambda_max=30.0, n_samples=3),
+}
+_TRANSFORM_PARAMS = {"identity": None, "semigroup": 0.1, "pi_theta": 0.3, "spherical": 2, "cubic": 3}
+
+
+@pytest.mark.parametrize("p", [3.0, 4.0])
+@pytest.mark.parametrize("name", TRANSFORMS)
+@pytest.mark.parametrize("family_name", sorted(_FAMILY_CONFIGS))
+def test_transform_grids_from_the_family_tables_are_the_synthesized_ones(family_name, name, p, monkeypatch):
+    # each field's transform grid, applied from the one table set of the
+    # kept modes, and the start field's own grid, applied from the family's,
+    # are synthesize's grids bit for bit
+    config = _config(ascent_iters=0, **_FAMILY_CONFIGS[family_name])
+    family = _Family(sample_fields(config), p)
+    param = _TRANSFORM_PARAMS[name]
+    if name in ("spherical", "cubic") and family_name == "box2":
+        with pytest.raises(ConfigError, match="Fourier truncations are defined for torus fields"):
+            apply_named_transform(family.fields[0], name, param)
+        with pytest.raises(ConfigError, match="Fourier truncations are defined for torus fields"):
+            _lower_bound(family, name, p, config, param)
+        return
+    grids = []
+    real = normlab._apply_tables
+    monkeypatch.setattr(normlab, "_apply_tables", lambda *a: grids.append(real(*a)) or grids[-1])
+    _, start = _lower_bound(family, name, p, config, param)
+    assert len(grids) == len(family.fields) + 1
+    for f, got in zip(family.fields, grids):
+        assert np.array_equal(got, synthesize(apply_named_transform(f, name, param), family.res).values)
+    assert np.array_equal(grids[-1], synthesize(start, family.res).values)
+
+
+@pytest.mark.parametrize("p", [3.0, 4.0])
+@pytest.mark.parametrize("name", ["spherical", "cubic"])
+def test_the_start_field_is_the_first_best_lp_norm_ratio(name, p):
+    # the family norms and start-field ratios take the module's quadrature;
+    # over criterion 11's n-list the ascent must still start from the first
+    # field of best lp_norm ratio, as it did when the ratios were lp_norm's
+    for seed in range(20):
+        config = ExperimentConfig(
+            operator=TorusLaplacian(Torus(2)), lambda_max=144.0, family="near-extremal", n_samples=4, seed=seed,
+            ascent_iters=0,
+        )
+        family = _Family(sample_fields(config), p)
+        for n in (4, 8, 12, 16, 20, 24, 28, 32):
+            ratios = [
+                lp_norm(synthesize(apply_named_transform(f, name, n), family.res), p)
+                / lp_norm(synthesize(f, family.res), p)
+                for f in family.fields
+            ]
+            _, start = _lower_bound(family, name, p, config, n)
+            assert np.array_equal(start.values, family.fields[int(np.argmax(ratios))].values), (seed, n)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        dict(),
+        dict(operator=DirichletLaplacian(Box((math.pi, 2.0))), lambda_max=30.0),
+        dict(operator=DirichletLaplacian(Box((math.pi, 2.0))), lambda_max=30.0, family="boundary-bump"),
+        dict(lambda_max=25.0, family="near-extremal"),
+    ],
+    ids=["random-smooth-torus2", "random-smooth-box2", "boundary-bump-box2", "near-extremal-torus2"],
+)
+def test_every_family_shares_its_modes(config):
+    assert set(FAMILIES) == {"random-smooth", "boundary-bump", "near-extremal"}  # each is covered here
+    fields_ = sample_fields(_config(**config))
+    assert len(fields_) == 4
+    for f in fields_:
+        assert np.array_equal(f.k, fields_[0].k) and np.array_equal(f.pol, fields_[0].pol)
+    assert len(_Family(fields_, 4.0).norms) == 4
+
+
+def test_a_family_of_fields_with_other_modes_is_refused():
+    op = TorusLaplacian(Torus(2))
+    a, b = (random_field(op, 16.0, np.random.default_rng(seed), n_modes=5) for seed in (0, 1))
+    assert not np.array_equal(a.k, b.k)
+    with pytest.raises(ConfigError, match=r"^family field 1 does not have the modes \(k, pol\) of field 0$"):
+        _Family([a, b], 4.0)
+    with pytest.raises(ConfigError, match=r"^family field 2 does not have the modes \(k, pol\) of field 0$"):
+        _Family([a, a, b], 4.0)
+
+
+def test_a_vector_family_is_refused_before_any_synthesis(monkeypatch):
+    monkeypatch.setattr(fields, "_axis_tables", None)
+    monkeypatch.setattr(normlab, "synthesize", None)
+    with pytest.raises(ConfigError, match="coordinate ascent operates on scalar fields"):
+        operator_norm_lower_bound("semigroup", 4.0, _config(operator=TorusStokes(Torus(2))), param=0.1)
 
 
 def test_truncation_experiment_small_run_deterministic():
@@ -299,6 +405,13 @@ def test_truncation_experiment_small_run_deterministic():
         ("cubic", 3),
     ]
     assert all(r.value > 0 for r in a)
+
+
+def _ascent(f, name, param, p):
+    """The ascent state `_lower_bound` starts on the one-field family of f."""
+    family = _Family([f], p)
+    gT = synthesize(apply_named_transform(f, name, param), family.res).values
+    return _AscentState(family, f, _factors(f, name, param), gT)
 
 
 # name -> (operator, p): the head/last split of a move at d = 1, 2, 3, and
@@ -340,15 +453,14 @@ def test_ascent_grids_match_fresh_synthesis(op_name, lambda_max, name, param):
     # a floor of -inf forces a move in, +inf forces it out
     op, p = _ASCENT_OPS[op_name]
     f = random_field(op, lambda_max, np.random.default_rng(11), decay=1.0)
-    res = _lp_grid_resolution(f, p)
-    state = _AscentState(f, name, param, p, synthesize(f, res), synthesize(apply_named_transform(f, name, param), res))
+    state = _ascent(f, name, param, p)
     rng = np.random.default_rng(12)
     for _ in range(40):
-        j, rel = int(rng.integers(len(state.reps))), float(rng.uniform(-0.3, 0.3))
+        j, rel = int(rng.integers(len(state.family.reps))), float(rng.uniform(-0.3, 0.3))
         state.move(j, rel, math.inf if rng.random() < 0.4 else -math.inf)
     current = SpectralField(op, state.coeffs)
-    g = synthesize(current, state.res).values.real
-    gT = synthesize(apply_named_transform(current, name, param), state.res).values.real
+    g = synthesize(current, state.family.res).values.real
+    gT = synthesize(apply_named_transform(current, name, param), state.family.res).values.real
     assert np.max(np.abs(state.g - g)) <= 1e-12 * np.max(np.abs(g))
     assert np.max(np.abs(state.gT - gT)) <= 1e-12 * np.max(np.abs(gT))
     assert state.ratio() == pytest.approx(lp_ratio(current, name, param, p), rel=1e-12, abs=0.0)
@@ -359,13 +471,11 @@ def test_rejected_move_leaves_the_state_bit_identical():
     # the grids off their start at roundoff
     op = TorusLaplacian(Torus(2))
     f = random_field(op, 16.0, np.random.default_rng(11), decay=1.0)
-    res = _lp_grid_resolution(f, 4.0)
-    gT = synthesize(apply_named_transform(f, "spherical", 2), res)
-    state = _AscentState(f, "spherical", 2, 4.0, synthesize(f, res), gT)
+    state = _ascent(f, "spherical", 2, 4.0)
     start = (state.g.copy(), state.gT.copy(), state.values.copy(), state.ratio())
     rng = np.random.default_rng(12)
     for _ in range(40):
-        r = state.move(int(rng.integers(len(state.reps))), float(rng.uniform(-0.3, 0.3)), math.inf)
+        r = state.move(int(rng.integers(len(state.family.reps))), float(rng.uniform(-0.3, 0.3)), math.inf)
         assert math.isfinite(r)
     assert np.array_equal(state.g, start[0])
     assert np.array_equal(state.gT, start[1])
@@ -388,15 +498,15 @@ _NORM_OPS = [TorusLaplacian(Torus(d)) for d in (1, 2, 3)] + [
     scale=st.floats(1e-3, 1e3),
 )
 def test_ascent_norm_matches_lp_norm(op, p, seed, scale):
-    # the weights enter the ascent's norm as two products, lp_norm's as one
-    # weight grid; both must be the same quadrature
+    # the weights enter the module's one quadrature, which the family norms,
+    # the start-field ratios and the ascent share, as two products, and
+    # lp_norm's as one weight grid; both must be the same quadrature
     lam = 30.0 if isinstance(op, DirichletLaplacian) else 9.0
     f = random_field(op, lam, np.random.default_rng(seed), n_modes=4)
-    g = synthesize(f, _lp_grid_resolution(f, p))
-    state = _AscentState(f, "identity", None, p, g, g)
-    grid = scale * np.random.default_rng(seed).standard_normal(g.values.shape)
-    want = lp_norm(GridField(g.domain, g.axes, grid), p)
-    assert state.norm(grid) == pytest.approx(want, rel=1e-13, abs=0.0)
+    family = _Family([f], p)
+    grid = scale * np.random.default_rng(seed).standard_normal(tuple(a.size for a in family.axes))
+    want = lp_norm(GridField(op.domain, family.axes, grid), p)
+    assert family.norm(grid) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize(
@@ -410,19 +520,19 @@ def test_ascent_accepts_exactly_when_a_fresh_ratio_beats_the_best(op, lambda_max
     # each move is judged against lp_ratio of the scaled field synthesized
     # afresh; moves whose two ratios agree to roundoff may go either way
     f = random_field(op, lambda_max, np.random.default_rng(21), decay=1.0)
-    res = _lp_grid_resolution(f, p)
-    state = _AscentState(f, name, param, p, synthesize(f, res), synthesize(apply_named_transform(f, name, param), res))
+    state = _ascent(f, name, param, p)
+    k, pol = state.family.k, state.family.pol
     best = state.ratio()
     rng = np.random.default_rng(22)
     judged = accepted = 0
     for _ in range(60):
-        j, rel = int(rng.integers(len(state.reps))), float(rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 0.1))
-        i = state.reps[j]
+        j, rel = int(rng.integers(len(state.family.reps))), float(rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 0.1))
+        i = state.family.reps[j]
         values = state.values.copy()
         values[i] += values[i] * rel
-        if isinstance(op, TorusLaplacian) and state.k[i].any():
-            values[np.all(state.k == -state.k[i], axis=1)] = np.conj(values[i])
-        fresh = lp_ratio(SpectralField(op, _Packed(state.k, state.pol, values)), name, param, p)
+        if isinstance(op, TorusLaplacian) and k[i].any():
+            values[np.all(k == -k[i], axis=1)] = np.conj(values[i])
+        fresh = lp_ratio(SpectralField(op, _Packed(k, pol, values)), name, param, p)
         r = state.move(j, rel, best)
         assert r == pytest.approx(fresh, rel=1e-12, abs=0.0)
         if abs(fresh - best) > 1e-12 * best:

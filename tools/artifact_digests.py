@@ -36,6 +36,9 @@ JOBS = (
     ("h00", ["h00", "--profile", "bump", "--levels", "6"]),
     ("truncate", ["truncate", "--n-list", "4,16", "--plot"]),
     ("truncate-p3", ["truncate", "--n-list", "4", "--p", "3", "--kmax", "12", "--iters", "100"]),
+    # an empty kept set (n = 0, a zero transform grid), every mode kept (n = 6)
+    # and a one-field family
+    ("truncate-edges", ["truncate", "--n-list", "0,6", "--kmax", "6", "--samples", "1", "--iters", "20"]),
     ("cbf-2d", ["cbf", "--d", "2", "--N", "32", "--T", "0.05", "--save-traj", "--plot"]),
     ("cbf-3d", ["cbf", "--d", "3", "--N", "16", "--beta", "1", "--T", "0.02", "--save-traj"]),
     ("cbf-3d-r3", ["cbf", "--d", "3", "--N", "16", "--beta", "1", "--r", "3", "--T", "0.02", "--save-traj"]),
