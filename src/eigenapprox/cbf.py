@@ -57,6 +57,7 @@ import functools
 import json
 import math
 import os
+import sys
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -88,6 +89,8 @@ class CBFParams:
     snapshot_every: int = 10
 
     def __post_init__(self):
+        for key in ("mu", "beta", "r", "dt", "t_final"):
+            _check_finite(key, getattr(self, key))
         if not self.mu > 0:
             raise ConfigError(f"viscosity must be positive, got {self.mu}")
         if self.beta < 0:
@@ -124,6 +127,13 @@ class CBFParams:
             "t_final": self.t_final,
             "snapshot_every": self.snapshot_every,
         }
+
+
+def _check_finite(key: str, value) -> None:
+    # the comparison fails for NaN, an infinity and an int beyond the
+    # doubles (on which math.isfinite would raise OverflowError)
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{key} must be finite, got {value}")
 
 
 @functools.lru_cache(maxsize=32)
@@ -530,6 +540,7 @@ def taylor_green(params: CBFParams, amplitude: float = 1.0) -> CBFState:
     just decays as e^{-2 mu t} per component (energy rate 4 mu)."""
     if params.dim != 2:
         raise ConfigError("the Taylor-Green initial state is two-dimensional")
+    _check_finite("amplitude", amplitude)
     n = params.resolution
     x = np.arange(n) * (TWO_PI / n)
     X, Y = np.meshgrid(x, x, indexing="ij")
@@ -547,6 +558,7 @@ def random_divergence_free_state(params: CBFParams, kmax_init: int = 2, amplitud
         raise ConfigError(f"kmax_init must lie in [1, {params.dealias_kmax}]")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
+    _check_finite("amplitude", amplitude)
     rng = np.random.default_rng(seed)
     n, dim, kmax = params.resolution, params.dim, params.dealias_kmax
     nb = 2 * kmax + 1

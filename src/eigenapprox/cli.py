@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from . import approx, cbf, interpolation, normlab, reports, serialize
+from . import approx, cbf, interpolation, normlab, reports, serialize, svgplot
 from .domains import Box, DirichletLaplacian, Interval, ModeIndex, Torus, TorusLaplacian, TorusStokes, _mode_table
 from .errors import AccuracyError, ConfigError, ResourceLimitError, ToolkitError
 from .fields import SpectralField, random_field
@@ -55,14 +55,29 @@ def _comma_list(cfg: dict, key: str) -> list:
         raise ConfigError(f"{key} must be a comma-separated list of {convert.__name__}s, got {cfg[key]!r}") from None
     if not vals:
         raise ConfigError(f"empty {key} list")
+    if not all(map(math.isfinite, vals)):
+        raise ConfigError(f"{key} elements must be finite, got {cfg[key]!r}")
     return vals
 
 
-def _load_or_sample_field(cfg: dict, op):
-    if cfg.get("field"):
+def _load_or_sample_field(cfg: dict):
+    op = _make_operator(cfg)
+    if cfg["field"]:
         return serialize.spectral_field_from_csv(cfg["field"], op)
     rng = np.random.default_rng(cfg["seed"])
-    return random_field(op, cfg["lambda_max"], rng, n_modes=cfg.get("n_modes"), decay=cfg.get("decay", 0.0))
+    return random_field(op, cfg["lambda_max"], rng, n_modes=cfg["n_modes"], decay=cfg["decay"])
+
+
+def _plot(cfg: dict, out_dir: str, name: str, series, **labels) -> list:
+    """Draw `<name>.svg` from `series()` (label, xs, ys) triples when --plot
+    is set, so nothing is computed for a plot without it; the names written."""
+    if not cfg["plot"]:
+        return []
+    try:
+        svgplot.line_plot(os.path.join(out_dir, f"{name}.svg"), series(), **labels)
+    except ConfigError as e:
+        raise ConfigError(f"{name}.svg: {e}") from None
+    return [f"{name}.svg"]
 
 
 # ---------------------------------------------------------------------------
@@ -81,13 +96,12 @@ def _run_modes(cfg: dict, out_dir: str) -> list:
 
 def _run_approx(cfg: dict, out_dir: str) -> list:
     """semigroup / damped-truncation error vs its bound"""
-    op = _make_operator(cfg)
-    f = _load_or_sample_field(cfg, op)
+    f = _load_or_sample_field(cfg)
     alpha, beta = cfg["alpha"], cfg["beta"]
     if beta > alpha and cfg["transform"] == "pi-theta":
         raise ConfigError(f"the truncation estimate needs alpha >= beta, got ({alpha}, {beta})")
     rows = []
-    lam1 = op.lambda_min()
+    lam1 = f.operator.lambda_min()
     norm_beta = approx.fractional_norm(f, beta)
     for theta in _comma_list(cfg, "theta"):
         if not theta > 0:
@@ -103,33 +117,24 @@ def _run_approx(cfg: dict, out_dir: str) -> list:
         rows.append(reports.NormReport(quantity, value, reference=bound, params={"theta": theta}))
     reports.write_reports_csv(os.path.join(out_dir, "approx.csv"), rows)
     outputs = ["approx.csv"]
-    if cfg.get("emit_field"):
+    if cfg["emit_field"]:
         t0 = _comma_list(cfg, "theta")[0]
         g = approx.pi_theta(f, t0) if cfg["transform"] == "pi-theta" else approx.semigroup_apply(f, t0)
         serialize.spectral_field_to_csv(g, os.path.join(out_dir, "field_out.csv"))
         outputs.append("field_out.csv")
-    if cfg.get("plot"):
-        from .svgplot import line_plot
-
-        thetas = [r.params["theta"] for r in rows]
-        line_plot(
-            os.path.join(out_dir, "approx.svg"),
-            [("measured", thetas, [r.value for r in rows]), ("bound", thetas, [r.reference for r in rows])],
-            title=rows[0].quantity,
-            xlabel="theta",
-            ylabel="D(A^alpha) norm",
-            logx=True,
-            logy=True,
-        )
-        outputs.append("approx.svg")
-    return outputs
+    thetas = [r.params["theta"] for r in rows]
+    return outputs + _plot(
+        cfg, out_dir, "approx",
+        lambda: [("measured", thetas, [r.value for r in rows]), ("bound", thetas, [r.reference for r in rows])],
+        title=rows[0].quantity, xlabel="theta", ylabel="D(A^alpha) norm", logx=True, logy=True,
+    )
 
 
 def _run_interp(cfg: dict, out_dir: str) -> list:
     """interpolation-norm identities and I(theta) checks"""
     thetas = _comma_list(cfg, "theta")
     rows = []
-    if cfg.get("check_itheta"):
+    if cfg["check_itheta"]:
         for theta in thetas:
             rows.append(
                 reports.NormReport(
@@ -140,10 +145,9 @@ def _run_interp(cfg: dict, out_dir: str) -> list:
                 )
             )
     else:
-        op = _make_operator(cfg)
-        f = _load_or_sample_field(cfg, op)
+        f = _load_or_sample_field(cfg)
         for theta in thetas:
-            if cfg.get("reiteration"):
+            if cfg["reiteration"]:
                 rows.extend(interpolation.reiteration_check(f, theta))
             else:
                 q = interpolation.InterpolationQuery.auto(f, theta)
@@ -151,19 +155,11 @@ def _run_interp(cfg: dict, out_dir: str) -> list:
                 ref = math.sqrt(interpolation.i_theta(theta)) * approx.fractional_norm(f, theta)
                 rows.append(reports.NormReport("interpolation_norm", value, reference=ref, params={"theta": theta}))
     reports.write_reports_csv(os.path.join(out_dir, "interp.csv"), rows)
-    outputs = ["interp.csv"]
-    if cfg.get("plot"):
-        from .svgplot import line_plot
-
-        line_plot(
-            os.path.join(out_dir, "interp.svg"),
-            [(rows[0].quantity, [r.params["theta"] for r in rows], [r.ratio if r.ratio is not None else math.nan for r in rows])],
-            title="value / reference",
-            xlabel="theta",
-            ylabel="ratio",
-        )
-        outputs.append("interp.svg")
-    return outputs
+    return ["interp.csv"] + _plot(
+        cfg, out_dir, "interp",
+        lambda: [(rows[0].quantity, [r.params["theta"] for r in rows], [math.nan if r.ratio is None else r.ratio for r in rows])],
+        title="value / reference", xlabel="theta", ylabel="ratio",
+    )
 
 
 def _run_h00(cfg: dict, out_dir: str) -> list:
@@ -177,26 +173,18 @@ def _run_h00(cfg: dict, out_dir: str) -> list:
     report = interpolation.h00_weighted_norm(u, domain, levels=cfg["levels"])
     rows = [[lvl, val, report.diverging] for lvl, val in enumerate(report.values)]
     reports.write_table_csv(os.path.join(out_dir, "h00.csv"), ("level", "value", "diverging"), rows)
-    outputs = ["h00.csv"]
-    if cfg.get("plot"):
-        from .svgplot import line_plot
-
-        line_plot(
-            os.path.join(out_dir, "h00.svg"),
-            [("weighted norm", list(range(len(report.values))), list(report.values))],
-            title="boundary-weighted norm vs refinement level",
-            xlabel="level",
-            ylabel="integral",
-            logy=True,
-        )
-        outputs.append("h00.svg")
-    return outputs
+    return ["h00.csv"] + _plot(
+        cfg, out_dir, "h00",
+        lambda: [("weighted norm", list(range(len(report.values))), list(report.values))],
+        title="boundary-weighted norm vs refinement level", xlabel="level", ylabel="integral", logy=True,
+    )
 
 
 def _run_truncate(cfg: dict, out_dir: str) -> list:
     """spherical vs cubic truncation L^p ratio experiment"""
+    n_list = _comma_list(cfg, "n_list")
     rows = normlab.truncation_experiment(
-        n_list=tuple(_comma_list(cfg, "n_list")),
+        n_list=tuple(n_list),
         p=cfg["p"],
         kmax=cfg["kmax"],
         seed=cfg["seed"],
@@ -204,24 +192,11 @@ def _run_truncate(cfg: dict, out_dir: str) -> list:
         ascent_iters=cfg["iters"],
     )
     reports.write_reports_csv(os.path.join(out_dir, "truncate.csv"), rows, param_keys=("n",))
-    outputs = ["truncate.csv"]
-    if cfg.get("plot"):
-        from .svgplot import line_plot
-
-        series = []
-        for name in ("spherical_Lp_ratio", "cubic_Lp_ratio"):
-            sub = [r for r in rows if r.quantity == name]
-            if sub:
-                series.append((name.split("_")[0], [r.params["n"] for r in sub], [r.value for r in sub]))
-        line_plot(
-            os.path.join(out_dir, "truncate.svg"),
-            series,
-            title=f"truncation L^{cfg['p']:g} ratio lower bounds",
-            xlabel="n",
-            ylabel="ratio",
-        )
-        outputs.append("truncate.svg")
-    return outputs
+    return ["truncate.csv"] + _plot(
+        cfg, out_dir, "truncate",  # the experiment reports each truncation at every n, in order
+        lambda: [(name, n_list, [r.value for r in rows if r.quantity == f"{name}_Lp_ratio"]) for name in ("spherical", "cubic")],
+        title=f"truncation L^{cfg['p']:g} ratio lower bounds", xlabel="n", ylabel="ratio",
+    )
 
 
 def _run_cbf(cfg: dict, out_dir: str) -> list:
@@ -236,7 +211,7 @@ def _run_cbf(cfg: dict, out_dir: str) -> list:
         t_final=cfg["T"],
         snapshot_every=cfg["snapshot_every"],
     )
-    if cfg.get("taylor_green"):
+    if cfg["taylor_green"]:
         initial = cbf.taylor_green(params, amplitude=cfg["amplitude"])
     else:
         initial = cbf.random_divergence_free_state(
@@ -251,23 +226,14 @@ def _run_cbf(cfg: dict, out_dir: str) -> list:
     rows = [led.csv_row() for led in cbf.energy_ledgers(traj, [times[i] for i in idx])]
     reports.write_table_csv(os.path.join(out_dir, "ledger.csv"), cbf.EnergyLedger.CSV_HEADER, rows)
     outputs = ["ledger.csv"]
-    if cfg.get("save_traj"):
+    if cfg["save_traj"]:
         cbf.save_trajectory(traj, os.path.join(out_dir, "trajectory"))
         outputs += [os.path.join("trajectory", "manifest.json"), os.path.join("trajectory", "trajectory.npz")]
-    if cfg.get("plot"):
-        from .svgplot import line_plot
-
-        energies = [cbf.state_energy(s, params) for s in traj.states]
-        line_plot(
-            os.path.join(out_dir, "cbf.svg"),
-            [("kinetic energy", list(times), energies)],
-            title="energy decay",
-            xlabel="t",
-            ylabel="|| u ||^2",
-            logy=True,
-        )
-        outputs.append("cbf.svg")
-    return outputs
+    return outputs + _plot(
+        cfg, out_dir, "cbf",
+        lambda: [("kinetic energy", list(times), [cbf.state_energy(s, params) for s in traj.states])],
+        title="energy decay", xlabel="t", ylabel="|| u ||^2", logy=True,
+    )
 
 
 def _run_report(cfg: dict, out_dir: str) -> list:
@@ -318,21 +284,20 @@ _HANDLERS = {
     "report": _run_report,
 }
 
+# the operator options (`_make_operator`) and the field options
+# (`_load_or_sample_field`) of the subcommands that take them
+_OPERATOR = {"op": "dirichlet-interval", "L": math.pi, "lengths": "3.141592653589793,3.141592653589793", "d": 2, "lambda_max": 64.0}
+_FIELD = {"n_modes": None, "decay": 0.0, "seed": 0, "field": None}
+
 # the one option schema: the --config keys, the flags (`--` plus the key with
 # `-` for `_`), the kind every value must have (the type of its default) and
-# the manifest echo
+# the manifest echo; an override keeps its key's place
 _DEFAULTS = {
-    "modes": {"op": "dirichlet-interval", "L": math.pi, "lengths": "3.141592653589793,3.141592653589793", "d": 2, "lambda_max": 64.0},
+    "modes": _OPERATOR,
     "approx": {
+        **_OPERATOR,
         "op": "torus",
-        "L": math.pi,
-        "lengths": "3.141592653589793,3.141592653589793",
-        "d": 2,
-        "lambda_max": 64.0,
-        "n_modes": None,
-        "decay": 0.0,
-        "seed": 0,
-        "field": None,
+        **_FIELD,
         "transform": "pi-theta",
         "theta": "0.5",
         "alpha": 0.5,
@@ -341,15 +306,9 @@ _DEFAULTS = {
         "plot": False,
     },
     "interp": {
-        "op": "dirichlet-interval",
-        "L": math.pi,
-        "lengths": "3.141592653589793,3.141592653589793",
-        "d": 2,
-        "lambda_max": 64.0,
+        **_OPERATOR,
+        **_FIELD,
         "n_modes": 10,
-        "decay": 0.0,
-        "seed": 0,
-        "field": None,
         "theta": "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9",
         "check_itheta": False,
         "reiteration": False,
@@ -430,9 +389,10 @@ def _build_parser() -> _Parser:
 
 def _check_value(name: str, key: str, v) -> None:
     """Refuse a value, from a flag or the config file, that does not have its
-    option's kind, lies outside its choices or is a count below its least
-    value (_LEAST, else 0); every integer option counts something.  Values
-    are not converted, so the manifest echoes them as given."""
+    option's kind, is a number no finite double holds, lies outside its
+    choices or is a count below its least value (_LEAST, else 0); every
+    integer option counts something.  Values are not converted, so the
+    manifest echoes them as given."""
     if v is None and key in _NONE_KINDS:
         return
     kind = _kind(name, key)
@@ -443,6 +403,8 @@ def _check_value(name: str, key: str, v) -> None:
         or (kind is list and not all(isinstance(x, str) for x in v))
     ):
         raise ConfigError(f"{key} must be {what}, got {v!r}")
+    if kind is float and not abs(v) <= sys.float_info.max:  # NaN, an infinity or an int beyond a double
+        raise ConfigError(f"{key} must be a finite number, got {v!r}")
     if key in _CHOICES and v not in _CHOICES[key]:
         raise ConfigError(f"{key} must be one of {_CHOICES[key]}, got {v!r}")
     if kind is int and v < _LEAST.get(key, 0):
@@ -456,7 +418,7 @@ def _resolve_config(ns: argparse.Namespace) -> dict:
         with open(ns.config) as fh:
             try:
                 loaded = json.load(fh)
-            except json.JSONDecodeError as e:
+            except ValueError as e:  # a JSONDecodeError, or an integer beyond Python's digit limit
                 raise ConfigError(f"{ns.config}: invalid JSON ({e})") from e
         if not isinstance(loaded, dict):
             raise ConfigError(f"{ns.config}: top-level JSON object expected")

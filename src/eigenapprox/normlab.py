@@ -394,6 +394,8 @@ def truncation_experiment(
 ) -> list:
     """Spherical vs cubic truncation L^p ratio sequences on the 2-torus,
     measured on the near-extremal family.  Reported, not asserted."""
+    if kmax < 1:
+        raise ConfigError(f"kmax must be >= 1, got {kmax}")
     config = ExperimentConfig(
         operator=TorusLaplacian(Torus(2)),
         lambda_max=float(kmax * kmax),

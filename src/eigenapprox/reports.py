@@ -58,19 +58,14 @@ def format_cell(x) -> str:
 
 
 def write_reports_csv(path, reports, param_keys=("theta",)) -> None:
-    """Write rows `quantity, <param_keys...>, value, reference, ratio`.
-
-    Rows are written in the order given; callers sort beforehand when a
-    deterministic order is not already guaranteed by construction.
-    """
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["quantity", *param_keys, "value", "reference", "ratio"])
-        for r in reports:
-            row = [r.quantity]
-            row += [format_cell(r.params.get(k)) for k in param_keys]
-            row += [format_number(r.value), format_number(r.reference), format_number(r.ratio)]
-            w.writerow(row)
+    """Write rows `quantity, <param_keys...>, value, reference, ratio` in the
+    order given (callers sort when construction does not fix the order).  The
+    measured columns go through format_number: a numpy integer 3 is `3.0`."""
+    rows = (
+        [r.quantity, *(r.params.get(k) for k in param_keys), *map(format_number, (r.value, r.reference, r.ratio))]
+        for r in reports
+    )
+    write_table_csv(path, ["quantity", *param_keys, "value", "reference", "ratio"], rows)
 
 
 def write_table_csv(path, header, rows) -> None:

@@ -65,23 +65,17 @@ def line_plot(
     Log axes drop nonpositive points; an axis with no plottable data is a
     configuration error.
     """
-    pts_all = []
+    kept = []  # each series' plottable points: finite, and positive on a log axis
     for _, xs, ys in series:
         if len(xs) != len(ys):
             raise ConfigError("series x and y lengths differ")
-        for x, y in zip(xs, ys):
-            x, y = float(x), float(y)
-            if not (math.isfinite(x) and math.isfinite(y)):
-                continue
-            if (logx and x <= 0) or (logy and y <= 0):
-                continue
-            pts_all.append((x, y))
+        pts = [(x, y) for x, y in ((float(x), float(y)) for x, y in zip(xs, ys)) if math.isfinite(x) and math.isfinite(y)]
+        kept.append([(x, y) for x, y in pts if not (logx and x <= 0 or logy and y <= 0)])
+    pts_all = [p for pts in kept for p in pts]
     if not pts_all:
         raise ConfigError("nothing to plot (all points filtered)")
-    xlo = min(p[0] for p in pts_all)
-    xhi = max(p[0] for p in pts_all)
-    ylo = min(p[1] for p in pts_all)
-    yhi = max(p[1] for p in pts_all)
+    xlo, xhi = min(x for x, _ in pts_all), max(x for x, _ in pts_all)
+    ylo, yhi = min(y for _, y in pts_all), max(y for _, y in pts_all)
     if logx:
         xlo, xhi = xlo / 1.2, xhi * 1.2
     else:
@@ -124,22 +118,14 @@ def line_plot(
         out.append(f'<line x1="{px0 - 5}" y1="{y:.2f}" x2="{px0}" y2="{y:.2f}" stroke="#333"/>')
         out.append(f'<line x1="{px0}" y1="{y:.2f}" x2="{px1}" y2="{y:.2f}" stroke="#ddd"/>')
         out.append(f'<text x="{px0 - 8}" y="{y + 4:.2f}" text-anchor="end">{_fmt_tick(t, logy)}</text>')
-    for i, (label, xs, ys) in enumerate(series):
-        color = _COLORS[i % len(_COLORS)]
-        pts = []
-        for x, y in zip(xs, ys):
-            x, y = float(x), float(y)
-            if not (math.isfinite(x) and math.isfinite(y)):
-                continue
-            if (logx and x <= 0) or (logy and y <= 0):
-                continue
-            pts.append(f"{sx(x):.2f},{sy(y):.2f}")
+    for i, ((label, _, _), pts) in enumerate(zip(series, kept)):
         if not pts:
             continue
-        out.append(f'<polyline points="{" ".join(pts)}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        for p in pts:
-            cx, cy = p.split(",")
-            out.append(f'<circle cx="{cx}" cy="{cy}" r="2.5" fill="{color}"/>')
+        color = _COLORS[i % len(_COLORS)]
+        xy = [(f"{sx(x):.2f}", f"{sy(y):.2f}") for x, y in pts]
+        points = " ".join(f"{cx},{cy}" for cx, cy in xy)
+        out.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>')
+        out.extend(f'<circle cx="{cx}" cy="{cy}" r="2.5" fill="{color}"/>' for cx, cy in xy)
         ly = py0 + 14 + 14 * i
         out.append(f'<line x1="{px1 - 130}" y1="{ly - 4}" x2="{px1 - 110}" y2="{ly - 4}" stroke="{color}" stroke-width="1.5"/>')
         out.append(f'<text x="{px1 - 104}" y="{ly}">{_escape(label)}</text>')

@@ -71,6 +71,13 @@ def test_params_validation():
     ):
         with pytest.raises(ConfigError):
             _params(**bad)
+    # non-finite values, an int beyond the doubles included, are refused by name
+    for key, value in (("mu", math.inf), ("beta", math.nan), ("r", math.inf), ("dt", math.nan), ("t_final", 10**400)):
+        with pytest.raises(ConfigError, match=f"^{key} must be finite"):
+            _params(**{key: value})
+    for make in (taylor_green, random_divergence_free_state):
+        with pytest.raises(ConfigError, match="^amplitude must be finite"):
+            make(_params(), amplitude=math.nan)
 
 
 def test_dealias_cutoff_tightens_with_absorption():

@@ -279,16 +279,24 @@ def test_report_header_mismatch_is_exit_2(tmp_path, capsys):
     assert "does not match" in capsys.readouterr().err
 
 
-def test_plot_flag_writes_svg(tmp_path):
-    rc = _run(
-        ["approx", "--op", "torus", "--d", "2", "--lambda-max", "20", "--theta", "0.2,0.4,0.8", "--plot"],
-        tmp_path,
-    )
-    assert rc == 0
-    svg = (tmp_path / "approx.svg").read_text()
+PLOTS = {
+    "approx": ["--op", "torus", "--d", "2", "--lambda-max", "20", "--theta", "0.2,0.4,0.8"],
+    "interp": ["--lambda-max", "20", "--theta", "0.3,0.6"],
+    "h00": ["--levels", "4"],
+    "truncate": ["--n-list", "2,3", "--kmax", "6", "--samples", "1", "--iters", "10"],
+    "cbf": ["--N", "16", "--T", "0.02"],
+}
+
+
+@pytest.mark.parametrize("name", PLOTS)
+def test_plot_flag_writes_svg(name, tmp_path):
+    assert _run([name, *PLOTS[name], "--plot"], tmp_path / "plot") == 0
+    svg = (tmp_path / "plot" / f"{name}.svg").read_text()
     assert svg.startswith("<svg")
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert "approx.svg" in manifest["outputs"]
+    manifest = json.loads((tmp_path / "plot" / "manifest.json").read_text())
+    assert f"{name}.svg" in manifest["outputs"]
+    assert _run([name, *PLOTS[name]], tmp_path / "bare") == 0
+    assert not list((tmp_path / "bare").glob("*.svg"))
 
 
 def test_emitted_field_feeds_back(tmp_path):
@@ -437,6 +445,19 @@ BAD_VALUES = [
     ("approx", {"field": 3}, [], "field"),
     ("report", {"inputs": "a.csv"}, [], "inputs"),
     ("cbf", {"N": 32.0}, [], "N"),
+    # a number option takes only a finite double, from a flag or from JSON
+    ("cbf", {}, ["--T", "inf"], "T"),
+    ("cbf", {}, ["--mu", "inf"], "mu"),
+    ("cbf", {}, ["--beta", "inf"], "beta"),
+    ("approx", {}, ["--alpha", "nan"], "alpha"),
+    ("approx", {}, ["--theta", "0.5,1e400"], "theta elements"),
+    ("cbf", {"amplitude": math.nan}, [], "amplitude"),
+    ("modes", {"op": "dirichlet-box", "lengths": "1,Infinity"}, [], "lengths elements"),
+    ("modes", {"lambda_max": 10**400}, [], "lambda_max"),
+    # the key the user set, not the lambda_max truncate derives from it
+    ("truncate", {}, ["--kmax", "0"], "kmax"),
+    # a plot with no plottable point names its file
+    ("cbf", {}, ["--amplitude", "0", "--N", "16", "--T", "0.02", "--plot"], "cbf.svg"),
 ]
 
 

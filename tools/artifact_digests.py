@@ -34,6 +34,7 @@ JOBS = (
     ("interp-stokes3", ["interp", "--op", "torus-stokes", "--d", "3", "--lambda-max", "40"]),
     ("interp-box", ["interp", "--op", "dirichlet-box", "--check-itheta"]),
     ("h00", ["h00", "--profile", "bump", "--levels", "6"]),
+    ("h00-plot", ["h00", "--profile", "constant", "--levels", "6", "--plot"]),
     ("truncate", ["truncate", "--n-list", "4,16", "--plot"]),
     ("truncate-p3", ["truncate", "--n-list", "4", "--p", "3", "--kmax", "12", "--iters", "100"]),
     # an empty kept set (n = 0, a zero transform grid), every mode kept (n = 6)
