@@ -61,11 +61,20 @@ import sys
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .domains import Torus, TorusStokes, _grid_phases, _re_im_rows
 from .errors import AccuracyError, AliasingError, ConfigError
-from .fields import GridField, SpectralField, _axis_product, _Packed, _tangential, _with_mirrors, lp_norm, uniform_axes
+from .fields import (
+    GridField,
+    SpectralField,
+    _axis_product,
+    _Packed,
+    _simpson,
+    _tangential,
+    _with_mirrors,
+    lp_norm,
+    uniform_axes,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -488,12 +497,14 @@ def energy_ledgers(traj: Trajectory, edges) -> list:
     Kinetic and dissipation terms come from Parseval; the absorption integrand
     || u ||_{L^{r+2}}^{r+2} is quadratured on the grid `_absorption_pad`
     picks (the solver's own for r = 2, exact there; doubled for a q = r + 2
-    that is not an even integer); time integrals use Simpson over the stored
-    snapshots.  Each snapshot's integrands are computed once, so adjacent
-    windows share their boundary snapshot's values, and every window's terms
-    are those of its own `energy_ledger`.  Every snapshot in the windows is
-    checked as `step` checks its input, so one whose block does not fit the
-    params raises ConfigError.
+    that is not an even integer); time integrals use `fields._simpson` over
+    the stored snapshots, a local copy of scipy's composite Simpson rule, so
+    the ledger's bits do not depend on the installed scipy (1.10 took another
+    rule for an even number of snapshots).  Each snapshot's integrands are
+    computed once, so adjacent windows share their boundary snapshot's
+    values, and every window's terms are those of its own `energy_ledger`.
+    Every snapshot in the windows is checked as `step` checks its input, so
+    one whose block does not fit the params raises ConfigError.
     """
     p = traj.params
     if len(edges) < 2:
@@ -524,8 +535,8 @@ def energy_ledgers(traj: Trajectory, edges) -> list:
     out = []
     for w, (i0, i1) in enumerate(windows):
         sub_t, sub = times[i0 : i1 + 1], slice(i0 - first, i1 - first + 1)
-        dissipation = 2.0 * p.mu * float(simpson(diss_vals[sub], x=sub_t))
-        absorption = 0.0 if p.beta == 0.0 else 2.0 * p.beta * float(simpson(abs_vals[sub], x=sub_t))
+        dissipation = 2.0 * p.mu * float(_simpson(diss_vals[sub], sub_t))
+        absorption = 0.0 if p.beta == 0.0 else 2.0 * p.beta * float(_simpson(abs_vals[sub], sub_t))
         out.append(EnergyLedger(float(sub_t[0]), float(sub_t[-1]), kinetic[w], kinetic[w + 1], dissipation, absorption))
     return out
 

@@ -340,7 +340,7 @@ _DEFAULTS = {
 _NONE_KINDS = {"n_modes": int, "field": str}  # the options that may be null (unset)
 _CHOICES = {"op": _OPERATORS, "transform": ("semigroup", "pi-theta"), "profile": ("bump", "constant")}
 _COMMA_LISTS = {"theta": float, "lengths": float, "n_list": int}  # element type of each comma list
-_LEAST = {"windows": 1}  # the counts that must exceed 0; every other one is >= 0
+_LEAST = {"windows": 1, "n_modes": 1}  # the counts that must exceed 0; every other one is >= 0
 _HELP = {
     "lengths": "comma-separated box edge lengths",
     "d": "torus dimension",

@@ -5,7 +5,9 @@ half-order space.
 The interpolation norm is computed as a log-variable Simpson quadrature over a
 finite t-window plus analytic tail series, both taken once per distinct
 eigenvalue; a window whose estimated tails exceed 1% of the total is rejected
-rather than silently accepted.
+rather than silently accepted.  The Simpson rule is `fields._simpson`, a local
+copy of scipy's, so the norm's bits do not depend on the installed scipy
+(1.10 took another rule for an even number of points).
 """
 
 from __future__ import annotations
@@ -15,12 +17,11 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .approx import _weighted_norm, fractional_norm
 from .domains import Box, Interval
 from .errors import AccuracyError, ConfigError
-from .fields import SpectralField, evaluate
+from .fields import SpectralField, _simpson, evaluate
 from .reports import NormReport
 
 _TAIL_LIMIT = 0.01  # largest tail share of the squared norm a t-window may carry
@@ -154,7 +155,7 @@ def _interp_norm_sq(lams: np.ndarray, amps: np.ndarray, q: InterpolationQuery):
     for a in range(0, t.size, rows):
         s2 = np.square(t[a : a + rows, None] * lams[None, :])
         ksq[a : a + rows] = (s2 / (1.0 + s2)) @ amps
-    window = float(simpson(np.exp(-2.0 * theta * tau) * ksq, x=tau))
+    window = float(_simpson(np.exp(-2.0 * theta * tau) * ksq, tau))
     low = float(np.sum(amps * lams ** (2.0 * theta) * _tail_low(s0, theta)))
     high = float(np.sum(amps * lams ** (2.0 * theta) * _tail_high(s1, theta)))
     return window, low, high

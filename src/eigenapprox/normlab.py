@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from decimal import Decimal
 
 import numpy as np
-from scipy.special import j1
 
 from .approx import (
     _apply_multiplier,
@@ -101,6 +100,8 @@ def _near_extremal_coeffs(kmax: int, rng: np.random.Generator, n: int) -> list:
     its roughening, in field order, so n fields drawn at once are n single
     draws from the same generator.
     """
+    from scipy.special import j1
+
     R = 1.2
     x0 = (math.pi, math.pi)
     sigma = 2.0 / kmax
@@ -206,11 +207,23 @@ def lp_ratio(f: SpectralField, name: str, param, p: float) -> float:
     return num / denom
 
 
+def _aligned_empty(shape: tuple) -> np.ndarray:
+    """An uninitialized float64 array starting on a 64-byte boundary.  numpy
+    aligns its allocations to 16 bytes only, and with AVX-512 a ufunc into a
+    misaligned grid the size of `truncate`'s takes up to twice as long."""
+    n = math.prod(shape)
+    raw = np.empty(n + 7)
+    skip = -raw.ctypes.data % 64 // 8
+    return raw[skip : skip + n].reshape(shape)
+
+
 class _Family:
     """A sampled scalar family's nonzero fields and what their shared (k, pol)
     alone fix, for every transform measured on it: the grid `_lp_grid_resolution`
     sizes with its axes and weights, `tables`, `reps` in (k, pol) order with
-    their `mirror`, and `norms`.  `norm` is the module's one L^p quadrature."""
+    their `mirror`, each field's grid in `grids` and L^p norm in `norms`, and
+    the ascent's grid buffers, allocated once.  `norm` is the module's one L^p
+    quadrature."""
 
     def __init__(self, fields: list, p: float):
         if any(f.is_vector for f in fields):
@@ -236,8 +249,12 @@ class _Family:
         self.mirror = None if isinstance(f.operator, DirichletLaplacian) else _mirror_rows(f.k, f.pol)
         if self.mirror is not None and np.any(self.mirror[self.reps] < 0):
             raise ConfigError("ascent needs a conjugate-symmetric (real) torus field")
-        self._buf = np.empty(tuple(a.size for a in self.axes))
-        self.norms = [self.norm(self.grid(g.values)) for g in self.fields]
+        shape = tuple(a.size for a in self.axes)
+        self._buf = _aligned_empty(shape)
+        self.grids = [self.grid(g.values) for g in self.fields]
+        self.norms = [self.norm(g) for g in self.grids]
+        # g, Tf's grid and their candidates for the one `_AscentState` at a time
+        self.ascent_grids = tuple(_aligned_empty(shape) for _ in range(4))
 
     def grid(self, values: np.ndarray) -> np.ndarray:
         """The grid of the family's modes with these values."""
@@ -249,8 +266,10 @@ class _Family:
         At p = 4 the power is `np.square`, equal to pow(b, 2.0) bit for bit;
         on the 162^2 grid of `truncate`, one core of a 2-core x86-64 host, it
         takes about 8 us, `np.power(b, 2.0)` 15-24 us and p = 3's
-        `np.power(b, 1.5)`, the generic `pow` any other p keeps, 90-110 us."""
-        np.multiply(grid, grid, out=self._buf)
+        `np.power(b, 1.5)`, the generic `pow` any other p keeps, 90-110 us.
+        The first square, u u, is `np.square` as well: the same bits as
+        `np.multiply(u, u)`, in 5.7 us against 12.4 us on that grid."""
+        np.square(grid, out=self._buf)
         if self.p == 4.0:
             np.square(self._buf, out=self._buf)
         else:
@@ -268,17 +287,19 @@ class _AscentState:
     g + dg, and Tf's grid plus the factor times dg when the transform keeps
     the mode, into candidate buffers; an accepted move swaps them in, so a
     rejected one leaves g, gT and the coefficients as they were.  The axis
-    factors, representatives, mirrors and norm are f's `_Family`'s, and g is
-    applied from its tables; gT, Tf's grid for these `factors`, comes from
-    the caller, who measured the ratio with it, and is the state's now."""
+    factors, representatives, mirrors, norm and the four grid buffers are the
+    `_Family`'s, so a family runs one state at a time.  The state starts on
+    the family's field `start` with a copy of its grid; gT, Tf's grid for
+    these `factors`, comes from the caller, who measured the ratio with it."""
 
-    def __init__(self, family: _Family, f: SpectralField, factors: np.ndarray, gT: np.ndarray):
+    def __init__(self, family: _Family, start: int, factors: np.ndarray, gT: np.ndarray):
         self.family = family
-        self.values = f.values.copy()
+        self.values = family.fields[start].values.copy()
         self.factors = factors  # NaN drops the mode
-        self.g, self.gT = family.grid(f.values), gT
-        self._next_g, self._next_gT = np.empty_like(self.g), np.empty_like(gT)
-        self._norm_g, self._norm_gT = family.norm(self.g), family.norm(gT)
+        self.g, self.gT, self._next_g, self._next_gT = family.ascent_grids
+        np.copyto(self.g, family.grids[start])
+        np.copyto(self.gT, gT)
+        self._norm_g, self._norm_gT = family.norms[start], family.norm(self.gT)
 
     def field(self) -> SpectralField:
         """The current coefficients as a field."""
@@ -358,12 +379,12 @@ def _lower_bound(family: _Family, name: str, p: float, config: ExperimentConfig,
     factors = _factors(family.fields[0], name, param)
     kept = family.k[~np.isnan(factors)]
     tables = _synthesis_tables(family.operator, kept, family.axes)
-    top = None  # (ratio, field, grid of Tf); the first of equal ratios wins
-    for f, norm in zip(family.fields, family.norms):
+    top = None  # (ratio, field index, grid of Tf); the first of equal ratios wins
+    for i, (f, norm) in enumerate(zip(family.fields, family.norms)):
         gT = _apply_tables(family.operator, tables, kept, _scaled(f.values, factors)[1])
         ratio = family.norm(gT) / norm
         if top is None or ratio > top[0]:
-            top = (ratio, f, gT)
+            top = (ratio, i, gT)
     st = _AscentState(family, top[1], factors, top[2])
     best = st.ratio()
     rng = np.random.default_rng(config.seed + 1)

@@ -126,7 +126,7 @@ def test_blow_up_is_exit_3(tmp_path, capsys):
 
 def test_negative_mode_count_is_exit_2(tmp_path, capsys):
     assert _run(["approx", "--op", "torus", "--d", "2", "--n-modes", "-1"], tmp_path) == 2
-    assert capsys.readouterr().err == "error: config: n_modes must be >= 0, got -1\n"
+    assert capsys.readouterr().err == "error: config: n_modes must be >= 1, got -1\n"
 
 
 def test_zero_ledger_windows_is_exit_2(tmp_path, capsys):
@@ -454,6 +454,9 @@ BAD_VALUES = [
     ("cbf", {"amplitude": math.nan}, [], "amplitude"),
     ("modes", {"op": "dirichlet-box", "lengths": "1,Infinity"}, [], "lengths elements"),
     ("modes", {"lambda_max": 10**400}, [], "lambda_max"),
+    # an empty random field is refused by name, not measured as 0
+    ("approx", {}, ["--n-modes", "0"], "n_modes must be >= 1, got 0"),
+    ("interp", {}, ["--n-modes", "0"], "n_modes must be >= 1, got 0"),
     # the key the user set, not the lambda_max truncate derives from it
     ("truncate", {}, ["--kmax", "0"], "kmax"),
     # a plot with no plottable point names its file

@@ -314,8 +314,8 @@ _TRANSFORM_PARAMS = {"identity": None, "semigroup": 0.1, "pi_theta": 0.3, "spher
 @pytest.mark.parametrize("family_name", sorted(_FAMILY_CONFIGS))
 def test_transform_grids_from_the_family_tables_are_the_synthesized_ones(family_name, name, p, monkeypatch):
     # each field's transform grid, applied from the one table set of the
-    # kept modes, and the start field's own grid, applied from the family's,
-    # are synthesize's grids bit for bit
+    # kept modes, each field's own grid, applied from the family's, and the
+    # ascent's copy of the start field's are synthesize's grids bit for bit
     config = _config(ascent_iters=0, **_FAMILY_CONFIGS[family_name])
     family = _Family(sample_fields(config), p)
     param = _TRANSFORM_PARAMS[name]
@@ -329,10 +329,12 @@ def test_transform_grids_from_the_family_tables_are_the_synthesized_ones(family_
     real = normlab._apply_tables
     monkeypatch.setattr(normlab, "_apply_tables", lambda *a: grids.append(real(*a)) or grids[-1])
     _, start = _lower_bound(family, name, p, config, param)
-    assert len(grids) == len(family.fields) + 1
-    for f, got in zip(family.fields, grids):
+    assert len(grids) == len(family.fields)
+    for f, got, own in zip(family.fields, grids, family.grids):
         assert np.array_equal(got, synthesize(apply_named_transform(f, name, param), family.res).values)
-    assert np.array_equal(grids[-1], synthesize(start, family.res).values)
+        assert np.array_equal(own, synthesize(f, family.res).values)
+    # with no moves the state's g is still the first grid buffer
+    assert np.array_equal(family.ascent_grids[0], synthesize(start, family.res).values)
 
 
 @pytest.mark.parametrize("p", [3.0, 4.0])
@@ -411,7 +413,7 @@ def _ascent(f, name, param, p):
     """The ascent state `_lower_bound` starts on the one-field family of f."""
     family = _Family([f], p)
     gT = synthesize(apply_named_transform(f, name, param), family.res).values
-    return _AscentState(family, f, _factors(f, name, param), gT)
+    return _AscentState(family, 0, _factors(f, name, param), gT)
 
 
 # name -> (operator, p): the head/last split of a move at d = 1, 2, 3, and
@@ -507,6 +509,24 @@ def test_ascent_norm_matches_lp_norm(op, p, seed, scale):
     grid = scale * np.random.default_rng(seed).standard_normal(tuple(a.size for a in family.axes))
     want = lp_norm(GridField(op.domain, family.axes, grid), p)
     assert family.norm(grid) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("p", [3.0, 4.0])
+def test_family_norm_bits_do_not_depend_on_where_the_grid_starts(p):
+    # the ascent's grids start on a 64-byte boundary and the caller's grids
+    # wherever numpy put them: a copy at every 8-byte offset of a 64-byte
+    # line has the same norm bits, on the 162^2 grid of `truncate`
+    config = _config(lambda_max=1600.0, family="near-extremal", n_samples=1)
+    family = _Family(sample_fields(config), p)
+    assert all(b.ctypes.data % 64 == 0 for b in (family._buf, *family.ascent_grids))
+    grid = family.grids[0]
+    raw = np.empty(grid.size + 14)
+    base = -raw.ctypes.data % 64 // 8
+    for off in range(8):
+        copy = raw[base + off : base + off + grid.size].reshape(grid.shape)
+        copy[...] = grid
+        assert copy.ctypes.data % 64 == 8 * off
+        assert np.float64(family.norm(copy)).tobytes() == np.float64(family.norms[0]).tobytes(), off
 
 
 @pytest.mark.parametrize(

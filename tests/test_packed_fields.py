@@ -644,7 +644,7 @@ def test_leray_projection_is_idempotent_and_annihilates_gradients(dim, data):
     op=operators(),
     lambda_max=st.floats(0.5, 40.0),
     seed=st.integers(0, 2**32 - 1),
-    n_modes=st.one_of(st.none(), st.integers(0, 40)),
+    n_modes=st.one_of(st.none(), st.integers(1, 40)),
     decay=st.sampled_from([0.0, 1.0, 2.5, 400.0]),
     real=st.booleans(),
     include_mean=st.booleans(),
