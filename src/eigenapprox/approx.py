@@ -1,11 +1,11 @@
 """Semigroup smoothing, the weighted eigenspace truncation Pi_theta,
-fractional powers and norms, the sup constant Phi, and Fourier truncations.
+fractional norms, the sup constant Phi, and Fourier truncations.
 
 All operators act diagonally on coefficients: each is a per-mode multiplier,
 defined once in `multiplier`; every norm is one sum, `_weighted_norm`.  The
 semigroup time is checked in `_semigroup_time`, Pi_theta's theta and cutoff
 theta^-2 in `_pi_theta_cutoff`.  On torus operators the k=0 coefficient sits
-outside the positive spectrum: fractional powers and norms skip it, and the
+outside the positive spectrum: fractional norms skip it, and the
 diagonal operators carry it through untouched.
 """
 
@@ -20,7 +20,7 @@ from .errors import ConfigError
 from .fields import SpectralField, _Packed
 
 
-MULTIPLIERS = ("identity", "semigroup", "pi_theta", "fractional_power", "spherical", "cubic")
+MULTIPLIERS = ("identity", "semigroup", "pi_theta", "spherical", "cubic")
 _FOURIER_TRUNCATIONS = ("spherical", "cubic")  # torus only; keep (factor 1) or drop
 
 
@@ -54,9 +54,6 @@ def multiplier(name: str, param=None):
     if name == "pi_theta":
         theta, cutoff = _pi_theta_cutoff(param)
         return lambda k, lam: np.where(lam < cutoff, np.exp(-theta * lam), math.nan)
-    if name == "fractional_power":
-        alpha = float(param)
-        return lambda k, lam: lam**alpha
     if name in _FOURIER_TRUNCATIONS:
         if isinstance(param, bool) or not isinstance(param, (int, np.integer)) or param < 0:
             raise ConfigError(f"truncation order must be an integer >= 0, got {param!r}")

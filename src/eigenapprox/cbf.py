@@ -58,6 +58,7 @@ import json
 import math
 import os
 import sys
+import zipfile
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -148,8 +149,9 @@ def _check_finite(key: str, value) -> None:
 @functools.lru_cache(maxsize=32)
 def _tables(dim: int, n: int):
     """Per-axis wavenumber arrays (shaped to broadcast), |k|^2 and Parseval
-    weights for the rfftn layout (last axis halved) of an n-point grid.  The
-    kept block of cutoff K is the layout of n = 2K+1 points."""
+    weights for the kept block of cutoff K, the rfftn layout (last axis
+    halved) of an n = 2K+1 point grid.  An odd n has no Nyquist slot, so
+    every k > 0 on the halved axis stands for its mirror too."""
     spec_shape = (n,) * (dim - 1) + (n // 2 + 1,)
     karrs = []
     for ax in range(dim):
@@ -161,7 +163,7 @@ def _tables(dim: int, n: int):
     for k in karrs:
         k2 = k2 + k * k
     klast = karrs[-1]
-    pw = np.where((klast > 0) & (2 * klast != n), 2.0, 1.0)  # an odd n has no Nyquist slot
+    pw = np.where(klast > 0, 2.0, 1.0)
     pw = np.broadcast_to(pw, spec_shape).copy()
     k2safe = np.where(k2 == 0.0, 1.0, k2)
     return tuple(karrs), k2, k2safe, pw
@@ -199,18 +201,23 @@ def _scale_factor(dim: int, n: int) -> float:
     return TWO_PI**dim / float(n) ** (2 * dim)
 
 
+def _parseval_sum(s: CBFState, weight: np.ndarray) -> float:
+    """scale * sum weight |U_k|^2 over the state's block.  The terms are
+    formed on the block and summed where they sit in the N-point layout,
+    among its zeros: numpy's pairwise sum rounds by where the zeros sit."""
+    terms = weight * np.abs(s.block) ** 2
+    return _scale_factor(s.dim, s.resolution) * float(np.sum(_low_modes(terms, s.resolution, s.block.shape[-1] - 1)))
+
+
 def state_energy(s: CBFState, params: CBFParams) -> float:
     """Kinetic term || u ||^2 (L2 squared) via Parseval."""
-    # sum on the N-point layout, not the block: numpy's pairwise sum rounds by where the zeros sit
-    _, _, _, pw = _tables(s.dim, s.resolution)
-    return _scale_factor(s.dim, s.resolution) * float(np.sum(pw * np.abs(s.coeffs) ** 2))
+    return _parseval_sum(s, _tables(s.dim, s.block.shape[1])[3])
 
 
 def state_enstrophy(s: CBFState, params: CBFParams) -> float:
-    """|| grad u ||^2 via Parseval (the dissipation integrand), summed as in
-    `state_energy`."""
-    _, k2, _, pw = _tables(s.dim, s.resolution)
-    return _scale_factor(s.dim, s.resolution) * float(np.sum(pw * k2 * np.abs(s.coeffs) ** 2))
+    """|| grad u ||^2 via Parseval (the dissipation integrand)."""
+    _, k2, _, pw = _tables(s.dim, s.block.shape[1])
+    return _parseval_sum(s, pw * k2)
 
 
 def state_divergence_residual(s: CBFState) -> float:
@@ -237,7 +244,8 @@ def _leray_arrays(fh: np.ndarray, karrs, k2safe) -> np.ndarray:
 
 def _low_modes(a: np.ndarray, n: int, m: int) -> np.ndarray:
     """The coefficients of `a` with |k_a| <= m on every axis, in the rfftn
-    layout of an n-point grid (component axis first), zero elsewhere.
+    layout of an n-point grid (component axis first), zero elsewhere, in
+    the dtype of `a`.
 
     A full axis of an rfftn layout holds k >= 0 at its start and k < 0 at
     its end; the halved last axis holds k >= 0 only.  The kept block of
@@ -248,7 +256,7 @@ def _low_modes(a: np.ndarray, n: int, m: int) -> np.ndarray:
     `_block_to_grid` and `_grid_to_block` map the block straight to the grid
     and back.
     """
-    out = np.zeros(a.shape[:1] + (n,) * (a.ndim - 2) + (n // 2 + 1,), dtype=complex)
+    out = np.zeros(a.shape[:1] + (n,) * (a.ndim - 2) + (n // 2 + 1,), dtype=a.dtype)
     low = slice(0, m + 1)
     pairs = [((slice(None),), (slice(None),))]
     for ax in range(1, a.ndim - 1):
@@ -681,46 +689,82 @@ def save_trajectory(traj: Trajectory, directory: str) -> None:
         fh.write("\n")
 
 
+def _is_number(v, kind: str = "float") -> bool:
+    """v is a JSON value of this CBFParams field kind: an int, or for
+    "float" an int or a float; a bool is neither."""
+    return not isinstance(v, bool) and isinstance(v, int if kind == "int" else (int, float))
+
+
 def load_trajectory(directory: str) -> Trajectory:
     """Read a `save_trajectory` checkpoint: each state holds its stored block,
     equal to the saved one bit for bit.
 
-    A manifest without format, params or times, with a format other than
-    "npz-block" (the full-layout "npz" of earlier versions included), or with
-    a parameter CBFParams lacks or needs raises a ConfigError; so does an
-    archive without `blocks`, with blocks of another shape than the params
-    give, or with another number of snapshots than the manifest lists times.
-    Every message but the format's names the directory.
+    A manifest that is not a JSON object, lacks format, params or times, has
+    a format other than "npz-block" (the full-layout "npz" of earlier
+    versions included), a parameter CBFParams lacks, needs or refuses, or
+    one of another kind than its field (a bool is no number), or times that
+    are not finite numbers in strictly increasing order raises a
+    ConfigError; so does a trajectory.npz that is not an npz archive, has no
+    `blocks`, blocks of another shape than the params give, or another
+    number of snapshots than the manifest lists times.  Every message but
+    the format's names the directory.
     """
-    with open(os.path.join(directory, "manifest.json")) as fh:
-        manifest = json.load(fh)
+
+    def bad(message: str) -> ConfigError:
+        return ConfigError(f"checkpoint {directory}: {message}")
+
+    try:
+        with open(os.path.join(directory, "manifest.json")) as fh:
+            manifest = json.load(fh)
+    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+        raise bad(f"manifest.json is not JSON: {e}") from None
+    if not isinstance(manifest, dict):
+        raise bad("manifest.json is not a JSON object")
     absent = [key for key in ("format", "params", "times") if key not in manifest]
     if absent:
-        raise ConfigError(f"checkpoint {directory}: manifest.json has no {absent[0]!r}")
+        raise bad(f"manifest.json has no {absent[0]!r}")
     if manifest["format"] != "npz-block":
         raise ConfigError(f"unknown checkpoint format {manifest['format']!r}; only 'npz-block' is read")
-    declared = fields(CBFParams)
-    unknown = sorted(set(manifest["params"]) - {f.name for f in declared})
+    given, declared = manifest["params"], fields(CBFParams)
+    if not isinstance(given, dict):
+        raise bad("params is not a JSON object")
+    unknown = sorted(set(given) - {f.name for f in declared})
     if unknown:
-        raise ConfigError(f"checkpoint {directory}: unknown parameters {unknown}")
-    missing = [f.name for f in declared if f.default is MISSING and f.name not in manifest["params"]]
+        raise bad(f"unknown parameters {unknown}")
+    missing = [f.name for f in declared if f.default is MISSING and f.name not in given]
     if missing:
-        raise ConfigError(f"checkpoint {directory}: parameter {missing[0]!r} is missing")
-    params = CBFParams(**manifest["params"])
-    times = [float(t) for t in manifest["times"]]
-    with np.load(os.path.join(directory, "trajectory.npz")) as data:
-        if "blocks" not in data.files:
-            raise ConfigError(f"checkpoint {directory}: trajectory.npz has no 'blocks'")
-        blocks = data["blocks"]
+        raise bad(f"parameter {missing[0]!r} is missing")
+    for f in declared:
+        if f.name in given and not _is_number(given[f.name], f.type):
+            raise bad(f"parameter {f.name!r} must be {'an int' if f.type == 'int' else 'a number'}, got {given[f.name]!r}")
+    try:
+        params = CBFParams(**given)
+    except ConfigError as e:
+        raise bad(str(e)) from None
+    times = manifest["times"]
+    if not (isinstance(times, list) and all(_is_number(t) and abs(t) <= sys.float_info.max for t in times)):
+        raise bad(f"times must be a list of finite numbers, got {times!r}")
+    times = [float(t) for t in times]
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise bad(f"times must increase strictly, got {times}")
+    # the file is opened here: np.load leaves its own handle open when the
+    # zip reader refuses the file
+    with open(os.path.join(directory, "trajectory.npz"), "rb") as fh:
+        try:
+            data = np.load(fh)
+            if not isinstance(data, np.lib.npyio.NpzFile):  # a bare .npy array
+                raise bad("trajectory.npz is not an npz archive")
+            if "blocks" not in data.files:
+                raise bad("trajectory.npz has no 'blocks'")
+            blocks = data["blocks"]
+        except (ValueError, EOFError, zipfile.BadZipFile) as e:
+            raise bad(f"trajectory.npz is not an npz archive: {e}") from None
     shape = _block_shape(params)
     if blocks.dtype != complex or blocks.shape[1:] != shape:
-        raise ConfigError(
-            f"checkpoint {directory}: trajectory.npz holds {blocks.dtype} blocks of shape {blocks.shape[1:]}, "
+        raise bad(
+            f"trajectory.npz holds {blocks.dtype} blocks of shape {blocks.shape[1:]}, "
             f"but the params (d={params.dim}, N={params.resolution}, beta={params.beta}) give complex128 {shape}"
         )
     if blocks.shape[0] != len(times):
-        raise ConfigError(
-            f"checkpoint {directory}: trajectory.npz holds {blocks.shape[0]} snapshots, "
-            f"but manifest.json lists {len(times)} times"
-        )
+        raise bad(f"trajectory.npz holds {blocks.shape[0]} snapshots, but manifest.json lists {len(times)} times")
     return Trajectory(params, times, [CBFState(t, b, params.resolution) for t, b in zip(times, blocks)])

@@ -244,16 +244,20 @@ def _run_report(cfg: dict, out_dir: str) -> list:
     header = None
     rows = []
     for path in inputs:
-        with open(path, newline="") as fh:
-            rdr = csv.reader(fh)
-            head = next(rdr, None)
-            if head is None:
-                raise ConfigError(f"{path}: empty CSV")
-            if header is None:
-                header = head
-            elif head != header:
-                raise ConfigError(f"{path}: header {head} does not match {header}")
-            rows.extend([list(r) for r in rdr])
+        try:
+            with open(path, newline="") as fh:
+                rdr = csv.reader(fh)
+                head = next(rdr, None)
+                body = list(rdr)
+        except (UnicodeDecodeError, csv.Error) as e:
+            raise ConfigError(f"{path}: {e}") from None
+        if head is None:
+            raise ConfigError(f"{path}: empty CSV")
+        if header is None:
+            header = head
+        elif head != header:
+            raise ConfigError(f"{path}: header {head} does not match {header}")
+        rows.extend(body)
     rows.sort(key=lambda r: tuple(_sort_cell(c) for c in r))
     reports.write_table_csv(os.path.join(out_dir, "report.csv"), header, rows)
     return ["report.csv"]

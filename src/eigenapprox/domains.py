@@ -11,6 +11,7 @@ which is what the rest of the toolkit leans on.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -40,6 +41,18 @@ def sinpi(y):
 # domains
 
 
+def _length(v):
+    """v as a float if it is a real number (a bool is none) whose double is
+    positive and finite, else None: the one check of interval and box sides."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        return None
+    try:
+        x = float(v)
+    except OverflowError:
+        return None
+    return x if math.isfinite(x) and x > 0 else None
+
+
 @dataclass(frozen=True)
 class Interval:
     """The open interval (0, length)."""
@@ -47,9 +60,10 @@ class Interval:
     length: float
 
     def __post_init__(self):
-        if not (isinstance(self.length, (int, float)) and math.isfinite(self.length) and self.length > 0):
+        x = _length(self.length)
+        if x is None:
             raise ConfigError(f"interval length must be a positive finite number, got {self.length!r}")
-        object.__setattr__(self, "length", float(self.length))
+        object.__setattr__(self, "length", x)
 
     @property
     def dim(self) -> int:
@@ -72,13 +86,13 @@ class Box:
 
     def __post_init__(self):
         try:
-            ls = tuple(float(v) for v in self.lengths)
+            ls = tuple(map(_length, self.lengths))
         except TypeError:
-            raise ConfigError(f"box lengths must be a sequence, got {self.lengths!r}")
+            raise ConfigError(f"box lengths must be a sequence, got {self.lengths!r}") from None
+        if None in ls:
+            raise ConfigError(f"box lengths must be positive finite numbers, got {self.lengths!r}")
         if not 1 <= len(ls) <= 3:
             raise ConfigError(f"box dimension must be 1..3, got {len(ls)}")
-        if any(not (math.isfinite(v) and v > 0) for v in ls):
-            raise ConfigError(f"box lengths must be positive and finite, got {ls}")
         object.__setattr__(self, "lengths", ls)
 
     @property

@@ -164,16 +164,7 @@ def sample_fields(config: ExperimentConfig) -> list:
 # ---------------------------------------------------------------------------
 # named diagonal transforms and L^p ratios
 
-TRANSFORMS = ("identity", "semigroup", "pi_theta", "spherical", "cubic")
-
-
-def _check_transform(name: str) -> None:
-    if name not in TRANSFORMS:
-        raise ConfigError(f"unknown transform {name!r}; choose from {TRANSFORMS}")
-
-
 def apply_named_transform(f: SpectralField, name: str, param=None) -> SpectralField:
-    _check_transform(name)
     return f if name == "identity" else _apply_multiplier(f, name, param)
 
 
@@ -221,9 +212,18 @@ class _Family:
     """A sampled scalar family's nonzero fields and what their shared (k, pol)
     alone fix, for every transform measured on it: the grid `_lp_grid_resolution`
     sizes with its axes and weights, `tables`, `reps` in (k, pol) order with
-    their `mirror`, each field's grid in `grids` and L^p norm in `norms`, and
-    the ascent's grid buffers, allocated once.  `norm` is the module's one L^p
-    quadrature."""
+    their `mirror`, each field's grid in `grids` and L^p norm in `norms`.
+    `norm` is the module's one L^p quadrature.
+
+    The family also runs the coordinate ascent, one at a time: `start` puts
+    a field's coefficients in `values` and the real grids of f and Tf in `g`
+    and `gT`, and `move` updates them a move at a time.  Scaling a
+    representative mode moves its conjugate partner too, so the field stays
+    real and each move adds a rank-two real update dg, one BLAS product, to
+    both grids rather than a full resynthesis.  A move writes g + dg, and
+    Tf's grid plus the factor times dg when the transform keeps the mode,
+    into candidate buffers; an accepted move swaps them in, so a rejected
+    one leaves g, gT and the coefficients as they were."""
 
     def __init__(self, fields: list, p: float):
         if any(f.is_vector for f in fields):
@@ -251,14 +251,10 @@ class _Family:
             raise ConfigError("ascent needs a conjugate-symmetric (real) torus field")
         shape = tuple(a.size for a in self.axes)
         self._buf = _aligned_empty(shape)
-        self.grids = [self.grid(g.values) for g in self.fields]
+        self.grids = [_apply_tables(self.operator, self.tables, self.k, g.values) for g in self.fields]
         self.norms = [self.norm(g) for g in self.grids]
-        # g, Tf's grid and their candidates for the one `_AscentState` at a time
-        self.ascent_grids = tuple(_aligned_empty(shape) for _ in range(4))
-
-    def grid(self, values: np.ndarray) -> np.ndarray:
-        """The grid of the family's modes with these values."""
-        return _apply_tables(self.operator, self.tables, self.k, values)
+        # the ascent's grids of f and Tf and their candidates
+        self.g, self.gT, self._next_g, self._next_gT = (_aligned_empty(shape) for _ in range(4))
 
     def norm(self, grid: np.ndarray) -> float:
         """The L^p norm of a real grid on the family's axes: (u u)^(p/2) times
@@ -277,38 +273,15 @@ class _Family:
         total = self.w_head @ (self._buf.reshape(self.w_head.size, -1) @ self.w_last)
         return float(total ** (1.0 / self.p))
 
-
-class _AscentState:
-    """Real grids of f and Tf for coordinate ascent, updated a move at a time.
-
-    Scaling a representative mode moves its conjugate partner too, so the
-    field stays real and each move adds a rank-two real update dg, one BLAS
-    product, to both grids rather than a full resynthesis.  A move writes
-    g + dg, and Tf's grid plus the factor times dg when the transform keeps
-    the mode, into candidate buffers; an accepted move swaps them in, so a
-    rejected one leaves g, gT and the coefficients as they were.  The axis
-    factors, representatives, mirrors, norm and the four grid buffers are the
-    `_Family`'s, so a family runs one state at a time.  The state starts on
-    the family's field `start` with a copy of its grid; gT, Tf's grid for
-    these `factors`, comes from the caller, who measured the ratio with it."""
-
-    def __init__(self, family: _Family, start: int, factors: np.ndarray, gT: np.ndarray):
-        self.family = family
-        self.values = family.fields[start].values.copy()
-        self.factors = factors  # NaN drops the mode
-        self.g, self.gT, self._next_g, self._next_gT = family.ascent_grids
-        np.copyto(self.g, family.grids[start])
+    def start(self, i: int, factors: np.ndarray, gT: np.ndarray) -> None:
+        """Start the ascent on field i with a copy of its coefficients and
+        grid; gT, Tf's grid for these `factors` (NaN drops the mode), comes
+        from the caller, who measured the ratio with it."""
+        self.values = self.fields[i].values.copy()
+        self.factors = factors
+        np.copyto(self.g, self.grids[i])
         np.copyto(self.gT, gT)
-        self._norm_g, self._norm_gT = family.norms[start], family.norm(self.gT)
-
-    def field(self) -> SpectralField:
-        """The current coefficients as a field."""
-        return SpectralField(self.family.operator, self.coeffs)
-
-    @property
-    def coeffs(self) -> _Packed:
-        """A copy of the current modes, accepted by SpectralField."""
-        return _Packed(self.family.k, self.family.pol, self.values.copy())
+        self._norm_g, self._norm_gT = self.norms[i], self.norm(self.gT)
 
     def ratio(self) -> float:
         return -math.inf if self._norm_g == 0.0 else self._norm_gT / self._norm_g
@@ -316,22 +289,21 @@ class _AscentState:
     def move(self, j: int, rel: float, floor: float) -> float:
         """Scale mode j (and its conjugate partner) by (1+rel) if that lifts
         the ratio above floor.  Returns the ratio of the scaled field; the
-        state changes only when it beats floor."""
-        family = self.family
-        i = family.reps[j]
+        ascent changes only when it beats floor."""
+        i = self.reps[j]
         delta = complex(self.values[i]) * rel
         # a torus mode k != 0, which is not its own mirror, moves its
         # conjugate partner -k as well
-        mirror = None if family.mirror is None or family.mirror[i] == i else family.mirror[i]
+        mirror = None if self.mirror is None or self.mirror[i] == i else self.mirror[i]
         two = 1.0 if mirror is None else 2.0
         # two Re(delta f_1 x ... x f_d): the head delta f_1 x ... x f_(d-1)
         # as [Re, Im] columns times the rows [Re f_d; -Im f_d]
-        *head_tables, (_, last_place) = family.tables
+        *head_tables, (_, last_place) = self.tables
         rest = [t[place[i]] for t, place in head_tables]
         head = np.asarray(functools.reduce(np.multiply.outer, rest, two * delta), dtype=complex)
         g = self._next_g  # dg, and g + dg once Tf's candidate has it
-        last = family.last_rows[last_place[i]]
-        np.matmul(head.reshape(-1, 1).view(float), last, out=g.reshape(family.w_head.size, -1))
+        last = self.last_rows[last_place[i]]
+        np.matmul(head.reshape(-1, 1).view(float), last, out=g.reshape(self.w_head.size, -1))
         fac = self.factors[i]
         norm_gT = self._norm_gT
         moves_T = not (math.isnan(fac) or fac == 0.0)
@@ -341,9 +313,9 @@ class _AscentState:
             else:
                 np.multiply(g, fac, out=self._next_gT)
                 self._next_gT += self.gT
-            norm_gT = family.norm(self._next_gT)
+            norm_gT = self.norm(self._next_gT)
         g += self.g
-        norm_g = family.norm(g)
+        norm_g = self.norm(g)
         r = -math.inf if norm_g == 0.0 else norm_gT / norm_g
         if r > floor:
             self.values[i] += delta
@@ -375,7 +347,6 @@ def _lower_bound(family: _Family, name: str, p: float, config: ExperimentConfig,
     """operator_norm_lower_bound on a prepared family: one set of factors and
     one table set of the kept modes give every field's transform grid, and
     the ascent starts from the best ratio's field and grid."""
-    _check_transform(name)
     factors = _factors(family.fields[0], name, param)
     kept = family.k[~np.isnan(factors)]
     tables = _synthesis_tables(family.operator, kept, family.axes)
@@ -385,15 +356,15 @@ def _lower_bound(family: _Family, name: str, p: float, config: ExperimentConfig,
         ratio = family.norm(gT) / norm
         if top is None or ratio > top[0]:
             top = (ratio, i, gT)
-    st = _AscentState(family, top[1], factors, top[2])
-    best = st.ratio()
+    family.start(top[1], factors, top[2])
+    best = family.ratio()
     rng = np.random.default_rng(config.seed + 1)
     iters = config.ascent_iters
     for i in range(iters):
         step = 0.10 * 0.1 ** (i / max(iters - 1, 1))  # 10% -> 1%
         j = int(rng.integers(len(family.reps)))
         sign = 1.0 if rng.random() < 0.5 else -1.0
-        best = max(best, st.move(j, sign * step, best))
+        best = max(best, family.move(j, sign * step, best))
     report = NormReport(
         quantity=f"{name}_Lp_ratio",
         value=best,
@@ -402,7 +373,7 @@ def _lower_bound(family: _Family, name: str, p: float, config: ExperimentConfig,
         meta={"seed": config.seed, "family": config.family, "samples": len(family.norms), "ascent_iters": iters,
               "grid": family.res},
     )
-    return report, st.field()
+    return report, SpectralField(family.operator, _Packed(family.k, family.pol, family.values.copy()))
 
 
 def truncation_experiment(
@@ -509,7 +480,7 @@ def _zero_extension_coeffs(f: SpectralField, m_cap: int) -> np.ndarray:
     Uses the closed forms  int_0^pi sin(k w) cos(m w) dw = k(1-(-1)^{k+m})/(k^2-m^2)
     (0 when |m| = k) and  int_0^pi sin(k w) sin(m w) dw = (pi/2) delta_{k,|m|} sgn(m).
     """
-    L = f.operator.domain.length
+    L = f.operator.domain.lengths[0]
     ks, cs = f.k[:, 0], f.values
     ms = np.arange(-m_cap, m_cap + 1)
     K = ks[None, :].astype(float)
@@ -533,7 +504,7 @@ def sobolev_surrogate_norm(f: SpectralField, theta: float, m_cap: int = 4096) ->
         raise ConfigError("the Sobolev surrogate is implemented for interval fields")
     if not 0.0 <= theta < 1.0:
         raise ConfigError(f"theta must lie in [0,1), got {theta}")
-    L = f.operator.domain.length
+    L = f.operator.domain.lengths[0]
     if theta in (0.0, 0.5):
         # the l2 norm, and || grad u || exact via Parseval for the cosine system
         return fractional_norm(f, theta)

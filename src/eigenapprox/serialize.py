@@ -85,11 +85,16 @@ def _cell_error(cell: str, name: str):
     return None
 
 
-def _malformed(body: str, d: int, err: Exception) -> ConfigError:
+def _malformed(path, body: str, d: int, err: Exception) -> ConfigError:
     """The error naming the first body line that the fast parse cannot take:
     a line with the wrong number of cells first, then a cell that does not
-    parse, then (a row the csv module reads differently) loadtxt's own."""
-    rows = list(csv.reader(io.StringIO(body)))
+    parse, then (a row the csv module reads differently) loadtxt's own.  A
+    body the csv module refuses (a cell over its field size limit) is named
+    by its file."""
+    try:
+        rows = list(csv.reader(io.StringIO(body)))
+    except csv.Error as e:
+        return ConfigError(f"{path}: {e}")
     for line, row in enumerate(rows, start=2):
         if len(row) != d + 3:
             return ConfigError(f"line {line} has {len(row)} cells, expected {d + 3}")
@@ -105,16 +110,19 @@ def _malformed(body: str, d: int, err: Exception) -> ConfigError:
 def spectral_field_from_csv(path, operator: OperatorSpec) -> SpectralField:
     d = operator.dim
     stokes = isinstance(operator, TorusStokes)
-    with open(path) as fh:
-        header = next(csv.reader([fh.readline()]), [])
-        body = fh.read()
+    try:
+        with open(path) as fh:
+            header = next(csv.reader([fh.readline()]), [])
+            body = fh.read()
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise ConfigError(f"{path}: {e}") from None
     if len(header) != d + 3:
         raise ConfigError(f"expected {d + 3} columns for a dimension-{d} field, got {len(header)}")
     # one C parse of the whole body; loadtxt warns on an empty body and skips
     # a blank line, which the csv module reads as a row of 0 cells
     row = np.dtype([("k", np.int64, (d,)), ("pol", np.int64), ("val", float, (2,))])
     if body.startswith("\n") or "\n\n" in body:
-        raise _malformed(body, d, None)
+        raise _malformed(path, body, d, None)
     table = np.zeros(0, dtype=row)
     if body:
         # numpy releases that read an integer cell such as '1.5' through a
@@ -124,7 +132,7 @@ def spectral_field_from_csv(path, operator: OperatorSpec) -> SpectralField:
                 warnings.simplefilter("error", DeprecationWarning)
                 table = np.loadtxt(io.StringIO(body), dtype=row, delimiter=",", comments=None, quotechar='"', ndmin=1)
         except (ValueError, DeprecationWarning) as e:
-            raise _malformed(body, d, e) from None
+            raise _malformed(path, body, d, e) from None
     k, pol, vals = table["k"], table["pol"], table["val"].view(complex)[:, 0]
 
     # the first row that fails a check, reported by its first failing check

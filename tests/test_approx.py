@@ -33,7 +33,7 @@ from eigenapprox import (
     spherical_truncate,
     subtract,
 )
-from eigenapprox.approx import _apply_multiplier, multiplier
+from eigenapprox.approx import multiplier
 
 
 def test_pi_theta_strict_cutoff():
@@ -196,12 +196,9 @@ def test_invalid_arguments():
     decay=st.floats(0.0, 2.0),
     include_mean=st.booleans(),
     theta=st.floats(0.05, 1.5),
-    alpha=st.floats(-1.0, 1.5),
     n=st.integers(0, 6),
 )
-def test_transforms_keep_real_stokes_fields_real_and_divergence_free(
-    d, lambda_max, seed, decay, include_mean, theta, alpha, n
-):
+def test_transforms_keep_real_stokes_fields_real_and_divergence_free(d, lambda_max, seed, decay, include_mean, theta, n):
     rng = np.random.default_rng(seed)
     f = random_field(TorusStokes(Torus(d)), lambda_max, rng, decay=decay, include_mean=include_mean)
     assert conjugate_symmetry_violation(f) == 0.0
@@ -213,7 +210,6 @@ def test_transforms_keep_real_stokes_fields_real_and_divergence_free(
     for name, transform, param in (
         ("pi_theta", pi_theta, theta),
         ("semigroup", semigroup_apply, theta),
-        ("fractional_power", lambda f, a: _apply_multiplier(f, "fractional_power", a), alpha),
         ("spherical", spherical_truncate, n),
         ("cubic", cubic_truncate, n),
     ):

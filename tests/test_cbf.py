@@ -95,6 +95,41 @@ def test_taylor_green_invariants():
         taylor_green(CBFParams(mu=0.1, dim=3, resolution=16, dt=1e-3, t_final=0.1))
 
 
+def _full_layout_parseval(s: CBFState) -> tuple:
+    """Energy and enstrophy by the weights of the N-point rfftn layout, its
+    Nyquist slot included, summed over `coeffs`: the formula the block sums
+    must reproduce bit for bit."""
+    n, d = s.resolution, s.dim
+    karrs = []
+    for ax in range(d):
+        k = np.arange(n // 2 + 1 if ax == d - 1 else n, dtype=float)
+        if ax < d - 1:
+            k[(n + 1) // 2 :] -= n
+        karrs.append(k.reshape([1] * ax + [k.size] + [1] * (d - ax - 1)))
+    shape = (n,) * (d - 1) + (n // 2 + 1,)
+    k2 = np.zeros(shape)
+    for k in karrs:
+        k2 = k2 + k * k
+    pw = np.broadcast_to(np.where((karrs[-1] > 0) & (2 * karrs[-1] != n), 2.0, 1.0), shape).copy()
+    amp = np.abs(s.coeffs) ** 2
+    scale_ = cbf._scale_factor(d, n)
+    return scale_ * float(np.sum(pw * amp)), scale_ * float(np.sum(pw * k2 * amp))
+
+
+@pytest.mark.parametrize(
+    "dim, n", [(2, 8), (2, 16), (2, 32), (2, 64), (2, 128), (3, 8), (3, 16), (3, 32)], ids=lambda v: str(v)
+)
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_parseval_sums_on_the_block_are_the_full_layout_ones(dim, n, beta):
+    p = CBFParams(mu=0.05, beta=beta, dim=dim, resolution=n, dt=1e-3)
+    for seed in range(4):
+        for kmax_init in sorted({1, p.dealias_kmax}):
+            s = random_divergence_free_state(p, kmax_init=kmax_init, amplitude=0.1 + seed, seed=seed)
+            energy, enstrophy = _full_layout_parseval(s)
+            assert np.float64(state_energy(s, p)).tobytes() == np.float64(energy).tobytes(), (seed, kmax_init)
+            assert np.float64(state_enstrophy(s, p)).tobytes() == np.float64(enstrophy).tobytes(), (seed, kmax_init)
+
+
 def test_taylor_green_rhs_is_purely_viscous():
     # the advection term of this vortex is a gradient, so the projection
     # removes it and the rhs reduces to -mu |k|^2 u with |k|^2 = 2
@@ -631,6 +666,62 @@ def test_load_trajectory_names_an_archive_without_blocks(tmp_path):
     save_trajectory(simulate(taylor_green(p), p), str(d))
     np.savez(d / "trajectory.npz", snapshot_000000=taylor_green(p).coeffs)  # the old layout's array name
     with pytest.raises(ConfigError, match=f"^checkpoint {re.escape(str(d))}: trajectory.npz has no 'blocks'$"):
+        load_trajectory(str(d))
+
+
+def _edit_manifest(edit):
+    def corrupt(d):
+        manifest = json.loads((d / "manifest.json").read_text())
+        edit(manifest)
+        (d / "manifest.json").write_text(json.dumps(manifest))
+
+    return corrupt
+
+
+def _write_npy(d):
+    with open(d / "trajectory.npz", "wb") as fh:
+        np.save(fh, np.zeros(3))
+
+
+# checkpoints that used to end in a JSONDecodeError, a TypeError or
+# ValueError from the parameter checks or float(), numpy's pickle
+# ValueError, or (reversed or repeated times) load and reach the ledger
+BAD_CHECKPOINTS = {
+    "manifest-not-json": (lambda d: (d / "manifest.json").write_text("{format: npz-block"), "manifest.json is not JSON: "),
+    "manifest-not-text": (lambda d: (d / "manifest.json").write_bytes(b'{"format": "\xff"}'), "manifest.json is not JSON: "),
+    "manifest-a-list": (lambda d: (d / "manifest.json").write_text("[]"), "manifest.json is not a JSON object$"),
+    "params-a-list": (_edit_manifest(lambda m: m.update(params=[1.0])), "params is not a JSON object$"),
+    "viscosity-text": (_edit_manifest(lambda m: m["params"].update(mu="x")), "parameter 'mu' must be a number, got 'x'$"),
+    "viscosity-bool": (_edit_manifest(lambda m: m["params"].update(mu=True)), "parameter 'mu' must be a number, got True$"),
+    "dimension-bool": (_edit_manifest(lambda m: m["params"].update(dim=True)), "parameter 'dim' must be an int, got True$"),
+    "resolution-float": (
+        _edit_manifest(lambda m: m["params"].update(resolution=16.0)), "parameter 'resolution' must be an int, got 16.0$"
+    ),
+    "viscosity-negative": (_edit_manifest(lambda m: m["params"].update(mu=-1.0)), "viscosity must be positive, got -1.0$"),
+    "times-text": (_edit_manifest(lambda m: m.update(times=["a", "b", "c"])), "times must be a list of finite numbers"),
+    "times-bool": (_edit_manifest(lambda m: m["times"].__setitem__(0, False)), "times must be a list of finite numbers"),
+    "times-nan": (_edit_manifest(lambda m: m["times"].__setitem__(1, math.nan)), "times must be a list of finite numbers"),
+    "times-huge": (_edit_manifest(lambda m: m["times"].__setitem__(2, 10**400)), "times must be a list of finite numbers"),
+    "times-not-a-list": (_edit_manifest(lambda m: m.update(times=0.0)), "times must be a list of finite numbers"),
+    "times-reversed": (_edit_manifest(lambda m: m["times"].reverse()), r"times must increase strictly, got \[0\.02"),
+    "times-repeated": (_edit_manifest(lambda m: m["times"].__setitem__(2, m["times"][1])), "times must increase strictly"),
+    "archive-text": (lambda d: (d / "trajectory.npz").write_text("not an archive"), "trajectory.npz is not an npz archive: "),
+    "archive-empty": (lambda d: (d / "trajectory.npz").write_bytes(b""), "trajectory.npz is not an npz archive: "),
+    "archive-truncated": (
+        lambda d: (d / "trajectory.npz").write_bytes((d / "trajectory.npz").read_bytes()[:200]),
+        "trajectory.npz is not an npz archive: ",
+    ),
+    "archive-an-npy": (_write_npy, "trajectory.npz is not an npz archive$"),
+}
+
+
+@pytest.mark.parametrize("corrupt, message", BAD_CHECKPOINTS.values(), ids=list(BAD_CHECKPOINTS))
+def test_load_trajectory_refuses_a_malformed_checkpoint_by_name(corrupt, message, tmp_path):
+    p = _params(t_final=0.02, snapshot_every=5)
+    d = tmp_path / "ck"
+    save_trajectory(simulate(taylor_green(p), p), str(d))
+    corrupt(d)
+    with pytest.raises(ConfigError, match=f"^checkpoint {re.escape(str(d))}: {message}"):
         load_trajectory(str(d))
 
 

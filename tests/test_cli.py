@@ -333,6 +333,27 @@ def test_non_integer_index_cell_is_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err == "error: config: line 3: index cell '1.5' is not an integer\n"
 
 
+# input files that used to end in a traceback: a byte that is not text, a
+# cell over the csv module's field size limit, and such a cell in a spectral
+# row the fast parse refuses, which the re-parse of the csv module reads
+_BIG = "x" * 200_000
+BAD_FILES = [
+    (["approx", "--op", "dirichlet-interval"], "--field", b"k1,polarization,re,im\n1,0,\xff,0.0\n"),
+    (["report"], "--inputs", f"quantity,value\na,{_BIG}\n".encode()),
+    (["approx", "--op", "torus", "--d", "2"], "--field", f"k1,k2,polarization,re,im\n1,0,0,{_BIG},0.0\n".encode()),
+]
+
+
+@pytest.mark.parametrize("argv, flag, data", BAD_FILES, ids=["not-text", "report-big-cell", "field-big-cell"])
+def test_unreadable_input_file_is_one_config_line_naming_it(argv, flag, data, tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    assert _run([*argv, flag, str(path)], tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config: {path}: ")
+    assert err.count("\n") == 1
+
+
 _OPS = ("dirichlet-interval", "dirichlet-box", "torus", "torus-stokes")
 
 # every (subcommand, flag, kind or choices) the CLI has offered; a flag that

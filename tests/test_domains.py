@@ -37,6 +37,39 @@ def test_box_eigenvalue_sum():
     assert lam == pytest.approx((3 * math.pi) ** 2 + (2 * math.pi / 2.0) ** 2, rel=1e-14)
 
 
+_BAD_LENGTHS = {
+    "True": True, "np.True_": np.bool_(True), "'3'": "3", "0": 0, "-1.0": -1.0, "inf": math.inf, "nan": math.nan,
+    "10**400": 10**400, "None": None, "[1.0]": [1.0],
+}
+
+
+@pytest.mark.parametrize("length", _BAD_LENGTHS.values(), ids=list(_BAD_LENGTHS))
+def test_interval_and_box_refuse_the_same_lengths(length):
+    # a Box once read "12" as the 2-box (1, 2) and raised ValueError on "x",
+    # while an Interval took True
+    with pytest.raises(ConfigError, match=r"^interval length must be a positive finite number, got "):
+        Interval(length)
+    with pytest.raises(ConfigError, match=r"^box lengths must be positive finite numbers, got "):
+        Box((length,))
+    with pytest.raises(ConfigError, match=r"^box lengths must be positive finite numbers, got "):
+        Box((1.0, length))
+
+
+def test_box_lengths_are_a_sequence_of_numbers():
+    with pytest.raises(ConfigError, match=r"^box lengths must be positive finite numbers, got '12'$"):
+        Box("12")
+    with pytest.raises(ConfigError, match=r"^box lengths must be a sequence, got 3.0$"):
+        Box(3.0)
+    with pytest.raises(ConfigError, match=r"^box dimension must be 1..3, got 4$"):
+        Box((1.0, 2.0, 3.0, 4.0))
+
+
+@pytest.mark.parametrize("length", [3, np.int64(3), 3.0, np.float64(3.0), np.float32(3.0)], ids=repr)
+def test_interval_and_box_take_the_same_lengths(length):
+    assert Interval(length).lengths == Box((length,)).lengths == (3.0,)
+    assert type(Interval(length).length) is float and type(Box((length,)).lengths[0]) is float
+
+
 def test_torus_eigenvalue_is_k_squared():
     op = TorusLaplacian(Torus(3))
     assert op.eigenvalue(ModeIndex((1, -2, 2))) == 9.0

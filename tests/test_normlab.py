@@ -35,12 +35,10 @@ from eigenapprox import (
     truncation_experiment,
 )
 from eigenapprox import fields, normlab
-from eigenapprox.approx import _factors
+from eigenapprox.approx import MULTIPLIERS, _factors
 from eigenapprox.fields import _Packed
 from eigenapprox.normlab import (
     FAMILIES,
-    TRANSFORMS,
-    _AscentState,
     _Family,
     _lower_bound,
     _lp_grid_resolution,
@@ -130,7 +128,7 @@ def test_named_transforms_mode_retention():
     assert sorted(idx.k for idx in sph.coefficients) == [(1, 0)]  # |k|^2 <= 4 keeps (1,0) and (2,0)-type only
     cub = apply_named_transform(f, "cubic", 2)
     assert sorted(idx.k for idx in cub.coefficients) == [(1, 0), (2, 2)]
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="unknown multiplier 'banded'"):
         apply_named_transform(f, "banded", 2)
 
 
@@ -225,6 +223,20 @@ def test_sobolev_quarter_power_annotated():
     assert 0.1 < reps[1].reference <= reps[1].value < 10.0
 
 
+def test_sobolev_surrogate_on_a_one_axis_box_is_the_interval_one():
+    # the surrogate read the interval's `length`, which a Box((L,)) lacks
+    interval, box = DirichletLaplacian(Interval(math.pi)), DirichletLaplacian(Box((math.pi,)))
+    coeffs = random_field(interval, 400.0, np.random.default_rng(5), n_modes=6).coefficients
+    f, g = SpectralField(interval, dict(coeffs)), SpectralField(box, dict(coeffs))
+    for theta in (0.0, 0.3, 0.5, 0.75):
+        assert sobolev_surrogate_norm(g, theta, m_cap=512) == sobolev_surrogate_norm(f, theta, m_cap=512)
+    study = [
+        sobolev_equivalence_study([0.3, 0.75], _config(operator=op, lambda_max=900.0, n_samples=10), m_cap=512)
+        for op in (interval, box)
+    ]
+    assert [(r.value, r.reference) for r in study[0]] == [(r.value, r.reference) for r in study[1]]
+
+
 def test_sobolev_needs_ten_fields():
     cfg = _config(operator=DirichletLaplacian(Interval(1.0)), lambda_max=900.0, n_samples=9)
     with pytest.raises(ConfigError, match="10"):
@@ -310,7 +322,7 @@ _TRANSFORM_PARAMS = {"identity": None, "semigroup": 0.1, "pi_theta": 0.3, "spher
 
 
 @pytest.mark.parametrize("p", [3.0, 4.0])
-@pytest.mark.parametrize("name", TRANSFORMS)
+@pytest.mark.parametrize("name", MULTIPLIERS)
 @pytest.mark.parametrize("family_name", sorted(_FAMILY_CONFIGS))
 def test_transform_grids_from_the_family_tables_are_the_synthesized_ones(family_name, name, p, monkeypatch):
     # each field's transform grid, applied from the one table set of the
@@ -333,8 +345,8 @@ def test_transform_grids_from_the_family_tables_are_the_synthesized_ones(family_
     for f, got, own in zip(family.fields, grids, family.grids):
         assert np.array_equal(got, synthesize(apply_named_transform(f, name, param), family.res).values)
         assert np.array_equal(own, synthesize(f, family.res).values)
-    # with no moves the state's g is still the first grid buffer
-    assert np.array_equal(family.ascent_grids[0], synthesize(start, family.res).values)
+    # with no moves the ascent's g is still the start field's grid
+    assert np.array_equal(family.g, synthesize(start, family.res).values)
 
 
 @pytest.mark.parametrize("p", [3.0, 4.0])
@@ -410,10 +422,11 @@ def test_truncation_experiment_small_run_deterministic():
 
 
 def _ascent(f, name, param, p):
-    """The ascent state `_lower_bound` starts on the one-field family of f."""
+    """The one-field family of f with the ascent `_lower_bound` starts on it."""
     family = _Family([f], p)
     gT = synthesize(apply_named_transform(f, name, param), family.res).values
-    return _AscentState(family, 0, _factors(f, name, param), gT)
+    family.start(0, _factors(f, name, param), gT)
+    return family
 
 
 # name -> (operator, p): the head/last split of a move at d = 1, 2, 3, and
@@ -458,11 +471,11 @@ def test_ascent_grids_match_fresh_synthesis(op_name, lambda_max, name, param):
     state = _ascent(f, name, param, p)
     rng = np.random.default_rng(12)
     for _ in range(40):
-        j, rel = int(rng.integers(len(state.family.reps))), float(rng.uniform(-0.3, 0.3))
+        j, rel = int(rng.integers(len(state.reps))), float(rng.uniform(-0.3, 0.3))
         state.move(j, rel, math.inf if rng.random() < 0.4 else -math.inf)
-    current = SpectralField(op, state.coeffs)
-    g = synthesize(current, state.family.res).values.real
-    gT = synthesize(apply_named_transform(current, name, param), state.family.res).values.real
+    current = SpectralField(op, _Packed(state.k, state.pol, state.values.copy()))
+    g = synthesize(current, state.res).values.real
+    gT = synthesize(apply_named_transform(current, name, param), state.res).values.real
     assert np.max(np.abs(state.g - g)) <= 1e-12 * np.max(np.abs(g))
     assert np.max(np.abs(state.gT - gT)) <= 1e-12 * np.max(np.abs(gT))
     assert state.ratio() == pytest.approx(lp_ratio(current, name, param, p), rel=1e-12, abs=0.0)
@@ -477,7 +490,7 @@ def test_rejected_move_leaves_the_state_bit_identical():
     start = (state.g.copy(), state.gT.copy(), state.values.copy(), state.ratio())
     rng = np.random.default_rng(12)
     for _ in range(40):
-        r = state.move(int(rng.integers(len(state.family.reps))), float(rng.uniform(-0.3, 0.3)), math.inf)
+        r = state.move(int(rng.integers(len(state.reps))), float(rng.uniform(-0.3, 0.3)), math.inf)
         assert math.isfinite(r)
     assert np.array_equal(state.g, start[0])
     assert np.array_equal(state.gT, start[1])
@@ -518,7 +531,7 @@ def test_family_norm_bits_do_not_depend_on_where_the_grid_starts(p):
     # line has the same norm bits, on the 162^2 grid of `truncate`
     config = _config(lambda_max=1600.0, family="near-extremal", n_samples=1)
     family = _Family(sample_fields(config), p)
-    assert all(b.ctypes.data % 64 == 0 for b in (family._buf, *family.ascent_grids))
+    assert all(b.ctypes.data % 64 == 0 for b in (family._buf, family.g, family.gT, family._next_g, family._next_gT))
     grid = family.grids[0]
     raw = np.empty(grid.size + 14)
     base = -raw.ctypes.data % 64 // 8
@@ -541,13 +554,13 @@ def test_ascent_accepts_exactly_when_a_fresh_ratio_beats_the_best(op, lambda_max
     # afresh; moves whose two ratios agree to roundoff may go either way
     f = random_field(op, lambda_max, np.random.default_rng(21), decay=1.0)
     state = _ascent(f, name, param, p)
-    k, pol = state.family.k, state.family.pol
+    k, pol = state.k, state.pol
     best = state.ratio()
     rng = np.random.default_rng(22)
     judged = accepted = 0
     for _ in range(60):
-        j, rel = int(rng.integers(len(state.family.reps))), float(rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 0.1))
-        i = state.family.reps[j]
+        j, rel = int(rng.integers(len(state.reps))), float(rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 0.1))
+        i = state.reps[j]
         values = state.values.copy()
         values[i] += values[i] * rel
         if isinstance(op, TorusLaplacian) and k[i].any():

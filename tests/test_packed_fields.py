@@ -187,8 +187,6 @@ def _scalar_rule(name, param, k, lam):
         return math.exp(-float(param) * lam)
     if name == "pi_theta":
         return math.exp(-float(param) * lam) if lam < float(param) ** -2 else None
-    if name == "fractional_power":
-        return lam ** float(param)
     if name == "spherical":
         return 1.0 if sum(x * x for x in k) <= int(param) ** 2 else None
     return 1.0 if max(abs(x) for x in k) <= int(param) else None
@@ -198,7 +196,6 @@ _PARAMS = {
     "identity": [None],
     "semigroup": [0.0, 0.013, 0.3, 2.0],
     "pi_theta": [0.05, 0.21, 0.5, 1.0],
-    "fractional_power": [-0.75, 0.25, 0.5, 1.0, 1.3],
     "spherical": [0, 1, 2, 3],
     "cubic": [0, 1, 2, 3],
 }

@@ -154,6 +154,20 @@ def test_unparsable_spectral_cell_names_its_line(tmp_path, row, message):
         spectral_field_from_csv(p, TorusLaplacian(Torus(2)))
 
 
+@pytest.mark.parametrize(
+    "data",
+    [b"k1,k2,polarization,re,im\n1,0,0,\xff,0.0\n", f"k1,k2,polarization,re,im\n1,0,0,{'x' * 200_000},0.0\n".encode()],
+    ids=["not-text", "cell-over-the-csv-field-limit"],
+)
+def test_unreadable_spectral_csv_names_its_file(tmp_path, data):
+    # a byte the text layer cannot decode, and a cell the csv module refuses
+    # when the re-parse looks for the line the fast parse could not take
+    p = tmp_path / "bad.csv"
+    p.write_bytes(data)
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(p))}: "):
+        spectral_field_from_csv(p, TorusLaplacian(Torus(2)))
+
+
 @pytest.mark.filterwarnings("ignore::DeprecationWarning")
 @pytest.mark.parametrize(
     "cell, message",

@@ -5,7 +5,8 @@ temporary root, with that root as the working directory; the output is one
 `<job>/<file> <sha256>` line per written file, sorted.  The `readback-*` jobs
 read the spectral CSVs the `approx-*` jobs emit (by relative path, so their
 manifests do not depend on the root) and emit them again, so the CSV reader is
-covered too; `h00` evaluates a spectral field pointwise.  Running it on two
+covered too; `h00` evaluates a spectral field pointwise, and `report` merges
+the two truncate tables.  Running it on two
 checkouts and diffing the outputs checks that a change keeps every artifact
 byte-identical:
 
@@ -40,6 +41,7 @@ JOBS = (
     # an empty kept set (n = 0, a zero transform grid), every mode kept (n = 6)
     # and a one-field family
     ("truncate-edges", ["truncate", "--n-list", "0,6", "--kmax", "6", "--samples", "1", "--iters", "20"]),
+    ("report", ["report", "--inputs", "truncate/truncate.csv", "truncate-p3/truncate.csv"]),
     ("cbf-2d", ["cbf", "--d", "2", "--N", "32", "--T", "0.05", "--save-traj", "--plot"]),
     ("cbf-3d", ["cbf", "--d", "3", "--N", "16", "--beta", "1", "--T", "0.02", "--save-traj"]),
     ("cbf-3d-r3", ["cbf", "--d", "3", "--N", "16", "--beta", "1", "--r", "3", "--T", "0.02", "--save-traj"]),
