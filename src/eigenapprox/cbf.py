@@ -59,7 +59,7 @@ import math
 import os
 import sys
 import zipfile
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -82,7 +82,9 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class CBFParams:
-    """Physical and discretization parameters.
+    """Physical and discretization parameters, the one schema the checkpoint
+    reader also builds from: each a finite number of its annotated kind (a
+    bool is none; a numpy integer is stored as an int).
 
     beta = 0 is plain Navier-Stokes.  The dealias cutoff is the 2/3 rule for
     the quadratic term alone and tightens to 1/2 when the cubic absorption
@@ -99,8 +101,13 @@ class CBFParams:
     snapshot_every: int = 10
 
     def __post_init__(self):
-        for key in ("mu", "beta", "r", "dt", "t_final"):
-            _check_finite(key, getattr(self, key))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            value = int(value) if isinstance(value, np.integer) else value
+            object.__setattr__(self, f.name, value)
+            if not _is_number(value, f.type):
+                raise ConfigError(f"parameter {f.name!r} must be {'an int' if f.type == 'int' else 'a number'}, got {value!r}")
+            _check_finite(f.name, value)
         if not self.mu > 0:
             raise ConfigError(f"viscosity must be positive, got {self.mu}")
         if self.beta < 0:
@@ -126,17 +133,11 @@ class CBFParams:
             raise ConfigError(f"resolution {n} leaves no modes under the dealiasing rule")
         return k
 
-    def as_dict(self) -> dict:
-        return {
-            "mu": self.mu,
-            "beta": self.beta,
-            "r": self.r,
-            "dim": self.dim,
-            "resolution": self.resolution,
-            "dt": self.dt,
-            "t_final": self.t_final,
-            "snapshot_every": self.snapshot_every,
-        }
+
+def _is_number(v, kind: str = "float") -> bool:
+    """v is a number of this CBFParams field kind: an int, or for "float" an
+    int or a float; a bool is neither."""
+    return not isinstance(v, bool) and isinstance(v, int if kind == "int" else (int, float))
 
 
 def _check_finite(key: str, value) -> None:
@@ -676,23 +677,17 @@ def save_trajectory(traj: Trajectory, directory: str) -> None:
     for s in traj.states:
         _check_state(s, p)
     blocks = np.stack([s.block for s in traj.states], dtype=complex)
-    os.makedirs(directory, exist_ok=True)
     manifest = {
         "format": "npz-block",
-        "params": p.as_dict(),
+        "params": asdict(p),
         "times": [float(t) for t in traj.times],
         "snapshots": len(traj.states),
     }
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"  # before any file is opened
+    os.makedirs(directory, exist_ok=True)
     np.savez(os.path.join(directory, "trajectory.npz"), blocks=blocks)
     with open(os.path.join(directory, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _is_number(v, kind: str = "float") -> bool:
-    """v is a JSON value of this CBFParams field kind: an int, or for
-    "float" an int or a float; a bool is neither."""
-    return not isinstance(v, bool) and isinstance(v, int if kind == "int" else (int, float))
+        fh.write(text)
 
 
 def load_trajectory(directory: str) -> Trajectory:
@@ -701,9 +696,9 @@ def load_trajectory(directory: str) -> Trajectory:
 
     A manifest that is not a JSON object, lacks format, params or times, has
     a format other than "npz-block" (the full-layout "npz" of earlier
-    versions included), a parameter CBFParams lacks, needs or refuses, or
-    one of another kind than its field (a bool is no number), or times that
-    are not finite numbers in strictly increasing order raises a
+    versions included), a parameter CBFParams lacks, needs or refuses (its
+    constructor checks each value's kind), or times that are not finite
+    numbers in strictly increasing order raises a
     ConfigError; so does a trajectory.npz that is not an npz archive, has no
     `blocks`, blocks of another shape than the params give, or another
     number of snapshots than the manifest lists times.  Every message but
@@ -734,9 +729,6 @@ def load_trajectory(directory: str) -> Trajectory:
     missing = [f.name for f in declared if f.default is MISSING and f.name not in given]
     if missing:
         raise bad(f"parameter {missing[0]!r} is missing")
-    for f in declared:
-        if f.name in given and not _is_number(given[f.name], f.type):
-            raise bad(f"parameter {f.name!r} must be {'an int' if f.type == 'int' else 'a number'}, got {given[f.name]!r}")
     try:
         params = CBFParams(**given)
     except ConfigError as e:

@@ -1,11 +1,12 @@
 """Domains, operators, and their closed-form eigenpairs.
 
-Three geometries are supported: an open interval (0, L), a box (product of
-intervals), and the d-torus with period 2*pi per axis.  On the interval/box the
-operator is the Dirichlet Laplacian; on the torus either the Laplacian acting
-on scalars (or componentwise on vectors) or the Stokes operator acting on
-divergence-free vector fields.  All eigenpairs are available in closed form,
-which is what the rest of the toolkit leans on.
+Two geometries are supported: a box (product of one to three intervals,
+the interval (0, L) being the one-axis box) and the d-torus with period 2*pi
+per axis.  On a box the operator is the Dirichlet Laplacian; on the torus
+either the Laplacian acting on scalars (or componentwise on vectors) or the
+Stokes operator acting on divergence-free vector fields, both of spectrum
+|k|^2.  All eigenpairs are available in closed form, which is what the rest
+of the toolkit leans on.
 """
 
 from __future__ import annotations
@@ -54,33 +55,9 @@ def _length(v):
 
 
 @dataclass(frozen=True)
-class Interval:
-    """The open interval (0, length)."""
-
-    length: float
-
-    def __post_init__(self):
-        x = _length(self.length)
-        if x is None:
-            raise ConfigError(f"interval length must be a positive finite number, got {self.length!r}")
-        object.__setattr__(self, "length", x)
-
-    @property
-    def dim(self) -> int:
-        return 1
-
-    @property
-    def lengths(self) -> tuple:
-        return (self.length,)
-
-    @property
-    def periodic(self) -> bool:
-        return False
-
-
-@dataclass(frozen=True)
 class Box:
-    """A product of open intervals (0, L_1) x ... x (0, L_d), d in {1, 2, 3}."""
+    """A product of open intervals (0, L_1) x ... x (0, L_d), d in {1, 2, 3},
+    each side a positive finite real number (not a bool) stored as a float."""
 
     lengths: tuple
 
@@ -104,6 +81,19 @@ class Box:
         return False
 
 
+class Interval(Box):
+    """The open interval (0, length): the one-axis Box, refused by its own name."""
+
+    def __init__(self, length):
+        if _length(length) is None:
+            raise ConfigError(f"interval length must be a positive finite number, got {length!r}")
+        super().__init__((length,))
+
+    @property
+    def length(self) -> float:
+        return self.lengths[0]
+
+
 @dataclass(frozen=True)
 class Torus:
     """The d-torus [0, 2*pi)^d."""
@@ -123,7 +113,7 @@ class Torus:
         return True
 
 
-DomainSpec = Union[Interval, Box, Torus]
+DomainSpec = Union[Box, Torus]
 
 
 # ---------------------------------------------------------------------------
@@ -213,15 +203,17 @@ class _Operator:
 class DirichletLaplacian(_Operator):
     """-Laplace with zero boundary values on an interval or box."""
 
-    domain: Union[Interval, Box]
+    domain: Box
 
     def __post_init__(self):
-        if not isinstance(self.domain, (Interval, Box)):
+        if not isinstance(self.domain, Box):
             raise ConfigError("DirichletLaplacian needs an Interval or Box domain")
 
     def eigenvalue(self, k) -> float:
-        ks = k.k if isinstance(k, ModeIndex) else k
-        return float(sum((ki * math.pi / L) ** 2 for ki, L in zip(ks, self.domain.lengths)))
+        lam = 0.0  # summed from the left as `_eigenvalues` does; the builtin sum is compensated from Python 3.12
+        for ki, L in zip(k.k if isinstance(k, ModeIndex) else k, self.domain.lengths):
+            lam += (ki * math.pi / L) ** 2
+        return float(lam)
 
     def lambda_min(self) -> float:
         """Smallest eigenvalue (all-ones multi-index)."""
@@ -229,14 +221,14 @@ class DirichletLaplacian(_Operator):
 
 
 @dataclass(frozen=True)
-class TorusLaplacian(_Operator):
-    """-Laplace on the torus (scalar fields, or vectors componentwise)."""
+class _TorusOperator(_Operator):
+    """What the torus operators share: a Torus domain and the spectrum |k|^2."""
 
     domain: Torus
 
     def __post_init__(self):
         if not isinstance(self.domain, Torus):
-            raise ConfigError("TorusLaplacian needs a Torus domain")
+            raise ConfigError(f"{type(self).__name__} needs a Torus domain")
 
     def eigenvalue(self, k) -> float:
         ks = k.k if isinstance(k, ModeIndex) else k
@@ -247,25 +239,18 @@ class TorusLaplacian(_Operator):
         return 1.0
 
 
-@dataclass(frozen=True)
-class TorusStokes(_Operator):
+class TorusLaplacian(_TorusOperator):
+    """-Laplace on the torus (scalar fields, or vectors componentwise)."""
+
+
+class TorusStokes(_TorusOperator):
     """Stokes operator on the torus: -Laplace restricted to divergence-free
     vector fields with zero mean.  Requires d >= 2."""
 
-    domain: Torus
-
     def __post_init__(self):
-        if not isinstance(self.domain, Torus):
-            raise ConfigError("TorusStokes needs a Torus domain")
+        super().__post_init__()
         if self.domain.dim < 2:
             raise ConfigError("TorusStokes requires dimension >= 2")
-
-    def eigenvalue(self, k) -> float:
-        ks = k.k if isinstance(k, ModeIndex) else k
-        return float(sum(ki * ki for ki in ks))
-
-    def lambda_min(self) -> float:
-        return 1.0
 
 
 OperatorSpec = Union[DirichletLaplacian, TorusLaplacian, TorusStokes]
@@ -447,7 +432,7 @@ def _mode_product(operator: OperatorSpec, k, coords) -> np.ndarray:
 
 def mode_evaluator(operator: OperatorSpec, index: ModeIndex) -> Callable:
     """Point evaluator for one eigenfunction of `operator`."""
-    if not isinstance(operator, (DirichletLaplacian, TorusLaplacian, TorusStokes)):
+    if not isinstance(operator, (DirichletLaplacian, _TorusOperator)):
         raise ConfigError(f"unknown operator {operator!r}")
     _check_modes(operator, [index], eigenmode=True)
     d = operator.dim
@@ -503,7 +488,7 @@ def _mode_table(operator: OperatorSpec, lambda_max: float, cap: int = DEFAULT_MO
                 f"mode enumeration would produce more than {sys.float_info.max:.3g} modes, over the cap of {cap}"
             )
         low = 1
-    elif isinstance(operator, (TorusLaplacian, TorusStokes)):
+    elif isinstance(operator, _TorusOperator):
         bound = int(math.floor(math.sqrt(lambda_max)))
         shape = (2 * bound + 1,) * operator.dim
         low = -bound

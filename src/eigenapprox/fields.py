@@ -670,7 +670,8 @@ def lp_norm(g: GridField, p) -> float:
 
 
 def leray_project(f: SpectralField) -> SpectralField:
-    """Per-mode v -> v - k (k.v)/|k|^2, returned as a TorusStokes field.
+    """Per-mode projection of v onto the plane orthogonal to k through the
+    polarization basis of k (`_tangential`), returned as a TorusStokes field.
 
     The k=0 amplitude (the mean) is in the kernel of the gradient part and is
     carried through untouched.

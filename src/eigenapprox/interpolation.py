@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
 from .approx import _weighted_norm, fractional_norm
-from .domains import Box, Interval
+from .domains import Box
 from .errors import AccuracyError, ConfigError
 from .fields import SpectralField, _simpson, evaluate
 from .reports import NormReport
@@ -231,11 +231,11 @@ class BoundaryWeight:
     """Weight rho comparable to the boundary distance; default per-axis
     x (L - x) / L, multiplied across axes on boxes."""
 
-    domain: Union[Interval, Box]
+    domain: Box
     func: Callable = None
 
     def __post_init__(self):
-        if not isinstance(self.domain, (Interval, Box)):
+        if not isinstance(self.domain, Box):
             raise ConfigError("BoundaryWeight is defined on Interval/Box domains")
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
@@ -294,7 +294,7 @@ def _h00_eval(u, points: np.ndarray) -> np.ndarray:
 
 def h00_weighted_norm(
     u,
-    domain: Union[Interval, Box],
+    domain: Box,
     weight: BoundaryWeight = None,
     levels: int = 10,
 ) -> H00Report:

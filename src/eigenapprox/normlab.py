@@ -413,7 +413,7 @@ def truncation_experiment(
 
 def _boundary_max(u: SpectralField) -> float:
     """Max |u| over boundary samples of a Dirichlet-domain field."""
-    g = synthesize(u, max(8, 4 * max(u.max_axis_index(), 1)))
+    g = synthesize(u)
     worst = 0.0
     for ax in range(len(g.axes)):
         for edge in (0, -1):
@@ -499,11 +499,12 @@ def _zero_extension_coeffs(f: SpectralField, m_cap: int) -> np.ndarray:
 def sobolev_surrogate_norm(f: SpectralField, theta: float, m_cap: int = 4096) -> float:
     """Coefficient-side H^{2 theta} surrogate via extension by zero onto a
     torus of doubled period; theta = 0 and theta = 1/2 use the exact
-    coefficient identities (l2 and gradient norms)."""
+    coefficient identities (l2 and gradient norms).  theta < 3/4 only."""
     if not isinstance(f.operator, DirichletLaplacian) or f.dim != 1:
         raise ConfigError("the Sobolev surrogate is implemented for interval fields")
-    if not 0.0 <= theta < 1.0:
-        raise ConfigError(f"theta must lie in [0,1), got {theta}")
+    if not 0.0 <= theta < 0.75:
+        msg = "the zero extension of a sine is not in H^(2 theta) from theta = 3/4 on, so the sum would grow with m_cap"
+        raise ConfigError(f"theta must lie in [0, 3/4), got {theta}: {msg}")
     L = f.operator.domain.lengths[0]
     if theta in (0.0, 0.5):
         # the l2 norm, and || grad u || exact via Parseval for the cosine system

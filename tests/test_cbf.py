@@ -80,6 +80,37 @@ def test_params_validation():
             make(_params(), amplitude=math.nan)
 
 
+_BAD_KINDS = {
+    "dim-float": ("dim", 2.0, "parameter 'dim' must be an int, got 2.0$"),
+    "resolution-float": ("resolution", 16.0, "parameter 'resolution' must be an int, got 16.0$"),
+    "snapshot-every-fraction": ("snapshot_every", 2.5, "parameter 'snapshot_every' must be an int, got 2.5$"),
+    "viscosity-bool": ("mu", True, "parameter 'mu' must be a number, got True$"),
+    "viscosity-text": ("mu", "1", "parameter 'mu' must be a number, got '1'$"),
+    "resolution-huge": ("resolution", 10**400, "resolution must be finite, got "),
+}
+
+
+@pytest.mark.parametrize("key, value, message", _BAD_KINDS.values(), ids=list(_BAD_KINDS))
+def test_params_refuse_a_value_of_another_kind_by_name(key, value, message):
+    # these once passed the constructor and failed later, if at all, with a
+    # TypeError (a float dim or resolution, a text mu) or ran (True, 2.5)
+    with pytest.raises(ConfigError, match=f"^{message}"):
+        _params(**{key: value})
+
+
+def test_numpy_integer_params_round_trip_through_a_checkpoint(tmp_path):
+    # a numpy integer once reached json.dump and left a manifest cut off
+    # after "resolution":
+    p = _params(mu=np.int64(1), dim=np.int32(2), resolution=np.int64(16), t_final=0.02, snapshot_every=np.int64(5))
+    assert [type(v) for v in (p.mu, p.dim, p.resolution, p.snapshot_every)] == [int] * 4
+    traj = simulate(taylor_green(p), p)
+    d = tmp_path / "ck"
+    save_trajectory(traj, str(d))
+    back = load_trajectory(str(d))
+    assert back.params == p and back.times == traj.times
+    assert all(np.array_equal(a.block, b.block) for a, b in zip(back.states, traj.states))
+
+
 def test_dealias_cutoff_tightens_with_absorption():
     assert _params(resolution=16).dealias_kmax == 5  # 2/3 rule
     assert _params(resolution=16, beta=1.0).dealias_kmax == 3  # 1/2 rule for the cubic term

@@ -20,6 +20,7 @@ from eigenapprox import (
     enumerate_modes,
     mode_evaluator,
 )
+from eigenapprox import domains
 from eigenapprox.domains import polarization_basis, sinpi
 
 
@@ -35,6 +36,15 @@ def test_box_eigenvalue_sum():
     op = DirichletLaplacian(Box((1.0, 2.0)))
     lam = op.eigenvalue(ModeIndex((3, 2)))
     assert lam == pytest.approx((3 * math.pi) ** 2 + (2 * math.pi / 2.0) ** 2, rel=1e-14)
+
+
+def test_box_eigenvalue_adds_its_axis_terms_from_the_left(monkeypatch):
+    # from Python 3.12 on the builtin sum adds floats compensated, which
+    # split the scalar eigenvalue from the array one on 123 of these modes
+    monkeypatch.setattr(domains, "sum", math.fsum, raising=False)
+    op = DirichletLaplacian(Box((math.pi, 2.0, 1.5)))
+    k = np.array(list(itertools.product(range(1, 12), repeat=3)), dtype=np.int64)
+    assert domains._eigenvalues(op, k).tolist() == [op.eigenvalue(row) for row in k.tolist()]
 
 
 _BAD_LENGTHS = {
