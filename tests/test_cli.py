@@ -182,6 +182,17 @@ def test_a_p_whose_grid_numpy_cannot_address_is_exit_3(tmp_path, capsys):
     assert not (tmp_path / "truncate.csv").exists()
 
 
+def test_truncate_kmax_past_the_mode_cap_is_exit_3(tmp_path, capsys):
+    # the near-extremal family used to build its (2 kmax + 1)^2 index box
+    # unchecked: 29.1 TiB at kmax 10^6
+    rc = _run(["truncate", "--kmax", "1000000"], tmp_path)
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: accuracy: mode enumeration would produce")
+    assert "\n" not in err.rstrip("\n")
+    assert not (tmp_path / "truncate.csv").exists()
+
+
 def test_missing_subcommand_is_exit_2(capsys):
     assert run([]) == 2
     assert capsys.readouterr().err.startswith("error: config:")

@@ -8,8 +8,8 @@ grid goes through the one-axis tables of `fields._axis_tables` (or `cbf`'s
 partial DFTs read from the same phases); the one FFT left is the seeded
 initial state of `cbf.random_divergence_free_state`, whose bits the ledger
 artifacts depend on.  scipy costs about 0.35 s of start-up and 47 MB of
-memory, so only the near-extremal family's Bessel function and the
-`--check-itheta` reference quadrature import it, inside their functions.
+memory, so only the `--check-itheta` reference quadrature imports it, inside
+its function; the near-extremal family's Bessel function is `normlab._j1`.
 """
 
 import ast
@@ -101,10 +101,7 @@ def test_no_fft_call_but_the_seeded_initial_state():
     assert found == FFT_ALLOWED
 
 
-SCIPY_ALLOWED = {
-    ("normlab.py", "_near_extremal_coeffs", "scipy.special.j1"),
-    ("interpolation.py", "i_theta_quadrature", "scipy.integrate.quad"),
-}
+SCIPY_ALLOWED = {("interpolation.py", "i_theta_quadrature", "scipy.integrate.quad")}
 
 
 def _scipy_imports(source: str) -> list:
@@ -139,17 +136,20 @@ def test_the_scan_finds_every_scipy_import():
     ]
 
 
-def test_no_scipy_import_but_the_two_lazy_ones():
+def test_no_scipy_import_but_the_lazy_quadrature():
     found = {(p.name, where, name) for p in SRC.glob("*.py") for _, where, name in _scipy_imports(p.read_text())}
     assert found == SCIPY_ALLOWED
 
 
-# each run through cli.run, small; none samples the near-extremal family or
-# checks I(theta), the two paths that load scipy
+# each run through cli.run, small, in order, each writing to the directory
+# named after its subcommand; none checks I(theta), the one path that loads
+# scipy, and `truncate` samples the near-extremal family
 _SCIPY_FREE_RUNS = [
     ["cbf", "--N", "16", "--T", "0.03"],
     ["interp"],
     ["approx"],
+    ["truncate", "--n-list", "2", "--kmax", "6", "--samples", "2", "--iters", "10"],
+    ["report", "--inputs", os.path.join("truncate", "truncate.csv")],
 ]
 _SCIPY_PROBE = """
 import json, os, sys
@@ -159,8 +159,9 @@ def loaded():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 out = {"import": loaded()}
+os.chdir(sys.argv[2])
 for argv in json.loads(sys.argv[1]):
-    rc = eigenapprox.cli.run(argv + ["--out-dir", os.path.join(sys.argv[2], argv[0])])
+    rc = eigenapprox.cli.run(argv + ["--out-dir", argv[0]])
     out[argv[0]] = [rc, loaded()]
 print(json.dumps(out))
 """
@@ -174,4 +175,4 @@ def test_import_and_cli_runs_leave_scipy_unloaded(tmp_path):
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"import": [], "cbf": [0, []], "interp": [0, []], "approx": [0, []]}
+    assert json.loads(proc.stdout) == {"import": [], **{argv[0]: [0, []] for argv in _SCIPY_FREE_RUNS}}

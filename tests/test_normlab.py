@@ -18,6 +18,7 @@ from eigenapprox import (
     GridField,
     Interval,
     ModeIndex,
+    ResourceLimitError,
     SpectralField,
     Torus,
     TorusLaplacian,
@@ -42,6 +43,7 @@ from eigenapprox.normlab import (
     _Family,
     _lower_bound,
     _lp_grid_resolution,
+    _j1,
     _near_extremal_coeffs,
 )
 
@@ -114,6 +116,22 @@ def test_boundary_bump_below_the_first_eigenvalue_names_lambda_max():
     # the first Dirichlet eigenvalue on (0, 1) is pi^2
     with pytest.raises(ConfigError, match="boundary-bump family has no eigenvalue <= lambda_max 9.0"):
         sample_fields(_config(operator=DirichletLaplacian(Interval(1.0)), lambda_max=9.0, family="boundary-bump"))
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_non_finite_lambda_max_is_refused_for_every_family(value):
+    # the near-extremal family used to take int(floor(sqrt(inf))) and end in
+    # a bare OverflowError
+    for family in FAMILIES:
+        with pytest.raises(ConfigError, match=f"lambda_max must be positive and finite, got {value!r}"):
+            _config(lambda_max=value, family=family)
+
+
+def test_near_extremal_meets_the_mode_cap_before_its_box_exists(monkeypatch):
+    # kmax 10^6 used to ask meshgrid for 29.1 TiB
+    monkeypatch.setattr(np, "meshgrid", None)
+    with pytest.raises(ResourceLimitError, match="mode enumeration would produce 4000004000001 modes"):
+        sample_fields(_config(lambda_max=1e12, family="near-extremal"))
 
 
 def test_near_extremal_below_one_names_lambda_max():
@@ -291,6 +309,16 @@ def _near_extremal_oracle(kmax, rng):
         if mk != k:
             out[mk] = out[k].conjugate()
     return out
+
+
+def test_j1_is_scipy_bit_for_bit():
+    five = [np.nextafter(5.0, -np.inf), 5.0, np.nextafter(5.0, np.inf)]  # where the branch switches
+    for x in [np.linspace(0.0, 300.0, 300001), np.array(five), np.array([0.0])]:
+        assert np.array_equal(_j1(x), j1(x))
+    for kmax in range(1, 65):  # every |k|R the family evaluates J1 at
+        k = _near_extremal_coeffs(kmax, np.random.default_rng(0), 1)[0].k
+        x = np.hypot(k[:, 0], k[:, 1]) * 1.2
+        assert np.array_equal(_j1(x), j1(x)), kmax
 
 
 @pytest.mark.parametrize("kmax", [1, 2, 3, 7, 16, 40])
