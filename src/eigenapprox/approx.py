@@ -27,7 +27,7 @@ _FOURIER_TRUNCATIONS = ("spherical", "cubic")  # torus only; keep (factor 1) or 
 def _semigroup_time(theta) -> float:
     """theta as a float, checked as a semigroup time."""
     t = float(theta)
-    if t < 0:
+    if not t >= 0:  # NaN too, whose factors would read as "drop the mode"
         raise ConfigError(f"semigroup time must be >= 0, got {theta}")
     return t
 
@@ -92,8 +92,6 @@ def _apply_multiplier(f: SpectralField, name: str, param) -> SpectralField:
 
 def semigroup_apply(f: SpectralField, theta: float) -> SpectralField:
     """e^{-theta A} f: scale each coefficient by e^{-theta lambda_j}."""
-    if theta == 0:
-        return f  # fields are immutable
     return _apply_multiplier(f, "semigroup", theta)
 
 
@@ -173,7 +171,7 @@ def phi(theta: float, kappa: float) -> float:
 def c_gamma(gamma: float) -> float:
     """sup over lambda >= 0 of lambda^gamma e^{-lambda}: (gamma/e)^gamma, with
     the 0^0 := 1 convention at gamma = 0."""
-    if gamma < 0:
+    if not gamma >= 0:
         raise ConfigError(f"c_gamma needs gamma >= 0, got {gamma}")
     if gamma == 0:
         return 1.0

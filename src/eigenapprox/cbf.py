@@ -26,9 +26,10 @@ Single Domains, 2006, sections 3.2-3.3).  The transforms between the block
 and the N-point grid are partial DFTs done as dense matrix products, one per
 axis (`_dft_matrices`): only the 2K+1 kept wavenumbers of a full axis and
 the K+1 of the halved one are ever computed, and the zero-padded N-point
-layout is never built.  No FFT runs in a step.  Checkpoints store the
-blocks as they are: `save_trajectory` stacks them into one uncompressed
-array and `load_trajectory` reads them back, bit for bit.
+layout is never built.  No FFT runs in the module: the seeded random state
+takes its block from white noise on the grid by the same products.
+Checkpoints store the blocks as they are: `save_trajectory` stacks them into
+one uncompressed array and `load_trajectory` reads them back, bit for bit.
 
 Known limit: a matrix product costs O(N K) per grid line against the FFT's
 O(N log N), so it pays only on small grids.  Measured against the pruned
@@ -189,7 +190,7 @@ class CBFState:
     def coeffs(self) -> np.ndarray:
         """A read-only copy of the coefficients in the full rfftn layout of
         the N-point grid, shape (dim, N, ..., N, N//2+1): zero off the block."""
-        out = _low_modes(self.block, self.resolution, self.block.shape[-1] - 1)
+        out = _low_modes(self.block, self.resolution)
         out.setflags(write=False)
         return out
 
@@ -207,7 +208,7 @@ def _parseval_sum(s: CBFState, weight: np.ndarray) -> float:
     formed on the block and summed where they sit in the N-point layout,
     among its zeros: numpy's pairwise sum rounds by where the zeros sit."""
     terms = weight * np.abs(s.block) ** 2
-    return _scale_factor(s.dim, s.resolution) * float(np.sum(_low_modes(terms, s.resolution, s.block.shape[-1] - 1)))
+    return _scale_factor(s.dim, s.resolution) * float(np.sum(_low_modes(terms, s.resolution)))
 
 
 def state_energy(s: CBFState, params: CBFParams) -> float:
@@ -243,28 +244,20 @@ def _leray_arrays(fh: np.ndarray, karrs, k2safe) -> np.ndarray:
     return out
 
 
-def _low_modes(a: np.ndarray, n: int, m: int) -> np.ndarray:
-    """The coefficients of `a` with |k_a| <= m on every axis, in the rfftn
-    layout of an n-point grid (component axis first), zero elsewhere, in
-    the dtype of `a`.
+def _low_modes(block: np.ndarray, n: int) -> np.ndarray:
+    """The kept block (component axis first, cutoff K = block.shape[-1] - 1)
+    scattered into the rfftn layout of an n-point grid, zero elsewhere, in
+    the dtype of the block.
 
     A full axis of an rfftn layout holds k >= 0 at its start and k < 0 at
-    its end; the halved last axis holds k >= 0 only.  The kept block of
-    cutoff K is the layout of 2K+1 points, so gathering it from a full
-    layout (n = 2K+1, m = K, as `random_divergence_free_state` does from
-    `rfftn`) and scattering it into one (m = K, `CBFState.coeffs`) are both
-    this one copy.  The solver itself never sees the N-point layout:
-    `_block_to_grid` and `_grid_to_block` map the block straight to the grid
-    and back.
+    its end, so the block's 0..K, -K..-1 land at 0..K, n-K..n-1; the halved
+    last axis holds k >= 0 only.  Only `CBFState.coeffs` and the Parseval
+    sums build this layout: the solver maps the block straight to the grid
+    and back (`_block_to_grid`, `_grid_to_block`).
     """
-    out = np.zeros(a.shape[:1] + (n,) * (a.ndim - 2) + (n // 2 + 1,), dtype=a.dtype)
-    low = slice(0, m + 1)
-    pairs = [((slice(None),), (slice(None),))]
-    for ax in range(1, a.ndim - 1):
-        neg_a, neg_out = slice(a.shape[ax] - m, None), slice(n - m, None)
-        pairs = [(x + (low,), y + (low,)) for x, y in pairs] + [(x + (neg_a,), y + (neg_out,)) for x, y in pairs]
-    for x, y in pairs:
-        out[y + (low,)] = a[x + (low,)]
+    m = block.shape[-1]  # K + 1
+    out = np.zeros(block.shape[:1] + (n,) * (block.ndim - 2) + (n // 2 + 1,), dtype=block.dtype)
+    out[np.ix_(range(block.shape[0]), *[np.r_[0:m, n + 1 - m : n]] * (block.ndim - 2), range(m))] = block
     return out
 
 
@@ -376,7 +369,7 @@ def cbf_rhs(s: CBFState, params: CBFParams) -> SpectralField:
     n = s.resolution
     k2 = _tables(s.dim, s.block.shape[1])[1]
     rhs = -params.mu * k2 * s.block + _nonlinear(s.block, params, np.empty((2, s.dim) + (n,) * s.dim))
-    return _array_to_field(rhs, n)
+    return to_spectral_field(CBFState(s.time, rhs, n))
 
 
 def _check_state(s: CBFState, params: CBFParams):
@@ -581,13 +574,8 @@ def random_divergence_free_state(params: CBFParams, kmax_init: int = 2, amplitud
     _check_finite("amplitude", amplitude)
     rng = np.random.default_rng(seed)
     n, dim, kmax = params.resolution, params.dim, params.dealias_kmax
-    nb = 2 * kmax + 1
-    karrs, _, k2safe, _ = _tables(dim, nb)
-    u = rng.standard_normal((dim,) + (n,) * dim)
-    # numpy's rfftn, not `_grid_to_block`: the two differ at roundoff, and
-    # that moves the `cbf` CLI's ledger residuals (differences of O(1)
-    # kinetic terms) far beyond their artifact comparison bound
-    c = _low_modes(np.array([np.fft.rfftn(u[i]) for i in range(dim)]), nb, kmax)
+    karrs, _, k2safe, _ = _tables(dim, 2 * kmax + 1)
+    c = _grid_to_block(rng.standard_normal((dim,) + (n,) * dim), kmax)
     band = np.ones(c.shape[1:], dtype=bool)
     for k in karrs:
         band &= np.abs(k) <= kmax_init
@@ -602,15 +590,15 @@ def random_divergence_free_state(params: CBFParams, kmax_init: int = 2, amplitud
     return s
 
 
-def _array_to_field(block: np.ndarray, n: int) -> SpectralField:
-    """Kept block of an N-point state (N = n) -> divergence-free SpectralField
-    (orthonormal basis amplitudes), reconstructing the conjugate half.
-
-    The source arrays are Leray projections, so any normal component is
-    floating-point residue; it is projected out before validation.
+def to_spectral_field(s: CBFState) -> SpectralField:
+    """State -> divergence-free SpectralField (orthonormal basis amplitudes),
+    reconstructing the conjugate half of the kept block.  The block may be
+    any Leray projection (`cbf_rhs` passes its right-hand side), so a normal
+    component is floating-point residue; it is projected out before
+    validation.
     """
-    dim, kmax = block.shape[0], block.shape[-1] - 1
-    sc = TWO_PI ** (dim / 2.0) / float(n) ** dim
+    block, dim, kmax = s.block, s.dim, s.block.shape[-1] - 1
+    sc = TWO_PI ** (dim / 2.0) / float(s.resolution) ** dim
     pos = np.argwhere(np.any(block != 0.0, axis=0))
     k = pos.copy()
     k[:, :-1] = np.where(pos[:, :-1] <= kmax, pos[:, :-1], pos[:, :-1] - (2 * kmax + 1))
@@ -619,10 +607,6 @@ def _array_to_field(block: np.ndarray, n: int) -> SpectralField:
     # the rfft layout stores the mirror of a row with last index > 0 implicitly
     rows = _Packed(k[keep], np.zeros(np.count_nonzero(keep), dtype=np.int64), v[keep])
     return SpectralField(TorusStokes(Torus(dim)), _with_mirrors(rows, pos[keep, -1] > 0))
-
-
-def to_spectral_field(s: CBFState) -> SpectralField:
-    return _array_to_field(s.block, s.resolution)
 
 
 def from_spectral_field(f: SpectralField, params: CBFParams, time: float = 0.0) -> CBFState:

@@ -55,7 +55,7 @@ def _comma_list(cfg: dict, key: str) -> list:
         raise ConfigError(f"{key} must be a comma-separated list of {convert.__name__}s, got {cfg[key]!r}") from None
     if not vals:
         raise ConfigError(f"empty {key} list")
-    if not all(map(math.isfinite, vals)):
+    if not all(abs(v) <= sys.float_info.max for v in vals):
         raise ConfigError(f"{key} elements must be finite, got {cfg[key]!r}")
     return vals
 

@@ -472,7 +472,7 @@ def _mode_table(operator: OperatorSpec, lambda_max: float, cap: int = DEFAULT_MO
     """The eigenpairs of `enumerate_modes` as arrays in its order: k (M, d)
     int64, pol (M,) int64 and lam (M,) float, lam[i] bit for bit
     operator.eigenvalue(k[i]); the candidate box meets `cap` before it exists."""
-    if not (math.isfinite(lambda_max) and lambda_max > 0):
+    if not 0 < lambda_max <= sys.float_info.max:
         raise ConfigError(f"lambda_max must be positive and finite, got {lambda_max!r}")
     stokes = isinstance(operator, TorusStokes)
     if isinstance(operator, DirichletLaplacian):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple
@@ -578,10 +579,10 @@ def _apply_tables(operator: OperatorSpec, tables: list, k: np.ndarray, values: n
     a real field's block flipped on every axis is its conjugate."""
     block = np.zeros((math.prod(values.shape[1:]),) + tuple(t.shape[0] for t, _ in tables), dtype=complex)
     at = (slice(None),) + tuple(place for _, place in tables)
-    if isinstance(operator, TorusStokes) and np.unique(_row_keys(k)).size < k.shape[0]:
+    if isinstance(operator, TorusStokes):
         # a Stokes field may hold several polarization rows at one k: they
-        # add, as in `evaluate`.  With one row per k (every other field) the
-        # plain assignment keeps every bit, signed zeros included.
+        # add, as in `evaluate`.  A scalar field has one row per k, and the
+        # plain assignment is the cheaper placement.
         np.add.at(block, at, values.T)
     else:
         block[at] = values.T
@@ -662,9 +663,9 @@ def lp_norm(g: GridField, p) -> float:
         mag = np.abs(g.values)
     if p == math.inf:
         return float(mag.max())
-    p = float(p)
-    if not (p >= 1.0 and math.isfinite(p)):
+    if not 1.0 <= p <= sys.float_info.max:
         raise ConfigError(f"p must be >= 1 or inf, got {p}")
+    p = float(p)
     w = quadrature_weights(g)
     return float(np.sum(w * mag**p) ** (1.0 / p))
 

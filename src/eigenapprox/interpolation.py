@@ -13,6 +13,7 @@ copy of scipy's, so the norm's bits do not depend on the installed scipy
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -66,9 +67,9 @@ def k_functional(f: SpectralField, t) -> float:
     This is the closed form of the splitting infimum: the per-mode minimizer
     is y_j = c_j/(1 + t^2 lambda_j^2).  Only the positive spectrum enters.
     """
+    if not 0 < t <= sys.float_info.max:  # NaN, an infinity or an int beyond the doubles
+        raise ConfigError(f"k_functional needs a finite t > 0, got {t}")
     t = float(t)
-    if not t > 0:
-        raise ConfigError(f"k_functional needs t > 0, got {t}")
     return _weighted_norm(f, 0.0, lambda lams: (t * lams) ** 2 / (1.0 + (t * lams) ** 2))
 
 
@@ -83,7 +84,7 @@ class InterpolationQuery:
 
     def __post_init__(self):
         _check_theta(self.theta)
-        if not (0.0 < self.t_min < self.t_max and math.isfinite(self.t_max)):
+        if not 0.0 < self.t_min < self.t_max <= sys.float_info.max:
             raise ConfigError(f"need 0 < t_min < t_max, got ({self.t_min}, {self.t_max})")
         if self.num_points < 16:
             raise ConfigError(f"need at least 16 quadrature points, got {self.num_points}")

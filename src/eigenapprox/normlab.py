@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 
@@ -79,7 +80,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown family {self.family!r}; choose from {FAMILIES}")
         if self.n_samples < 1:
             raise ConfigError("need at least one sample")
-        if not (math.isfinite(self.lambda_max) and self.lambda_max > 0):
+        if not 0 < self.lambda_max <= sys.float_info.max:
             raise ConfigError(f"lambda_max must be positive and finite, got {self.lambda_max!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
@@ -402,7 +403,7 @@ def operator_norm_lower_bound(name: str, p: float, config: ExperimentConfig, par
 
 
 def _check_ascent_p(p: float) -> None:
-    if not 1.0 < p < math.inf:
+    if not 1.0 < p <= sys.float_info.max:
         raise ConfigError(f"p must lie in (1, inf), got {p}")
 
 
@@ -451,6 +452,7 @@ def truncation_experiment(
     measured on the near-extremal family.  Reported, not asserted."""
     if kmax < 1:
         raise ConfigError(f"kmax must be >= 1, got {kmax}")
+    _check_cap((2 * kmax + 1) ** 2, DEFAULT_MODE_CAP)  # the family's box, before kmax^2 must fit a double
     config = ExperimentConfig(
         operator=TorusLaplacian(Torus(2)),
         lambda_max=float(kmax * kmax),
@@ -464,9 +466,7 @@ def truncation_experiment(
     reports = []
     for name in ("spherical", "cubic"):
         for n in n_list:
-            rep, _ = _lower_bound(family, name, p, config, int(n))
-            rep.params["n"] = int(n)
-            reports.append(rep)
+            reports.append(_lower_bound(family, name, p, config, n)[0])
     return reports
 
 

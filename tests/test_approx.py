@@ -188,6 +188,31 @@ def test_invalid_arguments():
         pi_theta_gap_norm(f, 0.0, 1.0)
 
 
+_TORUS_FIELD = SpectralField(TorusLaplacian(Torus(2)), {(0, 0): 1.0 + 0j, (1, 0): 1.0 + 0j, (-1, 0): 1.0 + 0j})
+_NAN_CHECKS = {
+    # a NaN time used to keep only the carried mean, or read as a NaN norm or
+    # constant; an infinite t made K(f, t) NaN with a RuntimeWarning
+    "semigroup_apply": lambda: semigroup_apply(_TORUS_FIELD, math.nan),
+    "semigroup_apply-interval": lambda: semigroup_apply(SpectralField(DirichletLaplacian(Interval(1.0)), {(1,): 1.0}), math.nan),
+    "semigroup_error_norm": lambda: semigroup_error_norm(_TORUS_FIELD, math.nan, 0.5),
+    "smoothing_bound": lambda: smoothing_bound(math.nan, 1.0, 0.0, 1.0),
+    "c_gamma": lambda: c_gamma(math.nan),
+    "k_functional": lambda: k_functional(_TORUS_FIELD, math.inf),
+}
+
+
+@pytest.mark.parametrize("call", _NAN_CHECKS.values(), ids=list(_NAN_CHECKS))
+def test_a_nan_time_or_infinite_t_is_refused(call):
+    with pytest.raises(ConfigError):
+        call()
+
+
+def test_semigroup_at_zero_keeps_every_value():
+    f = random_field(TorusLaplacian(Torus(2)), 20.0, np.random.default_rng(3), include_mean=True)
+    g = semigroup_apply(f, 0.0)
+    assert g.k.tobytes() == f.k.tobytes() and g.values.tobytes() == f.values.tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     d=st.sampled_from([2, 3]),

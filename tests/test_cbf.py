@@ -391,7 +391,7 @@ def test_state_outside_the_dealias_mask_is_rejected():
 
 def test_solver_paths_never_build_the_full_layout(monkeypatch, tmp_path):
     # the state is the kept block: only the read-only `coeffs` view and the
-    # rfftn gather of the random initial state scatter into the N-point layout
+    # Parseval sums scatter it into the N-point layout
     p2, p3 = _params(), _params(dim=3, beta=1.0, t_final=3 * 2e-3, snapshot_every=1)
     s3 = random_divergence_free_state(p3, kmax_init=2, seed=1)
 

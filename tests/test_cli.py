@@ -1,6 +1,8 @@
 import argparse
 import csv
+import dataclasses
 import hashlib
+import inspect
 import itertools
 import json
 import math
@@ -8,7 +10,9 @@ import math
 import pytest
 
 from eigenapprox import cli
+from eigenapprox.cbf import CBFParams, random_divergence_free_state
 from eigenapprox.cli import _build_parser, run
+from eigenapprox.normlab import truncation_experiment
 
 
 def _read_csv(path):
@@ -191,6 +195,30 @@ def test_truncate_kmax_past_the_mode_cap_is_exit_3(tmp_path, capsys):
     assert err.startswith("error: accuracy: mode enumeration would produce")
     assert "\n" not in err.rstrip("\n")
     assert not (tmp_path / "truncate.csv").exists()
+
+
+def test_truncate_kmax_past_the_doubles_is_the_mode_cap_line(tmp_path, capsys):
+    # kmax^2 as a double used to end in an OverflowError traceback
+    assert _run(["truncate", "--kmax", "1" + "0" * 200], tmp_path) == 3
+    modes = (2 * 10**200 + 1) ** 2
+    assert capsys.readouterr().err == f"error: accuracy: mode enumeration would produce {modes} modes, over the cap of 1000000\n"
+
+
+def test_cli_defaults_are_the_library_defaults():
+    # the CLI keeps its own option table, to name its own keys in messages;
+    # its defaults must not drift from the library's
+    cli_key = {"dim": "d", "resolution": "N", "t_final": "T"}
+    for f in dataclasses.fields(CBFParams):
+        if f.default is not dataclasses.MISSING:
+            assert cli._DEFAULTS["cbf"][cli_key.get(f.name, f.name)] == f.default, f.name
+    for key, param in inspect.signature(random_divergence_free_state).parameters.items():
+        if param.default is not inspect.Parameter.empty:
+            assert cli._DEFAULTS["cbf"][key] == param.default, key
+    truncate_keys = {"samples": "n_samples", "iters": "ascent_iters"}
+    defaults = {k: v for k, v in cli._DEFAULTS["truncate"].items() if k != "plot"}
+    defaults["n_list"] = tuple(int(x) for x in defaults["n_list"].split(","))
+    signature = inspect.signature(truncation_experiment).parameters
+    assert {truncate_keys.get(k, k): v for k, v in defaults.items()} == {k: p.default for k, p in signature.items()}
 
 
 def test_missing_subcommand_is_exit_2(capsys):
@@ -472,6 +500,7 @@ BAD_VALUES = [
     ("approx", {}, ["--seed", "-1"], "seed"),
     ("truncate", {}, ["--seed", "-1"], "seed"),
     ("truncate", {}, ["--n-list", "2,x"], "n_list"),
+    ("truncate", {}, ["--n-list", "1" + "0" * 400], "n_list elements must be finite"),
     ("approx", {}, ["--theta", "0.5,x"], "theta"),
     ("truncate", {}, ["--iters", "-3"], "iters"),
     ("approx", {"field": 3}, [], "field"),

@@ -1,13 +1,12 @@
 """Every name a library module imports is used in that module, the
-library makes no FFT call but one, and it loads scipy only where it must.
+library makes no FFT call, and it loads scipy only where it must.
 
 No linter ships with the toolkit, so this is the guard against the stale
 imports a deletion leaves behind.  `__init__.py` is skipped: its imports are
 the public surface it re-exports.  Every map between eigen-coefficients and a
 grid goes through the one-axis tables of `fields._axis_tables` (or `cbf`'s
-partial DFTs read from the same phases); the one FFT left is the seeded
-initial state of `cbf.random_divergence_free_state`, whose bits the ledger
-artifacts depend on.  scipy costs about 0.35 s of start-up and 47 MB of
+partial DFTs read from the same phases), so neither an import nor a CLI run
+loads `numpy.fft`.  scipy costs about 0.35 s of start-up and 47 MB of
 memory, so only the `--check-itheta` reference quadrature imports it, inside
 its function; the near-extremal family's Bessel function is `normlab._j1`.
 """
@@ -51,7 +50,7 @@ def test_no_unused_imports(path):
 
 
 FFT_MODULES = ("numpy.fft", "scipy.fft", "scipy.fftpack")
-FFT_ALLOWED = {("cbf.py", "random_divergence_free_state")}
+FFT_ALLOWED = set()
 
 
 def _fft_calls(source: str) -> list:
@@ -96,7 +95,7 @@ def test_the_scan_finds_every_fft_call():
     assert _fft_calls(source) == [(6, "f"), (6, "f"), (8, "g"), (8, "g")]
 
 
-def test_no_fft_call_but_the_seeded_initial_state():
+def test_no_fft_call():
     found = {(p.name, where) for p in SRC.glob("*.py") for _, where in _fft_calls(p.read_text())}
     assert found == FFT_ALLOWED
 
@@ -143,7 +142,7 @@ def test_no_scipy_import_but_the_lazy_quadrature():
 
 # each run through cli.run, small, in order, each writing to the directory
 # named after its subcommand; none checks I(theta), the one path that loads
-# scipy, and `truncate` samples the near-extremal family
+# scipy, `truncate` samples the near-extremal family and `cbf` seeds its state
 _SCIPY_FREE_RUNS = [
     ["cbf", "--N", "16", "--T", "0.03"],
     ["interp"],
@@ -156,7 +155,7 @@ import json, os, sys
 import eigenapprox, eigenapprox.cli
 
 def loaded():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m.startswith("numpy.fft"))
 
 out = {"import": loaded()}
 os.chdir(sys.argv[2])
@@ -167,7 +166,7 @@ print(json.dumps(out))
 """
 
 
-def test_import_and_cli_runs_leave_scipy_unloaded(tmp_path):
+def test_import_and_cli_runs_load_neither_scipy_nor_numpy_fft(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
     proc = subprocess.run(

@@ -16,6 +16,7 @@ from eigenapprox import (
     DirichletLaplacian,
     ExperimentConfig,
     GridField,
+    InterpolationQuery,
     Interval,
     ModeIndex,
     ResourceLimitError,
@@ -25,6 +26,7 @@ from eigenapprox import (
     TorusStokes,
     apply_named_transform,
     convergence_study,
+    enumerate_modes,
     lp_norm,
     lp_ratio,
     operator_norm_lower_bound,
@@ -461,6 +463,40 @@ def test_truncation_experiment_small_run_deterministic():
         ("cubic", 3),
     ]
     assert all(r.value > 0 for r in a)
+
+
+def test_truncation_radius_must_be_an_integer():
+    # 4.5 used to be measured, and labelled, as n = 4
+    kw = dict(p=4.0, kmax=6, seed=0, n_samples=2, ascent_iters=10)
+    with pytest.raises(ConfigError, match=r"truncation order must be an integer >= 0, got 4\.5"):
+        truncation_experiment(n_list=(4.5,), **kw)
+    rows = [truncation_experiment(n_list=(n,), **kw) for n in (np.int64(4), 4)]
+    assert [(r.params["n"], r.value) for r in rows[0]] == [(r.params["n"], r.value) for r in rows[1]]
+
+
+_GRID = GridField(Torus(1), (np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False),), np.ones(8))
+_TORUS2 = TorusLaplacian(Torus(2))
+_NUMBER_ENTRY_POINTS = {
+    "enumerate_modes": lambda x: enumerate_modes(_TORUS2, x),
+    "random_field": lambda x: random_field(_TORUS2, x, np.random.default_rng(0)),
+    "ExperimentConfig": lambda x: ExperimentConfig(_TORUS2, lambda_max=x),
+    "InterpolationQuery": lambda x: InterpolationQuery(0.5, 1e-3, x),
+    "lp_norm": lambda x: lp_norm(_GRID, x),
+    "truncation_experiment": lambda x: truncation_experiment(n_list=(2,), p=x, kmax=2, n_samples=1, ascent_iters=1),
+}
+# an int beyond the doubles used to end in a bare OverflowError
+_NUMBER_CASES = [
+    (name, x)
+    for name in _NUMBER_ENTRY_POINTS
+    for x in (math.nan, math.inf, -math.inf, 10**400)
+    if not (name == "lp_norm" and x == math.inf)  # the sup norm
+]
+
+
+@pytest.mark.parametrize("name, x", _NUMBER_CASES, ids=[f"{n}-{x if x != 10**400 else '10**400'}" for n, x in _NUMBER_CASES])
+def test_a_number_no_finite_double_holds_is_a_config_error(name, x):
+    with pytest.raises(ConfigError):
+        _NUMBER_ENTRY_POINTS[name](x)
 
 
 def _ascent(f, name, param, p):

@@ -506,7 +506,7 @@ def _csv_reader_oracle(text, op):
     return coeffs
 
 
-def _array_to_field_oracle(block, n):
+def _to_spectral_field_oracle(block, n):
     """The field's map, and the magnitude of each row's input, for the kept
     block of an n-point state: wavenumbers 0..K then -K..-1 on each full
     axis, 0..K on the last."""
@@ -773,8 +773,9 @@ def test_state_conversion_matches_per_mode_loops(dim, beta, seed, kmax):
     noise = np.where(noise[0] > 1.0, noise[0] + 1j * noise[1], np.where(noise[0] < -2.0, -0.0, 0.0))
     # the noise is not tangential: the oracle may reject its projection residue
     for arr in (s.block, step(s, params).block, viscous, rhs, noise):
-        assert _agrees(_run(cbf._array_to_field, arr, n), TorusStokes(Torus(dim)), *_array_to_field_oracle(arr, n))
-    assert _same(cbf_rhs(s, params).coefficients, cbf._array_to_field(rhs, n).coefficients)
+        got = _run(cbf.to_spectral_field, cbf.CBFState(0.0, arr, n))
+        assert _agrees(got, TorusStokes(Torus(dim)), *_to_spectral_field_oracle(arr, n))
+    assert _same(cbf_rhs(s, params).coefficients, cbf.to_spectral_field(cbf.CBFState(0.0, rhs, n)).coefficients)
     f = to_spectral_field(s)
     assert from_spectral_field(f, params).block.tobytes() == _from_field_oracle(f, params).tobytes()
 
